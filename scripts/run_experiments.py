@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run every experiment config under scripts/configs/ and print a summary.
 
-Reports land next to each config as <name>.report.json.  Exit code is the
-number of failed experiments (0 when everything passes its thresholds).
+    python scripts/run_experiments.py                      # every config
+    python scripts/run_experiments.py pipeline_n2000 ...   # only these
+
+Reports are written to scripts/reports/<name>.report.json (an ignored
+directory, so reruns never feed a report back in as a config).  Exit code is
+the number of failed experiments (0 when everything passes its thresholds).
 Note that hitting_time_n10000 fails its 90% bracket threshold by design of
 the underlying asymptotics; see README.
 """
@@ -14,6 +18,7 @@ import time
 from hamcount.harness import ExperimentConfig, run_experiment
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
+REPORT_DIR = pathlib.Path(__file__).resolve().parent / "reports"
 
 
 def main(argv):
@@ -26,10 +31,11 @@ def main(argv):
         t0 = time.time()
         report = run_experiment(cfg)
         elapsed = time.time() - t0
-        out = cfg_path.with_suffix(".report.json")
+        REPORT_DIR.mkdir(exist_ok=True)
+        out = REPORT_DIR / f"{cfg_path.stem}.report.json"
         out.write_text(report.to_json() + "\n")
         status = "pass" if report.passed else "FAIL"
-        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s)  -> {out.name}")
+        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s)  -> {out.relative_to(REPORT_DIR.parent)}")
         failures += 0 if report.passed else 1
     return failures
 

@@ -138,10 +138,61 @@ def _codes_to_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
-    u = q // (n - 1)
-    r = q % (n - 1)
-    v = r + (r >= u)
-    return u * n + v
+    """Map compact loopless indices to codes, overwriting and returning ``q``.
+
+    Index q = u*(n-1) + r becomes u*n + v with v = r + (r >= u).  Callers pass
+    an array they own; working in place keeps the peak at two int64 copies.
+    """
+    u = np.empty_like(q)
+    np.divmod(q, n - 1, out=(u, q))
+    q += q >= u
+    u *= n
+    q += u
+    return q
+
+
+def _fresh_in_order(block: np.ndarray, seen_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of ``block`` absent from ``seen_sorted``, and the merged mirror.
+
+    The first array keeps each new code once, in order of first appearance in
+    the block; the second is ``seen_sorted`` with those codes merged in, still
+    sorted.  Cost: one stable sort of the block, one binary search of the
+    block's distinct codes against the mirror, and a linear merge, so
+    O(B log B + B log S + S) for a block of B codes and a mirror of S.
+    """
+    index_bits = max(1, (block.size - 1).bit_length())
+    if block.size and int(block.max()) < 1 << (63 - index_bits):
+        # (code, index) packed into one int64: a plain sort of the packed keys
+        # gives the stable order, several times faster than argsort(kind="stable").
+        packed = np.sort((block << index_bits) | np.arange(block.size))
+        ranked, order = packed >> index_bits, packed & ((1 << index_bits) - 1)
+    else:
+        order = np.argsort(block, kind="stable")
+        ranked = block[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]  # stable: a run starts at its earliest index
+    distinct, where = ranked[first], order[first]
+    slot = np.searchsorted(seen_sorted, distinct)
+    hit = slot < seen_sorted.size
+    hit[hit] = seen_sorted[slot[hit]] == distinct[hit]
+    new = ~hit
+    keep = np.zeros(block.size, dtype=bool)
+    keep[where[new]] = True
+    # Each new code lands at its search slot shifted by the new codes before it.
+    merged = np.empty(seen_sorted.size + int(new.sum()), dtype=np.int64)
+    dest = slot[new] + np.arange(merged.size - seen_sorted.size)
+    old = np.ones(merged.size, dtype=bool)
+    old[dest] = False
+    merged[dest] = distinct[new]
+    merged[old] = seen_sorted
+    return block[keep], merged
+
+
+def _random_block(rng: np.random.Generator, n: int, loopful: bool) -> np.ndarray:
+    """One block of i.i.d. uniform codes from the admissible pair universe."""
+    universe = n * n if loopful else n * (n - 1)
+    block = rng.integers(0, universe, size=_DRAW_BLOCK, dtype=np.int64)
+    return block if loopful else _loopless_index_to_code(block, n)
 
 
 class EdgeSequence:
@@ -164,6 +215,8 @@ class EdgeSequence:
         self.loopful = bool(loopful)
         self.universe_size = n * n if loopful else n * (n - 1)
         self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
+        # Sorted mirror of _codes for the dedup in _draw_block, built on demand.
+        self._sorted = np.empty(0, dtype=np.int64)
         self._rng = _rng
         self._parent = _parent
         self._parent_scanned = 0
@@ -177,7 +230,7 @@ class EdgeSequence:
         rng = make_generator(seed)
         seq = cls(n, loopful, _rng=rng)
         if seq.universe_size <= _FULL_SHUFFLE_MAX:
-            perm = rng.permutation(seq.universe_size).astype(np.int64)
+            perm = rng.permutation(seq.universe_size).astype(np.int64, copy=False)
             if not loopful:
                 perm = _loopless_index_to_code(perm, n)
             seq._codes = perm
@@ -224,12 +277,9 @@ class EdgeSequence:
 
     def _draw_block(self) -> None:
         assert self._rng is not None
-        block = self._rng.integers(0, self.universe_size, size=_DRAW_BLOCK, dtype=np.int64)
-        if not self.loopful:
-            block = _loopless_index_to_code(block, self.n)
-        _, first_idx = np.unique(block, return_index=True)
-        in_order = block[np.sort(first_idx)]
-        fresh = in_order[~np.isin(in_order, self._codes)]
+        if self._sorted.size != self._codes.size:
+            self._sorted = np.sort(self._codes)
+        fresh, self._sorted = _fresh_in_order(_random_block(self._rng, self.n, self.loopful), self._sorted)
         self._codes = np.concatenate([self._codes, fresh])
 
     def _finish_with_shuffle(self) -> None:
@@ -242,6 +292,7 @@ class EdgeSequence:
             all_codes = _loopless_index_to_code(all_codes, self.n)
         rest = np.setdiff1d(all_codes, have, assume_unique=False)
         self._codes = np.concatenate([have, self._rng.permutation(rest)])
+        self._sorted = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
     def _extend_from_parent(self) -> None:
         parent = self._parent
@@ -323,7 +374,7 @@ def gen_binomial(n: int, p: float, allow_loops: bool, seed: int) -> Digraph:
     universe = n * n if allow_loops else n * (n - 1)
     if universe <= _FULL_SHUFFLE_MAX:
         mask = rng.random(universe) < p
-        idx = np.nonzero(mask)[0].astype(np.int64)
+        idx = np.nonzero(mask)[0].astype(np.int64, copy=False)
         codes = idx if allow_loops else _loopless_index_to_code(idx, n)
     else:
         # Draw the edge count, then a uniform set of that size: exactly the
@@ -338,14 +389,10 @@ def _draw_distinct(rng: np.random.Generator, n: int, loopful: bool, m: int) -> n
     universe = n * n if loopful else n * (n - 1)
     if m > universe:
         raise DomainError("cannot draw more pairs than the universe holds")
-    out = np.empty(0, dtype=np.int64)
+    out = seen = np.empty(0, dtype=np.int64)
     while out.size < m:
-        block = rng.integers(0, universe, size=_DRAW_BLOCK, dtype=np.int64)
-        if not loopful:
-            block = _loopless_index_to_code(block, n)
-        _, first_idx = np.unique(block, return_index=True)
-        in_order = block[np.sort(first_idx)]
-        out = np.concatenate([out, in_order[~np.isin(in_order, out)]])
+        fresh, seen = _fresh_in_order(_random_block(rng, n, loopful), seen)
+        out = np.concatenate([out, fresh])
     return out[:m]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcount.digraph import (
+    _DRAW_BLOCK,
+    _FULL_SHUFFLE_MAX,
     CoupledProcess,
     Digraph,
     EdgeSequence,
+    _fresh_in_order,
     couple,
     gen_binomial,
     gen_process,
@@ -19,6 +23,10 @@ from hamcount.digraph import (
     write_edge_list,
 )
 from hamcount.errors import DomainError, FormatError
+
+
+def _sha256_codes(codes) -> str:
+    return hashlib.sha256(np.ascontiguousarray(codes, dtype="<i8").tobytes()).hexdigest()
 
 
 class TestDigraph:
@@ -125,6 +133,80 @@ class TestEdgeProcess:
             EdgeSequence.from_order(2, False, [(0, 1), (0, 1)])
         seq = EdgeSequence.from_order(2, False, [(1, 0), (0, 1)])
         assert seq.pair(0) == (1, 0)
+
+
+class TestFreshInOrder:
+    @staticmethod
+    def reference(block, seen):
+        seen_set = set(seen)
+        fresh = list(dict.fromkeys(c for c in block if c not in seen_set))
+        return fresh, sorted(seen_set | set(fresh))
+
+    @pytest.mark.parametrize("block, seen", [
+        ([5, 3, 5, 9, 3, 1, 9, 9], []),            # in-block repeats, empty mirror
+        ([4, 2, 4, 2], [2, 4, 7]),                 # fully seen block
+        ([8, 1, 6, 1, 0, 12, 6, 3], [1, 3, 5, 12]),  # partial overlap
+        ([20, 0, 20, 10], [5, 15]),                # new codes before, between and after
+        ([], [1, 2]),
+        ([2**62, 5, 2**62, 7, 5], [7, 2**61]),      # too wide to pack: stable argsort
+    ])
+    def test_cases(self, block, seen):
+        fresh, merged = _fresh_in_order(np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64))
+        want_fresh, want_merged = self.reference(block, seen)
+        assert fresh.tolist() == want_fresh
+        assert merged.tolist() == want_merged
+        assert fresh.dtype == merged.dtype == np.int64
+
+    @given(st.lists(st.integers(0, 40), max_size=60), st.sets(st.integers(0, 40)),
+           st.sampled_from([0, 2**61]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_reference(self, block, seen, offset):
+        block = [offset + c for c in block]
+        seen = sorted(offset + c for c in seen)
+        fresh, merged = _fresh_in_order(np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64))
+        want_fresh, want_merged = self.reference(block, seen)
+        assert fresh.tolist() == want_fresh
+        assert merged.tolist() == want_merged
+
+
+class TestStreamPins:
+    """sha256 digests of the edge process and the sparse binomial model.
+
+    The digests were recorded from the earlier np.isin-based deduplication;
+    any change to first-appearance order, the block schedule or the loopless
+    index mapping changes them.
+    """
+
+    def test_loopful_lazy_and_shadow(self):
+        assert 10_000 ** 2 > _FULL_SHUFFLE_MAX and 300_000 > 4 * _DRAW_BLOCK
+        pins = {
+            0: ("c86ebb8addca6f78a40ef7c37c7112dcf11454956174d1938ae7d77bc4662958",
+                "51237e7d54624f777579f1092f515b57a0ed1d1e5c92a79f10b6adbcc911d83a"),
+            1: ("d75f995b82e44bb51695b72f2cdae30f0fafd67709f194123afb90884dab2249",
+                "cd485306a6679f2e22e6857cf12f4f63218f9d9c2f74c1ad7d200b188c063892"),
+        }
+        for seed, (loopful, shadow) in pins.items():
+            assert _sha256_codes(gen_process(10_000, "loopful", seed).codes(300_000)) == loopful
+            cp = couple(gen_process(10_000, "loopful", seed))
+            assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
+
+    def test_loopless_lazy(self):
+        assert 3000 * 2999 > _FULL_SHUFFLE_MAX
+        pins = {
+            0: "0f23a98dc473d53659d26d34d6b95bce3d61e08901c0b2957045cbf3d9208a0e",
+            1: "b674711e3e81c65562eaff1a1c0c44a4f15416ee29b019d178f3361daa7ba5ac",
+        }
+        for seed, digest in pins.items():
+            assert _sha256_codes(gen_process(3000, "loopless", seed).codes(300_000)) == digest
+
+    @pytest.mark.parametrize("p, edges, digest", [
+        (1e-5, 100, "9fb2e59552e612223979baf6ba16bf1d8ee4b070eff192f1dc25e33bec69aa5c"),
+        (0.02, 180_304, "d81fc1dc358418467c7682d87ea92f9e360dfb7559773662f17125bf4f9b9e7c"),
+    ])
+    def test_sparse_binomial(self, p, edges, digest):
+        d = gen_binomial(3000, p, False, 5)
+        assert d.edge_count == edges
+        assert _sha256_codes([u * 3000 + v for u, v in d.edges()]) == digest
 
 
 class TestCoupling:

@@ -262,6 +262,28 @@ class TestRotate:
         assert len(old - new) <= 2
 
 
+def _patch_oracle(c1, c2, d):
+    """Brute force: every pair of cycle edges, in index order."""
+    len1, len2 = len(c1), len(c2)
+    for a in range(len1):
+        v1, w1 = c1[a], c1[(a + 1) % len1]
+        for b in range(len2):
+            v2, w2 = c2[b], c2[(b + 1) % len2]
+            if d.has_edge(v1, w2) and d.has_edge(v2, w1):
+                return c1[: a + 1] + c2[b + 1:] + c2[: b + 1] + c1[a + 1:]
+    return None
+
+
+class _ProbeCountingDigraph(Digraph):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.probes = 0
+
+    def has_edge(self, u, v):
+        self.probes += 1
+        return super().has_edge(u, v)
+
+
 class TestPatch:
     def test_two_cycles_in_complete(self):
         merged = patch_cycles([0, 1], [2, 3], Digraph.complete(4))
@@ -275,6 +297,38 @@ class TestPatch:
     def test_rejects_overlap(self):
         with pytest.raises(PreconditionError):
             patch_cycles([0, 1], [1, 2], Digraph.complete(3))
+
+    def test_rejects_repeated_vertex(self):
+        with pytest.raises(PreconditionError):
+            patch_cycles([0, 1], [2, 3, 2], Digraph.complete(4))
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(20261018)
+        found = 0
+        trials = 2500
+        for _ in range(trials):
+            n = int(rng.integers(4, 15))
+            p = float(rng.choice([0.0, 1.0, rng.random()], p=[0.05, 0.05, 0.9]))
+            d = random_digraph(rng, n, p, allow_loops=bool(rng.integers(2)))
+            verts = rng.permutation(n).tolist()
+            k1 = int(rng.integers(1, n))
+            k2 = int(rng.integers(1, n - k1 + 1))
+            c1, c2 = verts[:k1], verts[k1:k1 + k2]
+            want = _patch_oracle(c1, c2, d)
+            assert patch_cycles(c1, c2, d) == want
+            found += want is not None
+        assert 0.2 * trials < found < 0.9 * trials  # both outcomes well covered
+
+    def test_probes_bounded_by_out_degree(self):
+        rng = np.random.default_rng(7)
+        n = 400
+        d = _ProbeCountingDigraph(n, random_digraph(rng, n, 3.0 / n, allow_loops=False).edges())
+        verts = rng.permutation(n).tolist()
+        c1, c2 = verts[: n // 2], verts[n // 2:]
+        got = patch_cycles(c1, c2, d)
+        assert got == _patch_oracle(c1, c2, Digraph(n, d.edges()))
+        assert d.probes <= sum(d.out_degree(v) for v in c1)
+        assert d.probes < len(c1) * len(c2) // 50
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
