@@ -7,8 +7,6 @@
 Reports are written to scripts/reports/<name>.report.json (an ignored
 directory, so reruns never feed a report back in as a config).  Exit code is
 the number of failed experiments (0 when everything passes its thresholds).
-Note that hitting_time_n10000 fails its 90% bracket threshold by design of
-the underlying asymptotics; see README.
 """
 import json
 import pathlib

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -221,15 +221,7 @@ def edge_discrepancy_check(d: Digraph, m3: int, samples: int = 10_000, seed: int
         return _exhaustive_scan(d, gate, size_cap, centred_bound, cap_bound, m3)
 
     report = DiscrepancyReport(exhaustive=False)
-    rng = make_generator(seed)
-    us, vs = _edge_arrays(d)
-    for _ in range(samples):
-        s1, s2 = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
-        x1 = rng.permutation(n)[:s1]
-        x2 = rng.permutation(n)[:s2]
-        in1 = np.zeros(n, dtype=bool); in1[x1] = True
-        in2 = np.zeros(n, dtype=bool); in2[x2] = True
-        e = int(np.count_nonzero(in1[us] & in2[vs])) if us.size else 0
+    for s1, s2, e in _sampled_pairs(d, samples, seed, n):
         prod = s1 * s2
         if prod >= gate:
             dev = abs(e - prod * m3 / (n * n))
@@ -239,6 +231,20 @@ def edge_discrepancy_check(d: Digraph, m3: int, samples: int = 10_000, seed: int
             b = cap_bound(prod)
             report.note(PairRecord(s1, s2, e, b, "cap", e <= b, b - e), True)
     return report
+
+
+def _sampled_pairs(d: Digraph, samples: int, seed: int,
+                   max_size: int) -> Iterator[tuple[int, int, int]]:
+    """(|X1|, |X2|, e(X1, X2)) for random subset pairs with sizes uniform on
+    0..max_size, drawn in a fixed order from ``seed``."""
+    n = d.n
+    rng = make_generator(seed)
+    us, vs = _edge_arrays(d)
+    for _ in range(samples):
+        s1, s2 = int(rng.integers(0, max_size + 1)), int(rng.integers(0, max_size + 1))
+        in1 = np.zeros(n, dtype=bool); in1[rng.permutation(n)[:s1]] = True
+        in2 = np.zeros(n, dtype=bool); in2[rng.permutation(n)[:s2]] = True
+        yield s1, s2, int(np.count_nonzero(in1[us] & in2[vs])) if us.size else 0
 
 
 def _edge_arrays(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
@@ -355,15 +361,7 @@ def gk_hypotheses(d: Digraph, r: float, samples: int = 10_000, seed: int = 0) ->
         disc = _exhaustive_gk(d, size_cap, r)
     else:
         disc = DiscrepancyReport(exhaustive=False)
-        rng = make_generator(seed)
-        us, vs = _edge_arrays(d)
-        for _ in range(samples):
-            s1, s2 = int(rng.integers(0, size_cap + 1)), int(rng.integers(0, size_cap + 1))
-            x1 = rng.permutation(n)[:s1]
-            x2 = rng.permutation(n)[:s2]
-            in1 = np.zeros(n, dtype=bool); in1[x1] = True
-            in2 = np.zeros(n, dtype=bool); in2[x2] = True
-            e = int(np.count_nonzero(in1[us] & in2[vs])) if us.size else 0
+        for s1, s2, e in _sampled_pairs(d, samples, seed, size_cap):
             b = bound(s1 * s2)
             disc.note(PairRecord(s1, s2, e, b, "gk-subset", e <= b, b - e), True)
     loglog = math.log(math.log(n)) if n >= 3 else float("nan")

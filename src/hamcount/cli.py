@@ -155,36 +155,17 @@ def constants(n, as_json):
 @main.command("find-hamilton")
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--retries", type=int, default=25, help="relabeling retries for a good factor")
-@click.option("--rotation-budget", type=int, default=None)
-@click.option("--merge-retries", type=int, default=5)
-@click.option("--patch-fraction", type=float, default=0.5)
-@click.option("--rotation-source", type=click.Choice(["target", "reserve", "split"]),
-              default="target")
-@click.option("--overlap-constant", type=float, default=10.0)
-@click.option("--size-constant", type=float, default=10.0,
-              help="sqrt-n budget for the low-degree threshold fallback")
-@click.option("--large-threshold", type=int, default=None)
 @click.option("--timings", is_flag=True)
 @click.option("--one-indexed", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
 @_mapped_errors
-def find_hamilton_cmd(n, seed, retries, rotation_budget, merge_retries, patch_fraction,
-                      rotation_source, overlap_constant, size_constant, large_threshold,
-                      timings, one_indexed, as_json):
+def find_hamilton_cmd(n, seed, timings, one_indexed, as_json):
     """Run the construction pipeline on a fresh coupled process; print the
     Hamilton cycle (one line, space-separated) and the phase log."""
     seed = _resolve_seed(seed)
     c = compute_constants(n)
     cp = couple(gen_process(n, "loopful", seed))
-    cfg = PipelineConfig(
-        relabel_retries=retries, rotation_budget=rotation_budget,
-        merge_retry_cap=merge_retries, patch_fraction=patch_fraction,
-        rotation_source=rotation_source, overlap_constant=overlap_constant,
-        size_constant=size_constant, large_threshold=large_threshold,
-        include_timings=timings,
-    )
-    out = find_hamilton(cp, c, seed=seed, config=cfg)
+    out = find_hamilton(cp, c, seed=seed, config=PipelineConfig(include_timings=timings))
     if as_json:
         click.echo(json.dumps({"n": n, "seed": seed, **out.to_dict()}, sort_keys=True))
     elif out.ok:

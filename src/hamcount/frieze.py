@@ -12,15 +12,15 @@ at its hitting time.
 
 ``compress``/``CompressionMap`` implement the instance-shrinking step that
 removes low-degree vertices by contracting them with their factor
-neighbours; the default pipeline applies it as the identity (see the
-module-level notes on small-n behaviour in README).
+neighbours; the pipeline keeps every vertex instead, because the step's
+isolation precondition is never met at desk-scale n (see README).
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .matching import hopcroft_karp
 from .rng import derive_seed, make_generator
 
 MIN_N = 16  # below this log log n is too small for the degree window
+RELABEL_RETRIES = 25  # right-side relabelings tried for a good factor
+MERGE_RETRY_CAP = 5   # unravel attempts per cycle merge
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,10 @@ class Constants:
     """Derived quantities controlling the pipeline at a given n.
 
     ``m0``/``m1`` bracket the degree-1 hitting time, ``m3`` is the two-thirds
-    exposure milestone; all logs are natural.
+    exposure milestone; all logs are natural.  ``overlap_floor`` is the least
+    number of factor edges the final cycle must keep, and
+    ``low_degree_budget`` the number of vertices outside the large set that
+    the formula degree threshold may leave before the pipeline falls back.
     """
 
     n: int
@@ -53,6 +58,8 @@ class Constants:
     good_cycle_cap: float
     short_cycle_len: int
     degree_cap: float
+    overlap_floor: float
+    low_degree_budget: float
 
 
 def compute_constants(n: int) -> Constants:
@@ -76,6 +83,8 @@ def compute_constants(n: int) -> Constants:
         good_cycle_cap=2.0 * log_n,
         short_cycle_len=3,
         degree_cap=log_n * log_n,
+        overlap_floor=n - 10.0 * log_n ** 2,
+        low_degree_budget=10.0 * math.sqrt(n),
     )
     # m0 == m1 can only happen at the very bottom of the range (n = 16).
     if not (c.m3 < c.m0 <= c.m1):
@@ -195,14 +204,14 @@ class StarPropertyReport:
         return self.size_ok and self.isolation_ok and self.short_cycles_ok and self.degree_ok
 
 
-def check_star_properties(s: StarDigraph, c: Constants, size_constant: float = 10.0) -> StarPropertyReport:
+def check_star_properties(s: StarDigraph, c: Constants) -> StarPropertyReport:
     d = s.star
     n = d.n
     large = s.large
     non_large = sorted(set(range(n)) - large)
     witnesses: dict = {}
 
-    sqrt_budget = size_constant * math.sqrt(n)
+    sqrt_budget = c.low_degree_budget
     size_ok = len(non_large) <= sqrt_budget
 
     # Undirected BFS to the isolation radius from every non-large vertex.
@@ -531,24 +540,21 @@ def _close_path_impl(path: PathState, d: Digraph, forbidden: frozenset,
 
 
 def close_path(p: PathState, d: Digraph, forbidden: Optional[VirtualEdgeSet] = None,
-               rotation_budget: Optional[int] = None, seed: int = 0) -> Optional[list[int]]:
+               seed: int = 0) -> Optional[list[int]]:
     """Rotate the path until some endpoint closes back to its first vertex.
 
     Returns a cycle on exactly the path's vertex set, or None if the budget
     is exhausted.  Edges in ``forbidden`` are never added.
     """
     fb = forbidden.edge_set() if forbidden is not None else frozenset()
-    budget = rotation_budget if rotation_budget is not None else _default_budget(d.n)
-    got = _close_path_impl(p, d, fb, budget, make_generator(seed))
+    got = _close_path_impl(p, d, fb, _default_budget(d.n), make_generator(seed))
     return got[0] if got else None
 
 
 def eliminate_forbidden(h: Sequence[int], virtual: VirtualEdgeSet, d: Digraph,
-                        rotation_budget: Optional[int] = None, seed: int = 0) -> Optional[list[int]]:
+                        seed: int = 0) -> Optional[list[int]]:
     """Rotate virtual edges out of a Hamilton cycle, one per round."""
-    got = _eliminate_impl(list(h), virtual.edge_set(), d,
-                          rotation_budget if rotation_budget is not None else _default_budget(d.n),
-                          seed)
+    got = _eliminate_impl(list(h), virtual.edge_set(), d, _default_budget(d.n), seed)
     return got[0] if got else None
 
 
@@ -615,10 +621,6 @@ class CompressionMap:
                 self._in_map[rep] = comp_id
                 self.expansion[comp_id] = (rep,)
 
-    @classmethod
-    def identity(cls, n: int) -> "CompressionMap":
-        return cls(n, list(range(n)), {})
-
     def map_edge(self, x: int, y: int) -> Optional[tuple[int, int]]:
         cx = self._out_map.get(x)
         cy = self._in_map.get(y)
@@ -633,15 +635,10 @@ class CompressionMap:
         return out
 
 
-class CompressResult(tuple):
-    """(digraph, factor, mapping) with attribute access."""
-
-    def __new__(cls, digraph: Digraph, factor: OneFactor, mapping: CompressionMap):
-        return super().__new__(cls, (digraph, factor, mapping))
-
-    digraph = property(lambda self: self[0])
-    factor = property(lambda self: self[1])
-    mapping = property(lambda self: self[2])
+class CompressResult(NamedTuple):
+    digraph: Digraph
+    factor: OneFactor
+    mapping: CompressionMap
 
 
 def compress(d: Digraph, m: OneFactor, l_set: frozenset) -> CompressResult:
@@ -718,19 +715,7 @@ def compress(d: Digraph, m: OneFactor, l_set: frozenset) -> CompressResult:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    relabel_retries: int = 25
-    rotation_budget: Optional[int] = None      # None: ceil(3 log n)
-    merge_retry_cap: int = 5                   # unravel attempts per cycle merge
-    patch_fraction: float = 0.5                # share of reserved edges used for patching
-    # Edge supply for rotations/closures: "target" (default) uses the whole
-    # loopless prefix at the hitting time minus the factor's own edges; the
-    # reserved-pool variants ("split", "reserve") are kept selectable but are
-    # too thin to percolate at moderate n (see README).
-    rotation_source: str = "target"
-    overlap_constant: float = 10.0             # overlap >= n - this * log^2 n
-    size_constant: float = 10.0                # budget for the low-degree fallback test
-    large_threshold: Optional[int] = None      # None: formula with small-n fallback
-    include_timings: bool = False
+    include_timings: bool = False  # add per-phase durations to the phase log
 
 
 @dataclass
@@ -804,12 +789,9 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # their hitting-time edges (degree-1 vertices colliding on a single
     # neighbour are the dominant matching obstruction at moderate n).
     t0 = time.perf_counter()
-    if config.large_threshold is not None:
-        thr = config.large_threshold
-    else:
-        thr = c.large_threshold
-        if n - len(compute_large(d_m3, thr)) > config.size_constant * math.sqrt(n):
-            thr = 2
+    thr = c.large_threshold
+    if n - len(compute_large(d_m3, thr)) > c.low_degree_budget:
+        thr = 2
     star = build_star_digraph(cp, c, threshold_override=thr)
     large = star.large
     log["large_threshold_formula"] = c.large_threshold
@@ -848,7 +830,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     factor = None
     factor_source = None
     attempts = 0
-    for attempt in range(config.relabel_retries + 1):
+    for attempt in range(RELABEL_RETRIES + 1):
         attempts = attempt + 1
         rng = make_generator(derive_seed(seed, 1, attempt))
         sigma = np.arange(n) if attempt == 0 else rng.permutation(n)
@@ -876,7 +858,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     log["factor_source"] = factor_source
     mark("factor", t0)
     if factor is None:
-        return fail("goodness", f"no good factor within {config.relabel_retries} relabelings")
+        return fail("goodness", f"no good factor within {RELABEL_RETRIES} relabelings")
     loops0, cycles0 = factor.num_loops, factor.num_cycles
     log["factor_loops"] = loops0
     log["factor_cycles"] = cycles0
@@ -891,36 +873,21 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     log["virtual_edges"] = len(virtual)
     mark("merge", t0)
 
-    # Compression stage: run as the identity (every vertex kept).  The
-    # contraction variant is exercised by its own operation-level tests; at
-    # these sizes its isolation precondition is never met by real instances.
-    mapping = CompressionMap.identity(n)
+    # No compression: every vertex is kept.  The contraction step is tested
+    # on its own; at these sizes its isolation precondition is never met by
+    # real instances.
     log["compression"] = "identity"
 
-    # Reserve the unexposed loopless edges between large vertices and split
-    # them between the patching and rotation phases.
+    # Patching uses every other unexposed loopless edge between large
+    # vertices.  Rotations and closures may use every verified edge: the
+    # search is breadth-first, so a denser supply means fewer edges changed.
     t0 = time.perf_counter()
     reserved = [
         (u, v) for u, v in cp.loopless.pairs(m_star)[c.m3:]
         if u in large and v in large
     ]
-    patch_edges, rot_edges = [], []
-    acc = 0.0
-    for e in reserved:
-        acc += config.patch_fraction
-        if acc >= 1.0:
-            acc -= 1.0
-            patch_edges.append(e)
-        else:
-            rot_edges.append(e)
-    if config.rotation_source == "reserve":
-        rot_edges = reserved
-    elif config.rotation_source == "target":
-        # every verified edge is usable for rotations and closures; the BFS
-        # is breadth-first, so denser supply means shallower (fewer) changes
-        rot_edges = sorted(target_edges)
-    elif config.rotation_source != "split":
-        raise DomainError(f"unknown rotation_source {config.rotation_source!r}")
+    patch_edges = reserved[1::2]
+    rot_edges = sorted(target_edges)
     patch_d = Digraph(n, patch_edges, allow_loops=False)
     rot_d = Digraph(n, rot_edges, allow_loops=False)
     log["reserved_edges"] = len(reserved)
@@ -955,7 +922,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
 
     # Phase 3: unravel each remaining cycle into the main one and re-close.
     t0 = time.perf_counter()
-    budget = config.rotation_budget if config.rotation_budget is not None else _default_budget(n)
+    budget = _default_budget(n)
     forbidden = virtual.edge_set()
     main = cycles[0]
     pending = cycles[1:]
@@ -965,7 +932,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     while pending:
         cyc = pending.pop(0)
         got = _merge_into(main, cyc, rot_d, forbidden, budget,
-                          config.merge_retry_cap, derive_seed(seed, 3, closes, len(cyc)))
+                          MERGE_RETRY_CAP, derive_seed(seed, 3, closes, len(cyc)))
         if got is None:
             key = cyc[0]
             deferrals[key] = deferrals.get(key, 0) + 1
@@ -981,7 +948,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     log["rotations_total"] = rotations_total
     mark("phase3", t0)
 
-    # Rotate away virtual edges, then decompress (identity here).
+    # Rotate away virtual edges.
     t0 = time.perf_counter()
     if virtual.edge_set():
         got = _eliminate_impl(main, forbidden, rot_d, budget, derive_seed(seed, 4))
@@ -993,23 +960,21 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
         log["rotations_total"] = rotations_total
     else:
         log["eliminate_rounds"] = 0
-    final_cycle = mapping.decompress_cycle(main)
     mark("eliminate", t0)
 
-    if not verify_hamilton_cycle(final_cycle, n, target_edges):
+    if not verify_hamilton_cycle(main, n, target_edges):
         return fail("verify", "result is not a Hamilton cycle of the loopless prefix")
-    cyc_edges = {(final_cycle[i], final_cycle[(i + 1) % n]) for i in range(n)}
+    cyc_edges = {(main[i], main[(i + 1) % n]) for i in range(n)}
     overlap = len(cyc_edges & set(factor.edges()))
     log["overlap"] = overlap
-    overlap_floor = n - config.overlap_constant * (math.log(n) ** 2)
-    log["overlap_floor"] = overlap_floor
+    log["overlap_floor"] = c.overlap_floor
     log["edges_changed"] = n - overlap
-    if overlap < overlap_floor:
-        return fail("overlap", f"overlap {overlap} below floor {overlap_floor:.1f}")
+    if overlap < c.overlap_floor:
+        return fail("overlap", f"overlap {overlap} below floor {c.overlap_floor:.1f}")
     if config.include_timings:
         timings["total"] = time.perf_counter() - t_start
         log["durations"] = timings
-    return PipelineOutcome(True, tuple(_canonical_cycle(final_cycle)), overlap,
+    return PipelineOutcome(True, tuple(_canonical_cycle(main)), overlap,
                            None, None, log, m_star, m_star_l)
 
 

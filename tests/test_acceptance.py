@@ -133,6 +133,8 @@ def test_04_hitting_time_bracket():
     lines = []
     for key, (universe, per_vertex) in universes.items():
         probs = _hitting_time_cells(n, c.m0, c.m1, universe, per_vertex)
+        assert all(math.isclose(got, trials * p, rel_tol=1e-12)
+                   for got, p in zip(r.aggregates["cells_expected"][key], probs))
         values = [rec[key] for rec in r.records]
         observed = (sum(v < c.m0 for v in values),
                     sum(c.m0 <= v <= c.m1 for v in values),
@@ -149,6 +151,7 @@ def test_04_hitting_time_bracket():
            f"[m0, m1] = [{c.m0}, {c.m1}]; " + "; ".join(lines) + f" ({elapsed:.1f}s)")
     assert ok, ("hitting times below/inside/above [m0, m1] deviate by more than "
                 "3 s.e. from the degree-zero law: " + "; ".join(lines))
+    assert r.passed, "the harness verdict disagrees with the three-cell check"
 
 
 def test_05_pipeline_success():

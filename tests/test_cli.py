@@ -121,6 +121,11 @@ class TestFindHamilton:
         log = json.loads(res.stderr.splitlines()[-1])
         assert log["overlap"] >= 220 - 10 * math.log(220) ** 2
 
+    def test_only_remaining_options(self, runner):
+        res = invoke(runner, ["find-hamilton", "--help"])
+        options = {tok for tok in res.stdout.split() if tok.startswith("--")}
+        assert options == {"--n", "--seed", "--timings", "--one-indexed", "--json", "--help"}
+
     def test_json_outcome(self, runner):
         res = invoke(runner, ["find-hamilton", "--n", "220", "--seed", "11", "--json"])
         data = json.loads(res.stdout)
@@ -160,12 +165,23 @@ class TestExperimentCommand:
         jsonschema.validators.Draft7Validator(report_schema, registry=registry).validate(report)
 
     def test_threshold_failure_exits_one(self, runner, tmp_path):
-        # the bracket capture rate at n=100 is ~20-25%, far below 0.9
-        cfg = {"experiment": "hitting-time", "n": 100, "trials": 6, "seed": 1}
+        # a tolerance of 1e-6 standard errors: the sample mean misses it
+        cfg = {"experiment": "expected-count", "n": 6, "p": 0.5, "trials": 20, "seed": 2,
+               "se_multiplier": 1e-6}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         res = invoke(runner, ["experiment", str(cfg_path), "--out", str(tmp_path / "r.json")])
         assert res.exit_code == 1
+        assert json.loads((tmp_path / "r.json").read_text())["passed"] is False
+
+    def test_unknown_pipeline_key_exits_two(self, runner, tmp_path):
+        cfg = {"experiment": "pipeline", "n": 300, "trials": 1, "seed": 1,
+               "pipeline": {"rotation_sorce": "split"}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = invoke(runner, ["experiment", str(cfg_path), "--workers", "1"])
+        assert res.exit_code == 2
+        assert "unknown pipeline keys: ['rotation_sorce']" in res.stderr
 
     def test_bad_config_usage_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"

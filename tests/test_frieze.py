@@ -468,6 +468,7 @@ class TestCompress:
         m = OneFactor([1, 2, 3, 4, 0])
         res = compress(d, m, frozenset(range(5)))
         assert res.digraph == d and res.factor == m
+        assert tuple(res) == (res.digraph, res.factor, res.mapping)
         assert res.mapping.decompress_cycle([0, 1, 2, 3, 4]) == [0, 1, 2, 3, 4]
 
     def test_single_contraction(self):

@@ -9,6 +9,7 @@ from hamcount.errors import DomainError
 from hamcount.exact import OneFactor
 from hamcount.frieze import compute_constants
 from hamcount.harness import (
+    EXPERIMENTS,
     ExperimentConfig,
     Report,
     almost_containment_prob,
@@ -31,6 +32,17 @@ class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig("pipeline", n=100, trials=3, seed=9)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key", ["rotation_sorce", "relabel_retries", "overlap_constant"])
+    def test_rejects_unknown_pipeline_keys(self, key):
+        # a misspelled key and two removed options: rejected before any trial
+        with pytest.raises(DomainError, match="unknown pipeline keys"):
+            ExperimentConfig.from_dict(
+                {"experiment": "pipeline", "n": 300, "pipeline": {key: "split"}})
+
+    def test_pipeline_timings_key_accepted(self):
+        cfg = ExperimentConfig("pipeline", n=300, pipeline={"include_timings": True})
+        assert cfg.pipeline == {"include_timings": True}
 
 
 class TestExpectedCount:
@@ -86,6 +98,21 @@ class TestHittingTime:
         c = compute_constants(64)
         assert r.aggregates["m0"] == c.m0 and r.aggregates["m1"] == c.m1
         assert 0.0 <= r.aggregates["fraction_inside"] <= 1.0
+
+    def test_bracket_verdict_follows_degree_zero_law(self):
+        # the n = 18 manifest without exact counts, which leave m* untouched
+        cfg = ExperimentConfig("hitting-time", n=18, trials=50, seed=12345)
+        r = run_experiment(cfg)
+        assert r.passed
+        assert r.aggregates["cells_observed"] == {"m_star": [5, 7, 38],
+                                                  "m_star_loopful": [7, 3, 40]}
+        for cells in r.aggregates["cells_expected"].values():
+            assert math.isclose(sum(cells), 50)
+        # every hitting time inside the bracket is far more than the law allows
+        m0 = r.aggregates["m0"]
+        inside = [dict(rec, m_star=m0, m_star_loopful=m0) for rec in r.records]
+        agg, passed = EXPERIMENTS["hitting-time"].aggregate(cfg, inside)
+        assert agg["cells_observed"]["m_star"] == [0, 50, 0] and not passed
 
     def test_exact_mode_counts(self):
         r = run_experiment(

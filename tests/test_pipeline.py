@@ -88,21 +88,6 @@ class TestFindHamilton:
         if out.ok:
             assert out.phase_log["edges_changed"] == 350 - out.overlap
 
-    def test_reserved_pool_modes_run(self):
-        c = compute_constants(400)
-        for mode in ("reserve", "split"):
-            cp = couple(gen_process(400, "loopful", 3))
-            out = find_hamilton(cp, c, seed=3, config=PipelineConfig(rotation_source=mode))
-            assert out.ok in (True, False)  # thin pools may honestly fail
-            if out.ok:
-                independent_cycle_check(out.cycle, cp, out.m_star)
-
-    def test_large_threshold_override(self):
-        c = compute_constants(250)
-        cp = couple(gen_process(250, "loopful", 9))
-        out = find_hamilton(cp, c, seed=9, config=PipelineConfig(large_threshold=3))
-        assert out.phase_log["large_threshold_used"] == 3
-
 
 class TestVerifier:
     def test_accepts_valid_cycle(self):
