@@ -1,17 +1,16 @@
 """Exact exponential-time counting oracles.
 
 Hamilton cycles are counted with a subset dynamic programme anchored at
-vertex 0; 1-factors (equivalently, the permanent of the 0/1 adjacency
-matrix) with Ryser's formula iterated in Gray-code order.  Everything is
-exact: machine integers are used only where a counting bound proves they
-cannot overflow, and big integers elsewhere.  Both counters refuse to run
-above a configurable size cap.
+vertex 0, layered by subset size; 1-factors (the permanent of the 0/1
+adjacency matrix) with Ryser's formula over blocks of column subsets.  Both
+kernels run in int64 modulo primes, as many as a proven bound on the count
+needs, and one Chinese remaindering makes the count exact.  Both counters
+refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
 import math
-from functools import reduce
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -20,9 +19,12 @@ from .errors import DomainError, ResourceCapError
 
 DEFAULT_CAP = 24
 
-# Moduli for the Chinese-remainder path (n = 22..24): primes below 2^28 so a
-# 23-term int64 dot product of reduced values cannot overflow.
-_CRT_PRIMES = (268435399, 268435367, 268435361)
+# The moduli: the three largest primes below 2^40.  Every int64 intermediate
+# is exact: residues are below p < 2^40, the DP adds at most n - 1 of them,
+# and Ryser multiplies one by a product of two row sums (at most n^2) or adds
+# up a block of at most max(2^16, 2^ceil(n/2)) of them, each factor below
+# 2^23 for n <= 46, past any n whose 2^n subsets can be enumerated.
+_PRIMES = (1099511627689, 1099511627609, 1099511627581)
 
 
 class OneFactor:
@@ -101,6 +103,40 @@ def cycle_type(f: OneFactor) -> tuple[int, int]:
     return f.num_loops, f.num_cycles
 
 
+# -- exact counts from residues -----------------------------------------------
+
+
+def _subset_sums(cols: np.ndarray) -> np.ndarray:
+    """Column s of the result is the sum of the columns of ``cols`` in the
+    bitmask s, for all 2^c subsets s of its c columns."""
+    out = np.zeros((cols.shape[0], 1), dtype=cols.dtype)
+    for j in range(cols.shape[1]):
+        out = np.concatenate((out, out + cols[:, j:j + 1]), axis=1)
+    return out
+
+
+def _from_residues(bound: int, residue: Callable[[int], int]) -> int:
+    """The integer x in [0, bound], rebuilt by Chinese remaindering from
+    ``residue(p)`` = x mod p over the fewest leading primes whose product
+    exceeds ``bound`` (none when the bound is 0)."""
+    primes: list[int] = []
+    modulus = 1
+    for p in _PRIMES:
+        if modulus > bound:
+            break
+        primes.append(p)
+        modulus *= p
+    if modulus <= bound:
+        raise ResourceCapError(
+            f"a count bound of {bound.bit_length()} bits exceeds the "
+            f"{modulus.bit_length()}-bit product of the {len(_PRIMES)} moduli")
+    x = 0
+    for p in primes:
+        q = modulus // p
+        x += residue(p) * q * pow(q, -1, p)
+    return x % modulus
+
+
 # -- Hamilton cycle counting ---------------------------------------------------
 
 
@@ -111,140 +147,100 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     cycle is not re-counted per starting vertex.  Loops are ignored: a
     Hamilton cycle is a 1-factor with a single cycle and no loops (hence 0
     for n = 1).
+
+    Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
+    18 k c + 17 * 2^k bytes: two layers of k x c int64 path counts and their
+    membership masks, and the 2^k subsets ordered by size.
     """
     n = d.n
     if n > cap:
         raise ResourceCapError(f"n={n} exceeds the Hamilton-cycle counting cap of {cap}")
-    if n == 1:
-        return 0
     adj = d.adjacency_matrix()
     np.fill_diagonal(adj, 0)
-    if n <= 21:
-        # Every dp entry counts paths on a vertex subset, so it is bounded by
-        # (n-1)! <= 20! < 2^63: plain int64 arithmetic is exact here.
-        return _count_hc_dp(adj, modulus=None)
-    residues = [_count_hc_dp(adj, modulus=p) for p in _CRT_PRIMES]
-    return _crt(residues, _CRT_PRIMES)
+    # a Hamilton cycle leaves every vertex by one loop-free out-edge
+    bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()))
+    return _from_residues(bound, lambda p: _hamilton_residue(adj, p))
 
 
-def _count_hc_dp(adj: np.ndarray, modulus: Optional[int]) -> int:
-    n = adj.shape[0]
-    full = 1 << (n - 1)
-    a_inner = np.ascontiguousarray(adj[1:, 1:], dtype=np.int64)
-    closing = np.ascontiguousarray(adj[1:, 0], dtype=np.int64)
-    dtype = np.int64 if modulus is None else np.int32
-    dp = np.zeros((full, n - 1), dtype=dtype)
-    for w in range(1, n):
-        if adj[0, w]:
-            dp[1 << (w - 1), w - 1] = 1
-    total = 0
-    for mask in range(1, full):
-        row = dp[mask]
-        if not row.any():
-            continue
-        if mask == full - 1:
-            total += int(np.dot(row.astype(np.int64), closing))
-            continue
-        contrib = np.dot(row.astype(np.int64), a_inner)
-        if modulus is not None:
-            contrib %= modulus
-        rem = (full - 1) & ~mask
-        while rem:
-            bit = rem & (-rem)
-            w = bit.bit_length() - 1
-            c = contrib[w]
-            if c:
-                t = mask | bit
-                if modulus is None:
-                    dp[t, w] += c
-                else:
-                    dp[t, w] = (int(dp[t, w]) + int(c)) % modulus
-            rem ^= bit
-    return total if modulus is None else total % modulus
-
-
-def _crt(residues, moduli) -> int:
-    total_mod = reduce(lambda a, b: a * b, moduli)
-    x = 0
-    for r, p in zip(residues, moduli):
-        q = total_mod // p
-        x += r * q * pow(q, -1, p)
-    return x % total_mod
+def _hamilton_residue(adj: np.ndarray, p: int) -> int:
+    """Hamilton cycles mod p.  Layer r holds, for each r-subset T of the
+    vertices 1..k (k = n - 1) in increasing bitmask order and each w in T,
+    the number of paths from 0 through exactly T that end at w, in row w-1
+    and column T; the rest of the layer is zero."""
+    k = adj.shape[0] - 1
+    to_inner = np.ascontiguousarray(adj[1:, 1:].T)
+    size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
+    masks = np.argsort(size, kind="stable")
+    ends = np.cumsum(np.bincount(size))
+    bits = np.left_shift(1, np.arange(k, dtype=np.int64))[:, None]
+    entries = adj[0, 1:]  # layer 1: the paths 0 -> w
+    for r in range(1, k):
+        inside = (masks[ends[r - 1]:ends[r]] & bits) != 0
+        layer = np.zeros(inside.shape, dtype=np.int64)
+        layer[inside] = entries
+        del entries
+        layer = to_inner @ layer  # layer[w, S]: paths through S, then on to w
+        layer %= p
+        # T = S + {w} has the one predecessor S = T - {w}, and for a fixed w
+        # the map S -> T is increasing, so this lists the entries (w, S) with
+        # w not in S in the row-major order of the entries (w, T) of layer r+1.
+        entries = layer[~inside]
+        del layer
+    return int(adj[1:, 0] @ entries) % p
 
 
 # -- permanent / 1-factor counting ---------------------------------------------
 
 
 def count_one_factors(d: Digraph, cap: int = DEFAULT_CAP) -> int:
-    """Number of 1-factors: the permanent of the 0/1 adjacency matrix.
-
-    Diagonal entries are the loops.  Ryser's inclusion-exclusion over column
-    subsets, iterated in Gray-code order so each step updates the row-sum
-    vector by a single column.
-    """
+    """Number of 1-factors: the permanent of the 0/1 adjacency matrix, whose
+    diagonal holds the loops."""
     n = d.n
     if n > cap:
         raise ResourceCapError(f"n={n} exceeds the 1-factor counting cap of {cap}")
-    adj = d.adjacency_matrix()
-    return permanent(adj, cap=cap)
+    return permanent(d.adjacency_matrix(), cap=cap)
 
 
 def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    """Permanent of a square 0/1 matrix, by Ryser's formula.
+
+    The row sums of a block of column subsets are a low-column subset sum
+    plus a high-column one, read from two tables of 2^ceil(n/2) and
+    2^floor(n/2) subsets.  Peak working memory is at most
+    8 n (2^ceil(n/2) + 2^floor(n/2)) + 48 max(2^16, 2^ceil(n/2)) bytes.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("permanent needs a square matrix")
+    n = m.shape[0]
     if n > cap:
         raise ResourceCapError(f"n={n} exceeds the permanent cap of {cap}")
-    if n == 0:
-        return 1
-    if n <= 15:
-        return _ryser_int64(matrix.astype(np.int64))
-    return _ryser_bigint(matrix)
+    if not ((m == 0) | (m == 1)).all():
+        raise DomainError("permanent needs a 0/1 matrix")
+    a = m.astype(np.int64)
+    bound = min(math.factorial(n), math.prod(a.sum(axis=1).tolist()))
+    return _from_residues(bound, lambda p: _permanent_residue(a, p))
 
 
-def _ryser_int64(m: np.ndarray) -> int:
-    # 0/1 entries: each row sum is at most n, so the product is at most
-    # n^n <= 15^15 < 2^63.  The signed accumulation happens in Python ints.
-    n = m.shape[0]
-    cols = [np.ascontiguousarray(m[:, j]) for j in range(n)]
-    row_sums = np.zeros(n, dtype=np.int64)
+def _permanent_residue(a: np.ndarray, p: int) -> int:
+    """per(a) mod p = (-1)^n sum over column subsets S of (-1)^|S| times the
+    product of the row sums of a restricted to S."""
+    n = a.shape[0]
+    low_n = (n + 1) // 2
+    low = _subset_sums(a[:, :low_n])[:, None, :]
+    high = _subset_sums(a[:, low_n:])[:, :, None]
+    low_sign, high_sign = (1 - 2 * (_subset_sums(np.ones((1, c), dtype=np.int64))[0] & 1)
+                           for c in (low_n, n - low_n))
+    step = max(1, (1 << 16) >> low_n)  # high subsets per block
     total = 0
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        j = (gray ^ prev_gray).bit_length() - 1
-        if gray > prev_gray:
-            row_sums += cols[j]
-        else:
-            row_sums -= cols[j]
-        prev_gray = gray
-        prod = int(np.prod(row_sums))
-        if prod:
-            total += -prod if (bin(gray).count("1") & 1) else prod
-    return total if n % 2 == 0 else -total
-
-
-def _ryser_bigint(m: np.ndarray) -> int:
-    n = m.shape[0]
-    cols = [[int(m[i, j]) for i in range(n)] for j in range(n)]
-    row_sums = [0] * n
-    total = 0
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        j = (gray ^ prev_gray).bit_length() - 1
-        col = cols[j]
-        if gray > prev_gray:
-            for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            for i in range(n):
-                row_sums[i] -= col[i]
-        prev_gray = gray
-        prod = math.prod(row_sums)
-        if prod:
-            total += -prod if (bin(gray).count("1") & 1) else prod
-    return total if n % 2 == 0 else -total
+    for t in range(0, high.shape[1], step):
+        block = slice(t, t + step)
+        prod = np.ones((len(high_sign[block]), low.shape[2]), dtype=np.int64)
+        for i in range(0, n, 2):  # rows two at a time: one reduction per pair
+            prod *= np.multiply.reduce(low[i:i + 2] + high[i:i + 2, block])
+            prod %= p
+        total += int(high_sign[block] @ (prod @ low_sign))
+    return (-total if n % 2 else total) % p
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -79,6 +79,9 @@ class ExperimentConfig:
         unknown = set(self.pipeline) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise DomainError(f"unknown pipeline keys: {sorted(unknown)}")
+        if self.exact_counts and self.n > self.count_cap:
+            raise DomainError(
+                f"exact_counts needs n <= count_cap, got n={self.n} and count_cap={self.count_cap}")
         if self.experiment == "subsample-ratio":
             # one record per sample batch; trials is derived, not user-set
             self.trials = max(1, math.ceil(self.samples / _BATCH))
@@ -215,7 +218,7 @@ def _hitting_time_trial(cfg: ExperimentConfig, idx: int) -> dict:
     m_star = hitting_time(cp.loopless)
     cp.audit(min(m_star, 200))
     rec = {"trial": idx, "seed": seed, "m_star": m_star, "m_star_loopful": m_star_loopful}
-    if cfg.exact_counts and cfg.n <= 20:
+    if cfg.exact_counts:
         x = count_hamilton_cycles(cp.loopless.prefix(m_star), cap=cfg.count_cap)
         rec["count_at_m_star"] = str(x)
         if x > 0:

@@ -72,12 +72,15 @@ def test_01_oracle_equivalence():
 
 
 def test_02_closed_forms():
-    for n in range(2, 13):
+    # 20! < 2^63 < 21!: the counts at n = 22 (Hamilton) and n = 21, 22
+    # (permanent) are the first closed forms past the int64 range
+    for n in (*range(2, 13), 22):
         assert count_hamilton_cycles(Digraph.complete(n)) == math.factorial(n - 1)
-    for n in range(1, 13):
+    for n in (*range(1, 13), 21, 22):
         assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
     report("02 closed-forms", True,
-           "Hamilton(K_n) = (n-1)! and per(ones) = n! exactly for n <= 12")
+           "Hamilton(K_n) = (n-1)! for n <= 12 and n = 22, "
+           "per(ones) = n! for n <= 12 and n = 21, 22, exactly")
 
 
 def test_03_expectation_identity():

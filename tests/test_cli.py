@@ -183,6 +183,15 @@ class TestExperimentCommand:
         assert res.exit_code == 2
         assert "unknown pipeline keys: ['rotation_sorce']" in res.stderr
 
+    def test_exact_counts_above_count_cap_exits_two(self, runner, tmp_path):
+        cfg = {"experiment": "hitting-time", "n": 12, "trials": 1, "seed": 1,
+               "exact_counts": True, "count_cap": 11}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = invoke(runner, ["experiment", str(cfg_path)])
+        assert res.exit_code == 2
+        assert "exact_counts needs n <= count_cap" in res.stderr
+
     def test_bad_config_usage_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcount import exact
 from hamcount.digraph import Digraph
 from hamcount.errors import DomainError, ResourceCapError
 from hamcount.exact import (
@@ -76,16 +78,18 @@ class TestHamiltonCount:
             d = random_digraph(rng, 8, 0.5, allow_loops=False)
             assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
 
-    def test_crt_path_matches_int64_path(self):
-        from hamcount.exact import _count_hc_dp, _crt, _CRT_PRIMES
-
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            d = random_digraph(rng, 9, 0.45, allow_loops=False)
-            adj = d.adjacency_matrix()
-            exact = _count_hc_dp(adj, modulus=None)
-            via_crt = _crt([_count_hc_dp(adj, modulus=p) for p in _CRT_PRIMES], _CRT_PRIMES)
-            assert exact == via_crt
+    def test_peak_memory_within_stated_bound(self):
+        n = 20
+        k = n - 1
+        d = Digraph.complete(n)
+        tracemalloc.start()
+        try:
+            assert count_hamilton_cycles(d) == math.factorial(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bound in the docstring of count_hamilton_cycles
+        assert peak <= 18 * k * math.comb(k, k // 2) + 17 * 2**k
 
 
 class TestFactorCount:
@@ -101,22 +105,65 @@ class TestFactorCount:
             d = random_digraph(rng, 7, 0.5, allow_loops=True)
             assert count_one_factors(d) == brute_force_factor_count(d)
 
-    def test_bigint_path_matches_int64_path(self):
-        from hamcount.exact import _ryser_bigint, _ryser_int64
-
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            d = random_digraph(rng, 9, 0.6, allow_loops=True)
-            m = d.adjacency_matrix()
-            assert _ryser_int64(m.astype(np.int64)) == _ryser_bigint(m)
-
     def test_permanent_all_ones(self):
-        for n in (1, 2, 3, 8, 12):
+        for n in (0, 1, 2, 3, 8, 12):
             assert permanent(np.ones((n, n), dtype=int)) == math.factorial(n)
+
+    def test_permanent_rejects_entries_other_than_0_1(self):
+        with pytest.raises(DomainError):
+            permanent(np.full((15, 15), 100))  # 15! 100^15 would overflow int64
+        with pytest.raises(DomainError):
+            permanent(np.array([[0.5, 1], [1, 1]]))  # would be truncated to 1
+        with pytest.raises(DomainError):
+            permanent(np.ones((2, 3)))
+        assert permanent(np.eye(4, dtype=bool)) == 1
+
+    def test_peak_memory_within_stated_bound(self):
+        n = 20
+        tracemalloc.start()
+        try:
+            assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bound in the docstring of permanent
+        assert peak <= 8 * n * (2 ** ((n + 1) // 2) + 2 ** (n // 2)) + 48 * 2**16
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             count_one_factors(Digraph(25, allow_loops=True), cap=24)
+
+
+class TestResidues:
+    def test_few_small_primes_match_brute_force(self, monkeypatch):
+        for p in exact._PRIMES:  # the premise of the int64 exactness argument
+            assert p < 2**40
+            assert (p % np.arange(2, math.isqrt(p) + 1) != 0).all()
+        # primes so small that counts at n <= 9 need two to four residues
+        monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
+        used = []
+        for name in ("_hamilton_residue", "_permanent_residue"):
+            kernel = getattr(exact, name)
+            monkeypatch.setattr(
+                exact, name, lambda a, p, kernel=kernel: used.append(p) or kernel(a, p))
+        rng = np.random.default_rng(3)
+        residues = set()
+        for n in range(5, 10):
+            for density in (0.5, 0.8):
+                d = random_digraph(rng, n, density, allow_loops=False)
+                used.clear()
+                assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
+                residues.add(len(used))
+                d = random_digraph(rng, n, density, allow_loops=True)
+                used.clear()
+                assert count_one_factors(d) == brute_force_factor_count(d)
+                residues.add(len(used))
+        assert {2, 3, 4} <= residues
+        # 10! exceeds 31 * 37 * 41 * 43: no wrapped value, an error
+        with pytest.raises(ResourceCapError):
+            permanent(np.ones((10, 10), dtype=int))
+        with pytest.raises(ResourceCapError):
+            count_hamilton_cycles(Digraph.complete(11))
 
 
 class TestCountInvariants:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hamcount.digraph import Digraph
+from hamcount.digraph import Digraph, couple, gen_process
 from hamcount.errors import DomainError
-from hamcount.exact import OneFactor
+from hamcount.exact import OneFactor, enumerate_one_factors
 from hamcount.frieze import compute_constants
 from hamcount.harness import (
     EXPERIMENTS,
@@ -120,6 +120,20 @@ class TestHittingTime:
         assert "fraction_hamiltonian" in r.aggregates
         for rec in r.records:
             assert "count_at_m_star" in rec and "rho" in rec
+
+    def test_exact_counts_past_n20(self):
+        r = run_experiment(
+            ExperimentConfig("hitting-time", n=21, trials=1, seed=5, exact_counts=True))
+        rec = r.records[0]
+        # independent oracle: the 1-factors of a loopless digraph with one cycle
+        cp = couple(gen_process(21, "loopful", rec["seed"]))
+        factors = enumerate_one_factors(cp.loopless.prefix(rec["m_star"]), 10**5)
+        assert not factors.truncated
+        assert rec["count_at_m_star"] == str(sum(f.num_cycles == 1 for f in factors))
+
+    def test_exact_counts_above_count_cap_rejected(self):
+        with pytest.raises(DomainError, match="count_cap"):
+            ExperimentConfig("hitting-time", n=12, count_cap=11, exact_counts=True)
 
 
 class TestSubsampleRatio:
