@@ -78,6 +78,15 @@ class TestHamiltonCount:
             d = random_digraph(rng, 8, 0.5, allow_loops=False)
             assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
 
+    def test_crt_path_matches_int64_path(self, monkeypatch):
+        # one 40-bit prime holds every count at n = 9 in a single int64 residue;
+        # the small primes force the same kernel through two or more residues
+        rng = np.random.default_rng(3)
+        graphs = [random_digraph(rng, 9, 0.45, allow_loops=False) for _ in range(10)]
+        single = [count_hamilton_cycles(d) for d in graphs]
+        monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
+        assert [count_hamilton_cycles(d) for d in graphs] == single
+
     def test_peak_memory_within_stated_bound(self):
         n = 20
         k = n - 1
@@ -104,6 +113,15 @@ class TestFactorCount:
         for _ in range(50):
             d = random_digraph(rng, 7, 0.5, allow_loops=True)
             assert count_one_factors(d) == brute_force_factor_count(d)
+
+    def test_bigint_path_matches_int64_path(self, monkeypatch):
+        # as above for the permanent: one int64 residue against a CRT rebuild
+        # from small primes into a Python int
+        rng = np.random.default_rng(4)
+        graphs = [random_digraph(rng, 9, 0.6, allow_loops=True) for _ in range(10)]
+        single = [count_one_factors(d) for d in graphs]
+        monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
+        assert [count_one_factors(d) for d in graphs] == single
 
     def test_permanent_all_ones(self):
         for n in (0, 1, 2, 3, 8, 12):
