@@ -32,7 +32,14 @@ def sha256(text: str) -> str:
      "665b49046b4287dd7db4228e7fd387aea8aa9e283c97dd3a277f1c82a40b1ed6"),
     (json.loads((CONFIG_DIR / "almost_containment.json").read_text()),
      "d84a1e8f9801c6c490d7e7bb48eacdf2ae0869d00568522e43fe0dfb283bc5b3"),
-], ids=["pipeline-300-5-7", "pipeline-250-3-9", "almost-containment"])
+    # with_edges, regularize_degrees and adjacency_matrix on star digraphs
+    ({"experiment": "factor-count-bound", "n": 16, "trials": 4, "seed": 3},
+     "d0a9f42667b226e61ff56f01bbd372a1252f858adb0a87818bc02929e041fc6b"),
+    # gen_binomial's Bernoulli mask feeding the Hamilton-cycle count
+    ({"experiment": "expected-count", "n": 6, "p": 0.6, "trials": 200, "seed": 3},
+     "2094f70902f5670a1dbf05377a64a591bd837c0df6b6574bef3d137d4b66569a"),
+], ids=["pipeline-300-5-7", "pipeline-250-3-9", "almost-containment",
+        "factor-count-bound-16", "expected-count-6"])
 def test_report_digest(config, digest):
     report = run_experiment(ExperimentConfig.from_dict(config))
     assert sha256(report.to_json()) == digest
@@ -42,6 +49,29 @@ def test_find_hamilton_json_digest():
     res = CliRunner().invoke(main, ["find-hamilton", "--n", "220", "--seed", "11", "--json"])
     assert res.exit_code == 0
     assert sha256(res.stdout) == "0cb23ff02513c7b75cebb9e264af0afc840b8f8f5319c0e84414e12bfc2b918f"
+
+
+# The pins above all take their factor from the "early" tier and succeed.
+# These seeds (n = 300) reach the other branches of find_hamilton.
+@pytest.mark.parametrize("seed, exit_code, failure_phase, factor_source, digest", [
+    (101, 0, None, "full",
+     "5befeffc48c3a7af52419558c46c559e896a7a59a53ff9cb43ae1f1acb5e3ab6"),
+    (9, 1, "one_factor", None,
+     "faffb90981c8c5f45dcae5f749b01b17cedecdb2721d181b92e77c29be552660"),
+    (30, 1, "goodness", "early",
+     "bd0e046098c775ff2cca1845a1892204a4251fa8b1df126f82f5ab7d3c165d76"),
+    (80, 1, "eliminate", "early",
+     "fd89eb746ae01fe3457ea3129e150196576505b804417555acf2429674441762"),
+], ids=["full-tier", "one-factor-failure", "goodness-failure", "eliminate-failure"])
+def test_find_hamilton_branch_digest(seed, exit_code, failure_phase, factor_source, digest):
+    res = CliRunner().invoke(main, ["find-hamilton", "--n", "300", "--seed", str(seed), "--json"])
+    assert res.exit_code == exit_code
+    out = json.loads(res.stdout)
+    assert out["failure_phase"] == failure_phase
+    assert out["phase_log"].get("factor_source") == factor_source
+    if failure_phase is None:
+        assert out["phase_log"]["virtual_edges"] == 1  # the eliminate phase ran
+    assert sha256(res.stdout) == digest
 
 
 def _discrepancy_digest(rep) -> str:
