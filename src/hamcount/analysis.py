@@ -239,20 +239,12 @@ def _sampled_pairs(d: Digraph, samples: int, seed: int,
     0..max_size, drawn in a fixed order from ``seed``."""
     n = d.n
     rng = make_generator(seed)
-    us, vs = _edge_arrays(d)
+    us, vs = np.divmod(d.codes, n)
     for _ in range(samples):
         s1, s2 = int(rng.integers(0, max_size + 1)), int(rng.integers(0, max_size + 1))
         in1 = np.zeros(n, dtype=bool); in1[rng.permutation(n)[:s1]] = True
         in2 = np.zeros(n, dtype=bool); in2[rng.permutation(n)[:s2]] = True
-        yield s1, s2, int(np.count_nonzero(in1[us] & in2[vs])) if us.size else 0
-
-
-def _edge_arrays(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    edges = d.edges()
-    if not edges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.asarray(edges, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+        yield s1, s2, int(np.count_nonzero(in1[us] & in2[vs]))
 
 
 def _pair_counts(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
@@ -461,10 +453,11 @@ def relabel(d: Digraph, sigma: Sequence[int]) -> Digraph:
     Relabeling only the head side can create loops from a loopless input;
     the result allows loops exactly when one appears.
     """
-    s = _check_permutation(sigma, d.n)
-    edges = [(u, s[v]) for u, v in d.edges()]
-    loops = d.allow_loops or any(u == v for u, v in edges)
-    return Digraph(d.n, edges, allow_loops=loops)
+    s = np.array(_check_permutation(sigma, d.n), dtype=np.int64)
+    u, v = np.divmod(d.codes, d.n)
+    heads = s[v]
+    loops = d.allow_loops or bool((u == heads).any())
+    return Digraph(d.n, u * d.n + heads, allow_loops=loops)
 
 
 def relabel_factor(f: OneFactor, sigma: Sequence[int]) -> OneFactor:

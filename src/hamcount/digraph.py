@@ -7,6 +7,8 @@ m-edge model.  A loopful process can be coupled with a loopless one by
 deleting loops while preserving relative order, so that for every m the
 non-loop edges of the loopful prefix are contained in the loopless prefix.
 
+Edges are int64 codes u*n + v throughout, from the process order to ``Digraph``.
+
 Loop degree convention: a loop contributes 1 to both the in- and the
 out-degree of its vertex.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,47 +32,58 @@ _DRAW_BLOCK = 1 << 16
 
 
 class Digraph:
-    """Immutable directed graph on vertex set {0, ..., n-1}."""
+    """Immutable directed graph on vertex set {0, ..., n-1}.
 
-    __slots__ = ("n", "allow_loops", "_edges", "_out", "_in")
+    The edges are held once, as a sorted, duplicate-free int64 array of codes
+    u*n + v (``codes``), given either so or as an iterable of (u, v) pairs.
+    Duplicates, out-of-range vertices and loops in a loopless digraph raise
+    ``DomainError`` in both forms.  The out- and in-neighbour rows are sorted
+    tuples cut from the codes at build time (matching and rotation order
+    depend on them); edge lists, edge sets, degrees and the adjacency matrix
+    are derived on demand.
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), allow_loops: bool = False):
+    __slots__ = ("n", "allow_loops", "_codes", "_out", "_in")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = (),
+                 allow_loops: bool = False):
         if n <= 0:
             raise DomainError(f"vertex count must be positive, got {n}")
-        self.n = int(n)
+        self.n = n = int(n)
         self.allow_loops = bool(allow_loops)
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        edge_set = frozenset(edge_list)
-        if len(edge_set) != len(edge_list):
+        codes = _encode(n, edges)
+        if (codes[1:] == codes[:-1]).any():
             raise DomainError("duplicate edges in input")
-        out_adj: list[list[int]] = [[] for _ in range(self.n)]
-        in_adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in edge_set:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DomainError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v and not self.allow_loops:
-                raise DomainError(f"loop ({u},{u}) in a loopless digraph")
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-        self._edges = edge_set
-        self._out = tuple(tuple(sorted(a)) for a in out_adj)
-        self._in = tuple(tuple(sorted(a)) for a in in_adj)
+        if not self.allow_loops and (loop := loop_mask(codes, n)).any():
+            u = int(codes[loop.argmax()]) // (n + 1)
+            raise DomainError(f"loop ({u},{u}) in a loopless digraph")
+        codes.flags.writeable = False
+        self._codes = codes
+        tails, heads = np.divmod(codes, n)
+        self._out = _rows(heads, np.bincount(tails, minlength=n))
+        self._in = _rows(np.sort(heads * n + tails) % n, np.bincount(heads, minlength=n))
 
     # -- queries ------------------------------------------------------------
 
     @property
+    def codes(self) -> np.ndarray:
+        """The sorted edge codes u*n + v (read-only)."""
+        return self._codes
+
+    @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._codes.size
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges in sorted order (deterministic iteration)."""
-        return sorted(self._edges)
+        u, v = np.divmod(self._codes, self.n)
+        return list(zip(u.tolist(), v.tolist()))
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset(self.edges())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        return 0 <= u < self.n and v in self._out[u]
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -85,47 +99,71 @@ class Digraph:
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(out-degree array, in-degree array)."""
-        outd = np.fromiter((len(a) for a in self._out), dtype=np.int64, count=self.n)
-        ind = np.fromiter((len(a) for a in self._in), dtype=np.int64, count=self.n)
-        return outd, ind
+        u, v = np.divmod(self._codes, self.n)
+        return np.bincount(u, minlength=self.n), np.bincount(v, minlength=self.n)
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self._edges:
-            a[u, v] = 1
-        return a
+        a = np.zeros(self.n * self.n, dtype=np.int64)
+        a[self._codes] = 1
+        return a.reshape(self.n, self.n)
 
     def audit(self) -> bool:
-        """Verify adjacency indices against the edge set; raises on corruption."""
-        rebuilt = {(u, v) for u in range(self.n) for v in self._out[u]}
-        rebuilt_in = {(u, v) for v in range(self.n) for u in self._in[v]}
-        if rebuilt != self._edges or rebuilt_in != self._edges:
+        """Verify the neighbour rows against the codes; raises on corruption."""
+        n = self.n
+        rebuilt = [u * n + v for u in range(n) for v in self._out[u]]
+        rebuilt_in = sorted(u * n + v for v in range(n) for u in self._in[v])
+        if rebuilt != self._codes.tolist() or rebuilt_in != rebuilt:
             raise AssertionError("adjacency indices inconsistent with edge set")
         return True
 
-    def with_edges(self, extra: Iterable[tuple[int, int]], allow_loops: Optional[bool] = None) -> "Digraph":
-        """New digraph with ``extra`` unioned in."""
+    def with_edges(self, extra: Iterable[tuple[int, int]] | np.ndarray,
+                   allow_loops: Optional[bool] = None) -> "Digraph":
+        """New digraph with ``extra`` (pairs or codes) unioned in."""
         loops = self.allow_loops if allow_loops is None else allow_loops
-        return Digraph(self.n, set(self._edges) | set(extra), allow_loops=loops)
+        return Digraph(self.n, np.union1d(self._codes, _encode(self.n, extra)), allow_loops=loops)
 
     @classmethod
     def complete(cls, n: int, allow_loops: bool = False) -> "Digraph":
-        pairs = [(u, v) for u in range(n) for v in range(n) if allow_loops or u != v]
-        return cls(n, pairs, allow_loops=allow_loops)
+        codes = np.arange(n * n, dtype=np.int64)
+        if not allow_loops:
+            codes = codes[~loop_mask(codes, n)]
+        return cls(n, codes, allow_loops=allow_loops)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
             and self.allow_loops == other.allow_loops
-            and self._edges == other._edges
+            and np.array_equal(self._codes, other._codes)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.allow_loops, self._edges))
+        return hash((self.n, self.allow_loops, self._codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, edges={self.edge_count}, loops={self.allow_loops})"
+
+
+def _encode(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Sorted codes of ``edges`` (pairs or codes) in a new array; raises on an
+    edge outside the n x n grid."""
+    if isinstance(edges, np.ndarray) and edges.ndim == 1:
+        codes = np.sort(edges.astype(np.int64, copy=False))
+        if codes.size and not 0 <= codes[0] <= codes[-1] < n * n:
+            raise DomainError(f"edge codes {codes[0]}..{codes[-1]} out of range for n={n}")
+        return codes
+    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+    bad = ((uv < 0) | (uv >= n)).any(axis=1)
+    if bad.any():
+        u, v = uv[bad.argmax()].tolist()
+        raise DomainError(f"edge ({u},{v}) out of range for n={n}")
+    return np.sort(uv[:, 0] * n + uv[:, 1])
+
+
+def _rows(heads: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """``heads`` cut into consecutive tuples of the given lengths."""
+    items, counts = heads.tolist(), counts.tolist()
+    return tuple(tuple(items[end - count:end]) for count, end in zip(counts, accumulate(counts)))
 
 
 # -- pair <-> code translation ----------------------------------------------
@@ -133,8 +171,9 @@ class Digraph:
 # uses the compact index q in [0, n(n-1)) and skips the diagonal on decode.
 
 
-def _codes_to_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return codes // n, codes % n
+def loop_mask(codes: np.ndarray, n: int) -> np.ndarray:
+    """Which codes are loops: u*n + u = u*(n + 1)."""
+    return codes % (n + 1) == 0
 
 
 def _loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
@@ -239,14 +278,10 @@ class EdgeSequence:
     @classmethod
     def from_order(cls, n: int, loopful: bool, order: Sequence[tuple[int, int]]) -> "EdgeSequence":
         """Explicit order (must be a permutation of the full universe)."""
-        codes = np.array([int(u) * n + int(v) for u, v in order], dtype=np.int64)
-        universe = n * n if loopful else n * (n - 1)
-        if len(order) != universe or len(np.unique(codes)) != universe:
+        Digraph(n, order, allow_loops=loopful)  # raises on repeated or inadmissible pairs
+        if len(order) != (n * n if loopful else n * (n - 1)):
             raise DomainError("order is not a permutation of the pair universe")
-        for u, v in order:
-            if not (0 <= u < n and 0 <= v < n) or (u == v and not loopful):
-                raise DomainError(f"pair ({u},{v}) not in the universe")
-        return cls(n, loopful, _codes=codes)
+        return cls(n, loopful, _codes=np.array([u * n + v for u, v in order], dtype=np.int64))
 
     @classmethod
     def _derived_loopless(cls, parent: "EdgeSequence") -> "EdgeSequence":
@@ -259,8 +294,8 @@ class EdgeSequence:
         return int(self._codes.size)
 
     def ensure(self, m: int) -> None:
-        if m > self.universe_size:
-            raise DomainError(f"prefix length {m} exceeds universe size {self.universe_size}")
+        if not 0 <= m <= self.universe_size:
+            raise DomainError(f"prefix length {m} outside [0, {self.universe_size}]")
         if self._codes.size >= m:
             return
         with self._lock:
@@ -300,8 +335,7 @@ class EdgeSequence:
         scan_to = min(parent.universe_size, max(self._parent_scanned + _DRAW_BLOCK, 1))
         parent.ensure(scan_to)
         chunk = parent._codes[self._parent_scanned:scan_to]
-        u, v = _codes_to_pairs(chunk, self.n)
-        self._codes = np.concatenate([self._codes, chunk[u != v]])
+        self._codes = np.concatenate([self._codes, chunk[~loop_mask(chunk, self.n)]])
         self._parent_scanned = scan_to
 
     # -- access ------------------------------------------------------------
@@ -312,16 +346,19 @@ class EdgeSequence:
 
     def pair(self, i: int) -> tuple[int, int]:
         """The (i+1)-th edge of the process (0-based index)."""
+        if i < 0:
+            raise DomainError(f"edge index {i} is negative")
         self.ensure(i + 1)
-        c = int(self._codes[i])
-        return c // self.n, c % self.n
+        return divmod(int(self._codes[i]), self.n)
 
     def pairs(self, m: int) -> list[tuple[int, int]]:
-        u, v = _codes_to_pairs(self.codes(m), self.n)
+        u, v = np.divmod(self.codes(m), self.n)
         return list(zip(u.tolist(), v.tolist()))
 
     def prefix(self, m: int) -> Digraph:
-        return Digraph(self.n, self.pairs(m), allow_loops=self.loopful)
+        """The digraph of the first m edges (the uniform m-edge model), built
+        straight from their codes; m must lie in [0, universe size]."""
+        return Digraph(self.n, self.codes(m), allow_loops=self.loopful)
 
     def full_order(self) -> list[tuple[int, int]]:
         return self.pairs(self.universe_size)
@@ -348,9 +385,8 @@ class CoupledProcess:
 
     def audit(self, m: int) -> bool:
         """Check the coupling invariant at one m <= n(n-1); raises if violated."""
-        ful = {p for p in self.loopful.pairs(m) if p[0] != p[1]}
-        less = set(self.loopless.pairs(m))
-        if not ful <= less:
+        ful = self.loopful.codes(m)
+        if np.setdiff1d(ful[~loop_mask(ful, self.n)], self.loopless.codes(m)).size:
             raise AssertionError(f"coupling invariant violated at m={m}")
         return True
 
@@ -381,8 +417,7 @@ def gen_binomial(n: int, p: float, allow_loops: bool, seed: int) -> Digraph:
         # same joint law, without touching all ~n^2 pairs.
         m = int(rng.binomial(universe, p))
         codes = _draw_distinct(rng, n, allow_loops, m)
-    u, v = _codes_to_pairs(codes, n)
-    return Digraph(n, zip(u.tolist(), v.tolist()), allow_loops=allow_loops)
+    return Digraph(n, codes, allow_loops=allow_loops)
 
 
 def _draw_distinct(rng: np.random.Generator, n: int, loopful: bool, m: int) -> np.ndarray:
@@ -400,8 +435,6 @@ def gen_process(n: int, universe: str, seed: int) -> EdgeSequence:
     """Uniformly random edge ordering; ``universe`` is 'loopless' or 'loopful'."""
     if universe not in ("loopless", "loopful"):
         raise DomainError(f"universe must be 'loopless' or 'loopful', got {universe!r}")
-    if n < 2:
-        raise DomainError(f"edge process needs n >= 2, got {n}")
     return EdgeSequence.generate(n, universe == "loopful", seed)
 
 
@@ -432,7 +465,7 @@ def hitting_time(seq: EdgeSequence) -> int:
     guess = min(seq.universe_size, max(4 * n, int(n * (math.log(n) + 4.0))))
     while True:
         codes = seq.codes(guess)
-        u, v = _codes_to_pairs(codes, n)
+        u, v = np.divmod(codes, n)
         first_out = _first_positions(u, n)
         first_in = _first_positions(v, n)
         worst = int(max(first_out.max(), first_in.max()))

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .digraph import CoupledProcess, Digraph, hitting_time
+from .digraph import CoupledProcess, Digraph, hitting_time, loop_mask
 from .errors import DomainError, MergeFailureError, PreconditionError
 from .exact import OneFactor
 from .matching import hopcroft_karp
@@ -98,10 +98,20 @@ def compute_large(d: Digraph, thr: int) -> frozenset[int]:
     return frozenset(np.nonzero((outd >= thr) & (ind >= thr))[0].tolist())
 
 
-class StarDigraph:
-    """Two-thirds prefix plus all hitting-time edges at low-degree vertices."""
+def _inside(codes: np.ndarray, n: int, vertices: frozenset) -> np.ndarray:
+    """Mask of the edge codes whose two endpoints both lie in ``vertices``."""
+    member = np.zeros(n, dtype=bool)
+    member[list(vertices)] = True
+    u, v = np.divmod(codes, n)
+    return member[u] & member[v]
 
-    def __init__(self, base: Digraph, extra: frozenset, large: frozenset, m_star_loopful: int):
+
+class StarDigraph:
+    """Two-thirds prefix plus all hitting-time edges at low-degree vertices;
+    ``extra`` holds the codes of the hitting-time edges touching a vertex
+    outside ``large``."""
+
+    def __init__(self, base: Digraph, extra: np.ndarray, large: frozenset, m_star_loopful: int):
         self.base = base
         self.extra = extra
         self.large = large
@@ -119,23 +129,23 @@ class StarDigraph:
         return self._star
 
     def audit(self) -> bool:
-        for u, v in self.extra:
-            if u in self.large and v in self.large:
-                raise AssertionError(f"extra edge ({u},{v}) lies inside the large set")
+        stray = self.extra[_inside(self.extra, self.n, self.large)]
+        if stray.size:
+            u, v = divmod(int(stray[0]), self.n)
+            raise AssertionError(f"extra edge ({u},{v}) lies inside the large set")
         return True
 
 
-def build_star_digraph(cp: CoupledProcess, c: Constants,
-                       threshold_override: Optional[int] = None) -> StarDigraph:
+def build_star_digraph(cp: CoupledProcess, c: Constants, threshold_override: Optional[int] = None,
+                       base: Optional[Digraph] = None) -> StarDigraph:
+    """``base``, if given, is the already built ``cp.loopful.prefix(c.m3)``."""
     m_star_l = hitting_time(cp.loopful)
-    base = cp.loopful.prefix(c.m3)
+    if base is None:
+        base = cp.loopful.prefix(c.m3)
     thr = c.large_threshold if threshold_override is None else threshold_override
     large = compute_large(base, thr)
-    extra = frozenset(
-        (u, v) for u, v in cp.loopful.pairs(m_star_l)
-        if u not in large or v not in large
-    )
-    return StarDigraph(base, extra, large, m_star_l)
+    codes = cp.loopful.codes(m_star_l)
+    return StarDigraph(base, codes[~_inside(codes, cp.n, large)], large, m_star_l)
 
 
 def build_early_subgraph(cp: CoupledProcess, c: Constants,
@@ -150,10 +160,9 @@ def build_early_subgraph(cp: CoupledProcess, c: Constants,
     if star is None:
         star = build_star_digraph(cp, c)
     taken = _early_edges(cp, c, star.m_star_loopful)
-    star_edges = star.star.edge_set()
-    stray = sorted(taken - star_edges)
-    if stray:
-        raise AssertionError(f"early subgraph leaves the star digraph: {stray[:5]}")
+    stray = np.setdiff1d(taken, star.star.codes)
+    if stray.size:
+        raise AssertionError(f"early subgraph leaves the star digraph: codes {stray[:5].tolist()}")
     return Digraph(cp.n, taken, allow_loops=True)
 
 
@@ -264,13 +273,8 @@ def check_star_properties(s: StarDigraph, c: Constants) -> StarPropertyReport:
 def _short_cycles(d: Digraph, max_len: int) -> list[tuple[int, ...]]:
     """All directed cycles of length <= max_len (loops, 2-cycles, triangles)."""
     assert max_len == 3, "only the loop/2-cycle/triangle enumeration is implemented"
-    cycles: list[tuple[int, ...]] = []
-    for v in range(d.n):
-        if d.has_edge(v, v):
-            cycles.append((v,))
-    for u, v in d.edges():
-        if u < v and u != v and d.has_edge(v, u):
-            cycles.append((u, v))
+    cycles: list[tuple[int, ...]] = [(v,) for v in range(d.n) if d.has_edge(v, v)]
+    cycles += [(u, v) for u, v in d.edges() if u < v and d.has_edge(v, u)]
     in_sets = [set(d.in_neighbors(v)) for v in range(d.n)]
     for u, v in d.edges():
         if u == v:
@@ -493,9 +497,15 @@ def _default_budget(n: int) -> int:
     return math.ceil(3.0 * math.log(n))
 
 
-def _close_path_impl(path: PathState, d: Digraph, forbidden: frozenset,
-                     budget: int, rng: np.random.Generator) -> Optional[tuple[list[int], int]]:
-    """Breadth-first search over rotation sequences; returns (cycle, depth)."""
+def close_path(path: PathState, d: Digraph, forbidden: frozenset,
+               rng: np.random.Generator) -> Optional[tuple[list[int], int]]:
+    """Rotate the path until its last vertex closes back to its first one.
+
+    Breadth-first search over rotation sequences, at most
+    ``_default_budget(n)`` rotations deep; edges in ``forbidden`` are never
+    added.  Returns (cycle on exactly the path's vertex set, rotations used),
+    or None if the budget is exhausted.
+    """
     v0 = path.first
 
     def closes(p: PathState) -> bool:
@@ -505,7 +515,7 @@ def _close_path_impl(path: PathState, d: Digraph, forbidden: frozenset,
         return list(path.vertices), 0
     seen_ends = {path.last}
     frontier = [path]
-    for depth in range(1, budget + 1):
+    for depth in range(1, _default_budget(d.n) + 1):
         nxt: list[PathState] = []
         for p in frontier:
             verts = p._verts
@@ -539,27 +549,10 @@ def _close_path_impl(path: PathState, d: Digraph, forbidden: frozenset,
     return None
 
 
-def close_path(p: PathState, d: Digraph, forbidden: Optional[VirtualEdgeSet] = None,
-               seed: int = 0) -> Optional[list[int]]:
-    """Rotate the path until some endpoint closes back to its first vertex.
-
-    Returns a cycle on exactly the path's vertex set, or None if the budget
-    is exhausted.  Edges in ``forbidden`` are never added.
-    """
-    fb = forbidden.edge_set() if forbidden is not None else frozenset()
-    got = _close_path_impl(p, d, fb, _default_budget(d.n), make_generator(seed))
-    return got[0] if got else None
-
-
-def eliminate_forbidden(h: Sequence[int], virtual: VirtualEdgeSet, d: Digraph,
-                        seed: int = 0) -> Optional[list[int]]:
-    """Rotate virtual edges out of a Hamilton cycle, one per round."""
-    got = _eliminate_impl(list(h), virtual.edge_set(), d, _default_budget(d.n), seed)
-    return got[0] if got else None
-
-
-def _eliminate_impl(cycle: list[int], forbidden: frozenset, d: Digraph,
-                    budget: int, seed: int) -> Optional[tuple[list[int], int, int]]:
+def eliminate_forbidden(cycle: list[int], forbidden: frozenset, d: Digraph,
+                        seed: int) -> Optional[tuple[list[int], int, int]]:
+    """Rotate the ``forbidden`` (virtual) edges out of a Hamilton cycle, one
+    per round.  Returns (cycle, rounds, rotations), or None when stuck."""
     rounds = 0
     rotations = 0
     while True:
@@ -575,8 +568,7 @@ def _eliminate_impl(cycle: list[int], forbidden: frozenset, d: Digraph,
         for attempt, (idx, _edge) in enumerate(present):
             path_vertices = cycle[idx + 1:] + cycle[: idx + 1]
             path = PathState(path_vertices, d.n)
-            got = _close_path_impl(path, d, forbidden, budget,
-                                   make_generator(derive_seed(seed, rounds, attempt)))
+            got = close_path(path, d, forbidden, make_generator(derive_seed(seed, rounds, attempt)))
             if got is not None:
                 break
         if got is None:
@@ -777,7 +769,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     t0 = time.perf_counter()
     m_star_l = hitting_time(cp.loopful)
     m_star = hitting_time(cp.loopless)
-    target_edges = frozenset(cp.loopless.pairs(m_star))
+    target = cp.loopless.prefix(m_star)
     d_m3 = cp.loopful.prefix(c.m3)
     log["m_star"] = m_star
     log["m_star_loopful"] = m_star_l
@@ -792,7 +784,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     thr = c.large_threshold
     if n - len(compute_large(d_m3, thr)) > c.low_degree_budget:
         thr = 2
-    star = build_star_digraph(cp, c, threshold_override=thr)
+    star = build_star_digraph(cp, c, threshold_override=thr, base=d_m3)
     large = star.large
     log["large_threshold_formula"] = c.large_threshold
     log["large_threshold_used"] = thr
@@ -802,26 +794,19 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # Factor-eligible edges: loops may enter the factor (they are merged away
     # later); non-loop edges must already lie in the verification target.
     t0 = time.perf_counter()
-    eligible = frozenset(
-        (u, v) for u, v in star.star.edge_set()
-        if u == v or (u, v) in target_edges
-    )
-    log["eligible_edges"] = len(eligible)
-    log["trimmed_star_edges"] = len(star.star.edge_set()) - len(eligible)
+    star_codes = star.star.codes
+    eligible = star_codes[loop_mask(star_codes, n)
+                          | np.isin(star_codes, target.codes, assume_unique=True)]
+    log["eligible_edges"] = eligible.size
+    log["trimmed_star_edges"] = star_codes.size - eligible.size
 
-    early = _early_edges(cp, c, m_star_l)
-    early_eligible = sorted(early & eligible)
-    eligible_sorted = sorted(eligible)
+    early_eligible = np.intersect1d(_early_edges(cp, c, m_star_l), eligible, assume_unique=True)
     # Last-resort factor source: the whole loopless prefix at its hitting
     # time (degrees >= 1 by definition) plus the exposed loops.
-    full_eligible = sorted(
-        set(target_edges) | {(v, v) for v, w in cp.loopful.pairs(m_star_l) if v == w}
-    )
-    tiers = (
-        ("early", _out_lists(n, early_eligible)),
-        ("star", _out_lists(n, eligible_sorted)),
-        ("full", _out_lists(n, full_eligible)),
-    )
+    exposed = cp.loopful.codes(m_star_l)
+    full_eligible = np.union1d(target.codes, exposed[loop_mask(exposed, n)])
+    tiers = [(source, Digraph(n, codes, allow_loops=True)) for source, codes in
+             (("early", early_eligible), ("star", eligible), ("full", full_eligible))]
     mark("early", t0)
 
     # Extract a factor; re-extract under fresh right-side relabelings until
@@ -837,11 +822,11 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
         inv = np.empty(n, dtype=np.int64)
         inv[sigma] = np.arange(n)
         got = None
-        for source, adj in tiers:
+        for source, tier in tiers:
             # The matcher is positional, so the relabeled lists must be
             # re-sorted: that is what makes a fresh sigma reach a genuinely
             # different factor rather than replaying the same execution.
-            relabeled = [sorted(int(sigma[w]) for w in row) for row in adj]
+            relabeled = [sorted(int(sigma[w]) for w in tier.out_neighbors(u)) for u in range(n)]
             size, match_left, _ = hopcroft_karp(n, n, relabeled)
             if size == n:
                 got = OneFactor([int(inv[w]) for w in match_left])
@@ -859,13 +844,12 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     mark("factor", t0)
     if factor is None:
         return fail("goodness", f"no good factor within {RELABEL_RETRIES} relabelings")
-    loops0, cycles0 = factor.num_loops, factor.num_cycles
-    log["factor_loops"] = loops0
-    log["factor_cycles"] = cycles0
+    log["factor_loops"] = factor.num_loops
+    log["factor_cycles"] = factor.num_cycles
 
     # Merge loops away; only real non-loop eligible edges back the merge.
     t0 = time.perf_counter()
-    work = Digraph(n, [e for e in eligible_sorted if e[0] != e[1]], allow_loops=False)
+    work = Digraph(n, eligible[~loop_mask(eligible, n)], allow_loops=False)
     try:
         merged, virtual = merge_loops(factor, work, large, seed=derive_seed(seed, 2))
     except (PreconditionError, MergeFailureError) as exc:
@@ -882,17 +866,12 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # vertices.  Rotations and closures may use every verified edge: the
     # search is breadth-first, so a denser supply means fewer edges changed.
     t0 = time.perf_counter()
-    reserved = [
-        (u, v) for u, v in cp.loopless.pairs(m_star)[c.m3:]
-        if u in large and v in large
-    ]
-    patch_edges = reserved[1::2]
-    rot_edges = sorted(target_edges)
-    patch_d = Digraph(n, patch_edges, allow_loops=False)
-    rot_d = Digraph(n, rot_edges, allow_loops=False)
-    log["reserved_edges"] = len(reserved)
-    log["patch_pool"] = len(patch_edges)
-    log["rotation_pool"] = len(rot_edges)
+    unexposed = cp.loopless.codes(m_star)[c.m3:]
+    reserved = unexposed[_inside(unexposed, n, large)]
+    patch_d = Digraph(n, reserved[1::2], allow_loops=False)
+    log["reserved_edges"] = reserved.size
+    log["patch_pool"] = patch_d.edge_count
+    log["rotation_pool"] = target.edge_count
     mark("pools", t0)
 
     # Phase 2: greedy patching.
@@ -922,7 +901,6 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
 
     # Phase 3: unravel each remaining cycle into the main one and re-close.
     t0 = time.perf_counter()
-    budget = _default_budget(n)
     forbidden = virtual.edge_set()
     main = cycles[0]
     pending = cycles[1:]
@@ -931,8 +909,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     deferrals: dict[int, int] = {}
     while pending:
         cyc = pending.pop(0)
-        got = _merge_into(main, cyc, rot_d, forbidden, budget,
-                          MERGE_RETRY_CAP, derive_seed(seed, 3, closes, len(cyc)))
+        got = _merge_into(main, cyc, target, forbidden, derive_seed(seed, 3, closes, len(cyc)))
         if got is None:
             key = cyc[0]
             deferrals[key] = deferrals.get(key, 0) + 1
@@ -951,7 +928,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # Rotate away virtual edges.
     t0 = time.perf_counter()
     if virtual.edge_set():
-        got = _eliminate_impl(main, forbidden, rot_d, budget, derive_seed(seed, 4))
+        got = eliminate_forbidden(main, forbidden, target, derive_seed(seed, 4))
         if got is None:
             return fail("eliminate", "could not rotate a virtual edge out")
         main, rounds, el_rot = got
@@ -962,7 +939,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
         log["eliminate_rounds"] = 0
     mark("eliminate", t0)
 
-    if not verify_hamilton_cycle(main, n, target_edges):
+    if not verify_hamilton_cycle(main, n, target.edge_set()):
         return fail("verify", "result is not a Hamilton cycle of the loopless prefix")
     cyc_edges = {(main[i], main[(i + 1) % n]) for i in range(n)}
     overlap = len(cyc_edges & set(factor.edges()))
@@ -978,34 +955,30 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
                            None, None, log, m_star, m_star_l)
 
 
-def _early_edges(cp: CoupledProcess, c: Constants, m_star_l: int) -> set:
+def _early_edges(cp: CoupledProcess, c: Constants, m_star_l: int) -> np.ndarray:
+    """Sorted codes of the early edges: in process order, each vertex's first
+    few out-edges, then, among the rest, each vertex's first few in-edges."""
     width = c.early_edges_per_vertex
-    pairs = cp.loopful.pairs(m_star_l)
-    out_quota = [0] * cp.n
-    taken: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        if out_quota[u] < width:
-            out_quota[u] += 1
-            taken.add((u, v))
-    in_quota = [0] * cp.n
-    for u, v in pairs:
-        if (u, v) in taken:
-            continue
-        if in_quota[v] < width:
-            in_quota[v] += 1
-            taken.add((u, v))
-    return taken
+    codes = cp.loopful.codes(m_star_l)
+    tails, heads = np.divmod(codes, cp.n)
+    taken = _first_per_key(tails, width)
+    rest = ~taken
+    taken[rest] = _first_per_key(heads[rest], width)
+    return np.sort(codes[taken])
 
 
-def _out_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-    return adj
+def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
+    """Mask of the entries among the first ``width`` occurrences of their key."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    rank = np.arange(keys.size) - np.searchsorted(ranked, ranked)
+    first = np.empty(keys.size, dtype=bool)
+    first[order] = rank < width
+    return first
 
 
 def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: frozenset,
-                budget: int, retry_cap: int, seed: int) -> Optional[tuple[list[int], int]]:
+                seed: int) -> Optional[tuple[list[int], int]]:
     """Unravel ``cyc`` into ``main`` via a connecting pool edge, then close."""
     main_pos = {v: i for i, v in enumerate(main)}
     cyc_pos = {v: i for i, v in enumerate(cyc)}
@@ -1023,17 +996,16 @@ def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: froz
     rng = make_generator(seed)
     rng.shuffle(candidates)
     rotations = 0
-    for k, (a, b) in enumerate(candidates[:retry_cap]):
+    for k, (a, b) in enumerate(candidates[:MERGE_RETRY_CAP]):
         if a in cyc_pos:
             ca, cb, apos, bpos = cyc, main, cyc_pos[a], main_pos[b]
         else:
             ca, cb, apos, bpos = main, cyc, main_pos[a], cyc_pos[b]
         path_vertices = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
         path = PathState(path_vertices, rot_d.n)
-        got = _close_path_impl(path, rot_d, forbidden, budget,
-                               make_generator(derive_seed(seed, k)))
+        got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
         if got is not None:
             cycle, used = got
             return cycle, rotations + used + 1  # +1 for the closing edge round
-        rotations += budget
+        rotations += _default_budget(rot_d.n)
     return None

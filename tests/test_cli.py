@@ -48,6 +48,11 @@ class TestGenerate:
         assert res.exit_code == 0
         assert len(res.stdout.strip().splitlines()) == 10  # header + 9 edges
 
+    def test_negative_prefix_length_is_usage_error(self, runner):
+        res = invoke(runner, ["generate", "--n", "5", "--m", "-3", "--seed", "1"])
+        assert res.exit_code == 2
+        assert "outside [0, 20]" in res.stderr
+
 
 class TestRoundTrip:
     def test_generate_feeds_counters(self, runner):

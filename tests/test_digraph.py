@@ -53,6 +53,91 @@ class TestDigraph:
         assert Digraph.complete(5, allow_loops=True).edge_count == 25
 
 
+@st.composite
+def _edge_lists(draw):
+    """(n, loops, distinct admissible pairs in random order)."""
+    n = draw(st.integers(1, 7))
+    loops = draw(st.booleans())
+    grid = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+    edges = draw(st.lists(st.sampled_from(grid), unique=True) if grid else st.just([]))
+    return n, loops, edges
+
+
+def _codes(n, edges):
+    return np.array([u * n + v for u, v in edges], dtype=np.int64)
+
+
+class TestEdgeForms:
+    """Pairs and code arrays are two spellings of the same input."""
+
+    @given(_edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_and_codes_agree(self, case):
+        n, loops, edges = case
+        a = Digraph(n, edges, allow_loops=loops)
+        b = Digraph(n, _codes(n, edges), allow_loops=loops)
+        assert a.edges() == b.edges() == sorted(edges)
+        assert a.edge_set() == b.edge_set() == frozenset(edges)
+        for v in range(n):
+            assert a.out_neighbors(v) == b.out_neighbors(v) == tuple(sorted(w for u, w in edges if u == v))
+            assert a.in_neighbors(v) == b.in_neighbors(v) == tuple(sorted(u for u, w in edges if w == v))
+        for x, y in zip(a.degrees(), b.degrees()):
+            assert np.array_equal(x, y)
+        assert np.array_equal(a.degrees()[0], [a.out_degree(v) for v in range(n)])
+        assert np.array_equal(a.degrees()[1], [a.in_degree(v) for v in range(n)])
+        adj = np.zeros((n, n), dtype=np.int64)
+        for u, v in edges:
+            adj[u, v] = 1
+        assert np.array_equal(a.adjacency_matrix(), adj)
+        assert np.array_equal(b.adjacency_matrix(), adj)
+        assert a == b and hash(a) == hash(b)
+        assert a.audit() and b.audit()
+        assert all(a.has_edge(u, v) == ((u, v) in edges) for u in range(-1, n + 1) for v in range(n))
+
+    @given(_edge_lists(), st.sampled_from(["duplicate", "loop", "high", "low"]))
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_and_codes_reject_alike(self, case, defect):
+        n, loops, edges = case
+        if defect == "duplicate":
+            if not edges:
+                return
+            edges = edges + [edges[-1]]
+            codes = _codes(n, edges)
+        elif defect == "loop":
+            loops = False
+            edges = [e for e in edges if e[0] != e[1]] + [(n - 1, n - 1)]
+            codes = _codes(n, edges)
+        elif defect == "high":
+            codes = np.append(_codes(n, edges), n * n)
+            edges = edges + [(n, 0)]
+        else:
+            codes = np.append(_codes(n, edges), -1)
+            edges = edges + [(0, -1)]
+        with pytest.raises(DomainError):
+            Digraph(n, edges, allow_loops=loops)
+        with pytest.raises(DomainError):
+            Digraph(n, codes, allow_loops=loops)
+
+    @given(st.integers(2, 9), st.booleans(), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_matches_pairs(self, n, loopful, seed, data):
+        seq = gen_process(n, "loopful" if loopful else "loopless", seed)
+        m = data.draw(st.integers(0, seq.universe_size))
+        assert seq.prefix(m) == Digraph(n, seq.pairs(m), allow_loops=loopful)
+
+    @given(_edge_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_with_edges_is_union(self, case, data):
+        n, loops, edges = case
+        base = edges[: data.draw(st.integers(0, len(edges)))]
+        extra = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+        want = Digraph(n, sorted(set(base) | set(extra)), allow_loops=loops)
+        d = Digraph(n, base, allow_loops=loops)
+        assert d.with_edges(extra) == want
+        assert d.with_edges(_codes(n, extra)) == want
+        assert d.with_edges(extra, allow_loops=True).allow_loops
+
+
 class TestGenBinomial:
     def test_p_zero_empty(self):
         assert gen_binomial(5, 0.0, False, 1).edge_count == 0
@@ -127,6 +212,17 @@ class TestEdgeProcess:
         a.ensure(64)
         b.ensure(120_000)
         assert a.pairs(64) == b.pairs(64)
+
+    @pytest.mark.parametrize("n", [5, 3000], ids=["shuffled", "lazy"])
+    def test_rejects_negative_lengths(self, n):
+        seq = gen_process(n, "loopless", 1)
+        seq.ensure(17)
+        for call in (seq.prefix, seq.codes, seq.pairs, seq.ensure, seq.pair):
+            with pytest.raises(DomainError):
+                call(-3)
+        with pytest.raises(DomainError):
+            seq.pair(-1)
+        assert seq.prefix(0).edge_count == 0
 
     def test_from_order_validates(self):
         with pytest.raises(DomainError):

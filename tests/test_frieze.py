@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hamcount.digraph import Digraph, couple, gen_process
 from hamcount.errors import DomainError, MergeFailureError, PreconditionError
 from hamcount.exact import OneFactor
+from hamcount.rng import make_generator
 from hamcount.frieze import (
     Constants,
     PathState,
@@ -80,7 +81,7 @@ class TestStarDigraph:
         cp = couple(gen_process(20, "loopful", 3))
         s = build_star_digraph(cp, c, threshold_override=0)
         assert s.large == frozenset(range(20))
-        assert s.extra == frozenset()
+        assert s.extra.size == 0
         assert s.star == s.base
 
     def test_extra_touches_non_large(self):
@@ -186,7 +187,7 @@ class TestCheckProperties:
         d = Digraph.complete(16, allow_loops=True)
         from hamcount.frieze import StarDigraph
 
-        s = StarDigraph(d, frozenset(), compute_large(d, 1), m_star_loopful=0)
+        s = StarDigraph(d, np.empty(0, dtype=np.int64), compute_large(d, 1), m_star_loopful=0)
         rep = check_star_properties(s, c)
         assert rep.size_ok and rep.isolation_ok and rep.short_cycles_ok
         assert not rep.degree_ok  # degree 16 > log^2 16
@@ -197,7 +198,7 @@ class TestCheckProperties:
         d = Digraph(16, [(0, 1)] + [(i, (i + 1) % 16) for i in range(2, 15)])
         from hamcount.frieze import StarDigraph
 
-        s = StarDigraph(d, frozenset(), frozenset(range(2, 16)), m_star_loopful=0)
+        s = StarDigraph(d, np.empty(0, dtype=np.int64), frozenset(range(2, 16)), m_star_loopful=0)
         rep = check_star_properties(s, c)
         assert not rep.isolation_ok
         assert rep.witnesses["isolation"][0][:2] == (0, 1)
@@ -207,7 +208,7 @@ class TestCheckProperties:
         d = Digraph(16, [(0, 1), (1, 0)])
         from hamcount.frieze import StarDigraph
 
-        s = StarDigraph(d, frozenset(), frozenset(range(2, 16)), m_star_loopful=0)
+        s = StarDigraph(d, np.empty(0, dtype=np.int64), frozenset(range(2, 16)), m_star_loopful=0)
         rep = check_star_properties(s, c)
         assert not rep.short_cycles_ok
         assert (0, 1) in rep.witnesses["short_cycles"]
@@ -356,21 +357,22 @@ class TestClosePath:
     def test_immediate(self):
         p = PathState([0, 1, 2], 3)
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert close_path(p, d) == [0, 1, 2]
+        assert close_path(p, d, frozenset(), make_generator(0)) == ([0, 1, 2], 0)
 
     def test_impossible_on_bare_path(self):
         p = PathState([0, 1, 2], 3)
-        assert close_path(p, Digraph(3, [(0, 1), (1, 2)])) is None
+        assert close_path(p, Digraph(3, [(0, 1), (1, 2)]), frozenset(), make_generator(0)) is None
 
     def test_one_rotation_needed(self):
         p = PathState([0, 1, 2, 3], 4)
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 2), (2, 0)])
-        assert close_path(p, d) == [0, 1, 3, 2]
+        assert close_path(p, d, frozenset(), make_generator(0)) == ([0, 1, 3, 2], 1)
 
     def test_respects_forbidden_closing_edge(self):
         p = PathState([0, 1, 2], 3)
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert close_path(p, d, forbidden=VirtualEdgeSet([(2, 0)])) is None
+        forbidden = VirtualEdgeSet([(2, 0)]).edge_set()
+        assert close_path(p, d, forbidden, make_generator(0)) is None
 
     def test_cycle_uses_path_vertices_only(self):
         for seed in range(10):
@@ -379,9 +381,9 @@ class TestClosePath:
             verts = rng.permutation(n).tolist()
             d = random_digraph(rng, n, 0.4, allow_loops=False)
             p = PathState(verts, n)
-            got = close_path(p, d, seed=seed)
+            got = close_path(p, d, frozenset(), make_generator(seed))
             if got is not None:
-                assert sorted(got) == sorted(verts)
+                assert sorted(got[0]) == sorted(verts)
 
 
 class TestVirtualEdgeSet:
@@ -519,12 +521,14 @@ class TestCompress:
 class TestEliminateForbidden:
     def test_noop_without_virtual(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet(), d) == [0, 1, 2, 3]
+        assert eliminate_forbidden([0, 1, 2, 3], frozenset(), d, 0) == ([0, 1, 2, 3], 0, 0)
 
     def test_single_virtual_edge_eliminated(self):
         d = Digraph(4, [(0, 1), (2, 3), (3, 0), (1, 0), (3, 1), (0, 2), (2, 0)])
-        got = eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]), d, seed=3)
+        got = eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]).edge_set(), d, 3)
         assert got is not None
+        got, rounds, _rotations = got
+        assert rounds == 1
         k = len(got)
         edges = {(got[i], got[(i + 1) % k]) for i in range(k)}
         assert (1, 2) not in edges
@@ -533,4 +537,4 @@ class TestEliminateForbidden:
 
     def test_returns_none_when_stuck(self):
         d = Digraph(4, [(0, 1), (2, 3), (3, 0)])
-        assert eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]), d) is None
+        assert eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]).edge_set(), d, 0) is None
