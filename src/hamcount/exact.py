@@ -1,11 +1,12 @@
 """Exact exponential-time counting oracles.
 
 Hamilton cycles are counted with a subset dynamic programme anchored at
-vertex 0, layered by subset size; 1-factors (the permanent of the 0/1
-adjacency matrix) with Ryser's formula over blocks of column subsets.  Both
-kernels run in int64 modulo primes, as many as a proven bound on the count
-needs, and one Chinese remaindering makes the count exact.  Both counters
-refuse to run above a configurable size cap.
+vertex 0, layered by subset size, whose layers are float64 arrays so that
+each step is one BLAS matrix product; 1-factors (the permanent of the 0/1
+adjacency matrix) with Glynn's formula over blocks of column subsets.  Both
+kernels compute exactly modulo primes, as many as a proven bound on the
+count needs, and one Chinese remaindering makes the count exact.  Both
+counters refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
@@ -19,11 +20,15 @@ from .errors import DomainError, ResourceCapError
 
 DEFAULT_CAP = 24
 
-# The moduli: the three largest primes below 2^40.  Every int64 intermediate
-# is exact: residues are below p < 2^40, the DP adds at most n - 1 of them,
-# and Ryser multiplies one by a product of two row sums (at most n^2) or adds
-# up a block of at most max(2^16, 2^ceil(n/2)) of them, each factor below
-# 2^23 for n <= 46, past any n whose 2^n subsets can be enumerated.
+# The moduli: the three largest primes below 2^40.  Every intermediate is an
+# exact integer.  A step of the Hamilton-cycle DP adds at most k = n - 1
+# residues below p < 2^40, so whatever order the BLAS adds them in, every
+# partial sum is an integer below k * 2^40, which is below 2^45 < 2^53 for
+# k <= 23 (and below 2^53 for any k < 2^13): float64 holds it exactly.  Glynn
+# multiplies a residue by a product of two factors in [-n, n] (at most n^2)
+# or adds up a block of at most max(2^16, 2^ceil((n-1)/2)) residues, below
+# 2^23 * 2^40 = 2^63 for n <= 47, past any n whose 2^(n-1) subsets can be
+# enumerated, so int64 holds those exactly.
 _PRIMES = (1099511627689, 1099511627609, 1099511627581)
 
 
@@ -149,8 +154,8 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     for n = 1).
 
     Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
-    18 k c + 17 * 2^k bytes: two layers of k x c int64 path counts and their
-    membership masks, and the 2^k subsets ordered by size.
+    18 k c + 17 * 2^k bytes: two layers of k x c float64 path counts and
+    their membership masks, and the 2^k subsets ordered by size.
     """
     n = d.n
     if n > cap:
@@ -159,28 +164,35 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     np.fill_diagonal(adj, 0)
     # a Hamilton cycle leaves every vertex by one loop-free out-edge
     bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()))
-    return _from_residues(bound, lambda p: _hamilton_residue(adj, p))
+    dp = (adj, *_subsets_by_size(n - 1))  # shared by the residues
+    return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
 
 
-def _hamilton_residue(adj: np.ndarray, p: int) -> int:
-    """Hamilton cycles mod p.  Layer r holds, for each r-subset T of the
+def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^k bitmasks over k elements ordered by size, increasing within a
+    size, and the end offset of each size in that order."""
+    size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
+    return np.argsort(size, kind="stable"), np.cumsum(np.bincount(size))
+
+
+def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
+    """Hamilton cycles mod p, where ``dp`` is the n x n adjacency matrix and
+    ``_subsets_by_size(n - 1)``.  Layer r holds, for each r-subset T of the
     vertices 1..k (k = n - 1) in increasing bitmask order and each w in T,
     the number of paths from 0 through exactly T that end at w, in row w-1
     and column T; the rest of the layer is zero."""
+    adj, masks, ends = dp
     k = adj.shape[0] - 1
-    to_inner = np.ascontiguousarray(adj[1:, 1:].T)
-    size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
-    masks = np.argsort(size, kind="stable")
-    ends = np.cumsum(np.bincount(size))
+    to_inner = adj[1:, 1:].T.astype(np.float64)
     bits = np.left_shift(1, np.arange(k, dtype=np.int64))[:, None]
     entries = adj[0, 1:]  # layer 1: the paths 0 -> w
     for r in range(1, k):
         inside = (masks[ends[r - 1]:ends[r]] & bits) != 0
-        layer = np.zeros(inside.shape, dtype=np.int64)
+        layer = np.zeros(inside.shape, dtype=np.float64)
         layer[inside] = entries
         del entries
         layer = to_inner @ layer  # layer[w, S]: paths through S, then on to w
-        layer %= p
+        np.fmod(layer, p, out=layer)
         # T = S + {w} has the one predecessor S = T - {w}, and for a fixed w
         # the map S -> T is increasing, so this lists the entries (w, S) with
         # w not in S in the row-major order of the entries (w, T) of layer r+1.
@@ -202,12 +214,12 @@ def count_one_factors(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 
 
 def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
-    """Permanent of a square 0/1 matrix, by Ryser's formula.
+    """Permanent of a square 0/1 matrix, by Glynn's formula.
 
-    The row sums of a block of column subsets are a low-column subset sum
-    plus a high-column one, read from two tables of 2^ceil(n/2) and
-    2^floor(n/2) subsets.  Peak working memory is at most
-    8 n (2^ceil(n/2) + 2^floor(n/2)) + 48 max(2^16, 2^ceil(n/2)) bytes.
+    The row factors of a block of subsets of the columns 1..n-1 are a
+    low-column term plus a high-column one, read from two tables of
+    2^h and 2^l subsets, with h = ceil((n-1)/2) and l = floor((n-1)/2).
+    Peak working memory is at most 8 n (2^h + 2^l) + 48 max(2^16, 2^h) bytes.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -223,14 +235,19 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
 
 
 def _permanent_residue(a: np.ndarray, p: int) -> int:
-    """per(a) mod p = (-1)^n sum over column subsets S of (-1)^|S| times the
-    product of the row sums of a restricted to S."""
+    """per(a) mod p = 2^-(n-1) times the sum over subsets S of the columns
+    1..n-1 of (-1)^|S| times the product over rows i of R_i - 2 a_i(S), where
+    R_i is the sum of row i and a_i(S) its sum over S."""
     n = a.shape[0]
-    low_n = (n + 1) // 2
-    low = _subset_sums(a[:, :low_n])[:, None, :]
-    high = _subset_sums(a[:, low_n:])[:, :, None]
+    if n == 0:
+        return 1
+    low_n = n // 2  # ceil((n - 1) / 2) of the columns 1..n-1
+    low = _subset_sums(-2 * a[:, 1:low_n + 1])
+    low += a.sum(axis=1)[:, None]
+    low = low[:, None, :]
+    high = _subset_sums(-2 * a[:, low_n + 1:])[:, :, None]
     low_sign, high_sign = (1 - 2 * (_subset_sums(np.ones((1, c), dtype=np.int64))[0] & 1)
-                           for c in (low_n, n - low_n))
+                           for c in (low_n, n - 1 - low_n))
     step = max(1, (1 << 16) >> low_n)  # high subsets per block
     total = 0
     for t in range(0, high.shape[1], step):
@@ -240,7 +257,7 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
             prod *= np.multiply.reduce(low[i:i + 2] + high[i:i + 2, block])
             prod %= p
         total += int(high_sign[block] @ (prod @ low_sign))
-    return (-total if n % 2 else total) % p
+    return total * pow(2, -(n - 1), p) % p
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -734,12 +734,14 @@ class PipelineOutcome:
         }
 
 
-def verify_hamilton_cycle(cycle: Sequence[int], n: int, edge_set: frozenset) -> bool:
-    """n distinct vertices, n edges all present, cyclically closed."""
+def verify_hamilton_cycle(cycle: Sequence[int], d: Digraph) -> bool:
+    """n = d.n distinct vertices, and the n edges of the closed walk all in d
+    (so every vertex is one of d's)."""
     cyc = list(cycle)
+    n = d.n
     if len(cyc) != n or len(set(cyc)) != n:
         return False
-    return all((cyc[i], cyc[(i + 1) % n]) in edge_set for i in range(n))
+    return all(d.has_edge(cyc[i], cyc[(i + 1) % n]) for i in range(n))
 
 
 def _canonical_cycle(cyc: Sequence[int]) -> list[int]:
@@ -805,8 +807,12 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # time (degrees >= 1 by definition) plus the exposed loops.
     exposed = cp.loopful.codes(m_star_l)
     full_eligible = np.union1d(target.codes, exposed[loop_mask(exposed, n)])
-    tiers = [(source, Digraph(n, codes, allow_loops=True)) for source, codes in
-             (("early", early_eligible), ("star", eligible), ("full", full_eligible))]
+    # At m* the star tier often has the early tier's edges; a tier equal to
+    # the one before it would only repeat that tier's Hopcroft-Karp run.
+    sources = (("early", early_eligible), ("star", eligible), ("full", full_eligible))
+    tiers = [(source, Digraph(n, codes, allow_loops=True))
+             for i, (source, codes) in enumerate(sources)
+             if i == 0 or not np.array_equal(codes, sources[i - 1][1])]
     mark("early", t0)
 
     # Extract a factor; re-extract under fresh right-side relabelings until
@@ -939,7 +945,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
         log["eliminate_rounds"] = 0
     mark("eliminate", t0)
 
-    if not verify_hamilton_cycle(main, n, target.edge_set()):
+    if not verify_hamilton_cycle(main, target):
         return fail("verify", "result is not a Hamilton cycle of the loopless prefix")
     cyc_edges = {(main[i], main[(i + 1) % n]) for i in range(n)}
     overlap = len(cyc_edges & set(factor.edges()))

@@ -20,7 +20,27 @@ from hamcount.exact import (
     rencontres,
 )
 
-from conftest import brute_force_factor_count, brute_force_hamilton_count, random_digraph
+from conftest import (
+    brute_force_factor_count,
+    brute_force_hamilton_count,
+    random_digraph,
+    reference_hamilton_residue,
+    reference_permanent_residue,
+)
+
+SMALL_PRIMES = (31, 37, 41, 43)
+
+
+def hamilton_residue(adj: np.ndarray, p: int) -> int:
+    return exact._hamilton_residue((adj, *exact._subsets_by_size(adj.shape[0] - 1)), p)
+
+
+def random_matrix(n: int, density: float, loops: bool, seed: int) -> np.ndarray:
+    """A random n x n 0/1 adjacency matrix, with a zero diagonal unless ``loops``."""
+    a = (np.random.default_rng(seed).random((n, n)) < density).astype(np.int64)
+    if not loops:
+        np.fill_diagonal(a, 0)
+    return a
 
 
 class TestOneFactor:
@@ -144,8 +164,10 @@ class TestFactorCount:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bound in the docstring of permanent
-        assert peak <= 8 * n * (2 ** ((n + 1) // 2) + 2 ** (n // 2)) + 48 * 2**16
+        # the bound in the docstring of permanent: tables over the n - 1
+        # columns 1..n-1, of 2^h and 2^l subsets
+        h, l = n // 2, (n - 1) // 2
+        assert peak <= 8 * n * (2**h + 2**l) + 48 * max(2**16, 2**h)
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
@@ -182,6 +204,55 @@ class TestResidues:
             permanent(np.ones((10, 10), dtype=int))
         with pytest.raises(ResourceCapError):
             count_hamilton_cycles(Digraph.complete(11))
+
+
+class TestKernelsAgainstReference:
+    """The float64 DP and Glynn against the int64 DP and Ryser they replaced."""
+
+    @given(st.integers(1, 12), st.floats(0.2, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_hamilton_residue(self, n, density, loops, seed):
+        adj = random_matrix(n, density, loops, seed)
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+
+    @given(st.integers(0, 12), st.floats(0.2, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_permanent_residue(self, n, density, loops, seed):
+        a = random_matrix(n, density, loops, seed)
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_residues_wrap_under_the_real_primes(self, n):
+        # (n-1)! and n! pass 2^40 here, so every residue is a wrapped value
+        assert math.factorial(n - 1) > max(exact._PRIMES)
+        adj = Digraph.complete(n).adjacency_matrix()
+        ones = np.ones((n, n), dtype=np.int64)
+        for p in exact._PRIMES:
+            assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p) \
+                == math.factorial(n - 1) % p
+            assert exact._permanent_residue(ones, p) == reference_permanent_residue(ones, p) \
+                == math.factorial(n) % p
+
+    def test_layers_stay_exact_where_path_counts_pass_2_53(self):
+        # at n = 21 the unreduced path counts pass 2^53, where float64 would
+        # round them; the reduction after each step keeps every entry exact
+        adj = random_matrix(21, 0.95, False, 0)
+        p = exact._PRIMES[0]
+        assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+
+    def test_glynn_at_one_and_two_rows(self):
+        # 2^-(n-1) is 1 at n = 1 and the inverse of 2 at n = 2
+        for n in (1, 2):
+            for bits in range(2 ** (n * n)):
+                a = np.array([(bits >> i) & 1 for i in range(n * n)], dtype=np.int64)
+                a = a.reshape(n, n)
+                d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if a[u, v]],
+                            allow_loops=True)
+                assert permanent(a) == brute_force_factor_count(d)
+                for p in exact._PRIMES + SMALL_PRIMES:
+                    assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
 
 
 class TestCountInvariants:

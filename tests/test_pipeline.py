@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from hamcount.digraph import couple, gen_process, hitting_time
+from hamcount import frieze
+from hamcount.digraph import Digraph, couple, gen_process, hitting_time
 from hamcount.frieze import (
     PipelineConfig,
     compute_constants,
     find_hamilton,
     verify_hamilton_cycle,
 )
+from hamcount.matching import hopcroft_karp
 
 
 def independent_cycle_check(cycle, cp, m_star):
@@ -88,15 +90,48 @@ class TestFindHamilton:
         if out.ok:
             assert out.phase_log["edges_changed"] == 350 - out.overlap
 
+    @pytest.mark.parametrize("seed, failure_phase, factor_source", [
+        (9, "one_factor", None), (101, None, "full")])
+    def test_equal_tiers_get_one_matching_run(self, monkeypatch, seed, failure_phase,
+                                              factor_source):
+        # at these seeds the star tier has the early tier's edges and neither
+        # has a 1-factor, so the early and full tiers are the only runs
+        sizes = []
+
+        def counting(n_left, n_right, adj):
+            sizes.append(sum(map(len, adj)))
+            return hopcroft_karp(n_left, n_right, adj)
+
+        monkeypatch.setattr(frieze, "hopcroft_karp", counting)
+        out = find_hamilton(couple(gen_process(300, "loopful", seed)), compute_constants(300),
+                            seed=seed)
+        assert out.failure_phase == failure_phase
+        assert out.phase_log.get("factor_source") == factor_source
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+
 
 class TestVerifier:
+    five_cycle = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
+
     def test_accepts_valid_cycle(self):
-        edges = frozenset((i, (i + 1) % 5) for i in range(5))
-        assert verify_hamilton_cycle([0, 1, 2, 3, 4], 5, edges)
-        assert verify_hamilton_cycle([2, 3, 4, 0, 1], 5, edges)
+        assert verify_hamilton_cycle([0, 1, 2, 3, 4], self.five_cycle)
+        assert verify_hamilton_cycle([2, 3, 4, 0, 1], self.five_cycle)
 
     def test_rejects_short_or_broken(self):
-        edges = frozenset((i, (i + 1) % 5) for i in range(5))
-        assert not verify_hamilton_cycle([0, 1, 2, 3], 5, edges)
-        assert not verify_hamilton_cycle([0, 1, 2, 4, 3], 5, edges)
-        assert not verify_hamilton_cycle([0, 1, 2, 3, 3], 5, edges)
+        assert not verify_hamilton_cycle([0, 1, 2, 3], self.five_cycle)
+        assert not verify_hamilton_cycle([0, 1, 2, 3, 4, 0], self.five_cycle)
+        assert not verify_hamilton_cycle([0, 1, 2, 4, 3], self.five_cycle)
+
+    def test_rejects_repeated_vertex(self):
+        # every edge of the closed walk 0 1 0 1 is in the digraph
+        both_ways = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)])
+        assert not verify_hamilton_cycle([0, 1, 0, 1], both_ways)
+        assert not verify_hamilton_cycle([0, 1, 2, 3, 3], self.five_cycle)
+
+    def test_rejects_missing_edge(self):
+        path = Digraph(5, [(i, i + 1) for i in range(4)])  # no closing edge 4 -> 0
+        assert not verify_hamilton_cycle([0, 1, 2, 3, 4], path)
+
+    def test_rejects_out_of_range_vertex(self):
+        assert not verify_hamilton_cycle([0, 1, 2, 3, 5], self.five_cycle)
+        assert not verify_hamilton_cycle([-1, 1, 2, 3, 4], self.five_cycle)
