@@ -14,7 +14,6 @@ out-degree of its vertex.
 """
 from __future__ import annotations
 
-import math
 import threading
 from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -197,7 +196,10 @@ def _fresh_in_order(block: np.ndarray, seen_sorted: np.ndarray) -> tuple[np.ndar
     the block; the second is ``seen_sorted`` with those codes merged in, still
     sorted.  Cost: one stable sort of the block, one binary search of the
     block's distinct codes against the mirror, and a linear merge, so
-    O(B log B + B log S + S) for a block of B codes and a mirror of S.
+    O(B log B + B log S + S) for a block of B codes and a mirror of S.  (One
+    stable sort of the mirror and the distinct codes together is also a
+    single merge, and about twice as fast while S is near B, but it makes
+    more passes over S and was slower for a 3*10^6-code prefix.)
     """
     index_bits = max(1, (block.size - 1).bit_length())
     if block.size and int(block.max()) < 1 << (63 - index_bits):
@@ -241,8 +243,11 @@ class EdgeSequence:
     permutation of the pair universe; for large universes only the prefix
     actually requested is materialised (uniformity is preserved: the distinct
     values of an i.i.d. uniform stream, in order of first appearance, form a
-    uniform permutation prefix).  Materialisation is internally locked, so a
-    constructed sequence may be shared across threads.
+    uniform permutation prefix).  Lazy draws come in fixed blocks of
+    ``_DRAW_BLOCK`` codes, so the order depends on the seed alone, not on the
+    requests; a loop-deleted shadow takes its parent's already drawn codes
+    first and asks for one more block only when none are left.  Materialisation is internally locked, so
+    a constructed sequence may be shared across threads.
     """
 
     def __init__(self, n: int, loopful: bool, *, _codes: Optional[np.ndarray] = None,
@@ -330,13 +335,16 @@ class EdgeSequence:
         self._sorted = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
     def _extend_from_parent(self) -> None:
+        # One step takes at most a block of the parent's unscanned codes; the
+        # parent takes one more draw step only when none are left.
         parent = self._parent
         assert parent is not None
-        scan_to = min(parent.universe_size, max(self._parent_scanned + _DRAW_BLOCK, 1))
-        parent.ensure(scan_to)
-        chunk = parent._codes[self._parent_scanned:scan_to]
+        scanned = self._parent_scanned
+        if scanned == parent.materialized:
+            parent.ensure(scanned + 1)
+        chunk = parent._codes[scanned:scanned + _DRAW_BLOCK]
         self._codes = np.concatenate([self._codes, chunk[~loop_mask(chunk, self.n)]])
-        self._parent_scanned = scan_to
+        self._parent_scanned = scanned + chunk.size
 
     # -- access ------------------------------------------------------------
 
@@ -445,36 +453,42 @@ def couple(loopful_seq: EdgeSequence) -> CoupledProcess:
     return CoupledProcess(loopful_seq, EdgeSequence._derived_loopless(loopful_seq))
 
 
-def _first_positions(keys: np.ndarray, n: int) -> np.ndarray:
-    """first[v] = least index i with keys[i] == v, or len(keys) if absent."""
-    length = keys.size
-    first = np.full(n, length, dtype=np.int64)
-    first[keys[::-1]] = np.arange(length - 1, -1, -1)
+def _first_positions(keys: np.ndarray, n: int, offset: int, absent: int) -> np.ndarray:
+    """first[v] = offset + least i with keys[i] == v, or ``absent`` if v is
+    not in ``keys``."""
+    first = np.full(n, absent, dtype=np.int64)
+    first[keys[::-1]] = np.arange(offset + keys.size - 1, offset - 1, -1)
     return first
 
 
 def hitting_time(seq: EdgeSequence) -> int:
     """Least m such that prefix(m) has all in- and out-degrees >= 1.
 
-    Work is linear in the scanned prefix: one pass records, per vertex, the
-    first position where it appears as a source and as a target.
+    The process is scanned in windows: each is what is already materialised
+    past the last one, at most ``_DRAW_BLOCK`` codes, and one more draw step
+    is taken only when nothing unscanned is left.  Per vertex the scan keeps
+    the first position where it appears as a source and as a target, and it
+    stops at the first window that covers every vertex.  So work is linear in
+    the scanned prefix, and a lazy process draws only the blocks the answer
+    needs.
     """
     if seq._hitting is not None:
         return seq._hitting
-    n = seq.n
-    guess = min(seq.universe_size, max(4 * n, int(n * (math.log(n) + 4.0))))
+    n, absent = seq.n, seq.universe_size
+    first_out = np.full(n, absent, dtype=np.int64)
+    first_in = first_out.copy()
+    start = 0
     while True:
-        codes = seq.codes(guess)
-        u, v = np.divmod(codes, n)
-        first_out = _first_positions(u, n)
-        first_in = _first_positions(v, n)
+        if start == seq.materialized:
+            seq.ensure(start + 1)
+        u, v = np.divmod(seq._codes[start:start + _DRAW_BLOCK], n)
+        np.minimum(first_out, _first_positions(u, n, start, absent), out=first_out)
+        np.minimum(first_in, _first_positions(v, n, start, absent), out=first_in)
         worst = int(max(first_out.max(), first_in.max()))
-        if worst < guess:
+        if worst < absent:
             seq._hitting = worst + 1
             return worst + 1
-        if guess == seq.universe_size:
-            raise AssertionError("universe exhausted without covering all degrees")
-        guess = min(seq.universe_size, guess * 2)
+        start += u.size
 
 
 def min_degrees(d: Digraph) -> tuple[int, int]:

@@ -1,10 +1,12 @@
 import hashlib
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamcount.digraph import (
@@ -255,6 +257,11 @@ class TestFreshInOrder:
 
     @given(st.lists(st.integers(0, 40), max_size=60), st.sets(st.integers(0, 40)),
            st.sampled_from([0, 2**61]))
+    @example(block=[], seen=set(), offset=0)                      # empty block, empty mirror
+    @example(block=[7, 3, 7, 40, 3], seen={3, 7, 40}, offset=0)   # every code already seen
+    @example(block=[9] * 12, seen=set(), offset=0)                # one repeated code
+    @example(block=[9] * 12, seen={9}, offset=2**61)              # ... already seen, wide
+    @example(block=[40, 0, 40, 5], seen={5, 6}, offset=2**61)     # too wide to pack: argsort
     @settings(max_examples=200, deadline=None)
     def test_matches_set_reference(self, block, seen, offset):
         block = [offset + c for c in block]
@@ -263,6 +270,16 @@ class TestFreshInOrder:
         want_fresh, want_merged = self.reference(block, seen)
         assert fresh.tolist() == want_fresh
         assert merged.tolist() == want_merged
+
+
+# sha256 of codes(300_000) of the loopful process at n = 10^4 and of its
+# loop-deleted shadow, per seed
+LOOPFUL_PINS = {
+    0: ("c86ebb8addca6f78a40ef7c37c7112dcf11454956174d1938ae7d77bc4662958",
+        "51237e7d54624f777579f1092f515b57a0ed1d1e5c92a79f10b6adbcc911d83a"),
+    1: ("d75f995b82e44bb51695b72f2cdae30f0fafd67709f194123afb90884dab2249",
+        "cd485306a6679f2e22e6857cf12f4f63218f9d9c2f74c1ad7d200b188c063892"),
+}
 
 
 class TestStreamPins:
@@ -275,13 +292,7 @@ class TestStreamPins:
 
     def test_loopful_lazy_and_shadow(self):
         assert 10_000 ** 2 > _FULL_SHUFFLE_MAX and 300_000 > 4 * _DRAW_BLOCK
-        pins = {
-            0: ("c86ebb8addca6f78a40ef7c37c7112dcf11454956174d1938ae7d77bc4662958",
-                "51237e7d54624f777579f1092f515b57a0ed1d1e5c92a79f10b6adbcc911d83a"),
-            1: ("d75f995b82e44bb51695b72f2cdae30f0fafd67709f194123afb90884dab2249",
-                "cd485306a6679f2e22e6857cf12f4f63218f9d9c2f74c1ad7d200b188c063892"),
-        }
-        for seed, (loopful, shadow) in pins.items():
+        for seed, (loopful, shadow) in LOOPFUL_PINS.items():
             assert _sha256_codes(gen_process(10_000, "loopful", seed).codes(300_000)) == loopful
             cp = couple(gen_process(10_000, "loopful", seed))
             assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
@@ -374,6 +385,76 @@ class TestHittingTime:
         logn = 2000 * math.log(2000)
         assert 0.8 * logn < m_loopful < 1.6 * logn
         assert 0.8 * logn < m_loopless < 1.6 * logn
+
+    # (loopless m*, loopful m*) of the coupled process at n = 10^4, recorded
+    # when hitting_time still guessed n(ln n + 4) and doubled
+    PINNED = {0: (92784, 92792), 1: (104819, 104829), 2: (92572, 92577),
+              3: (95391, 95396), 4: (106272, 106284)}
+
+    @staticmethod
+    def least_covering_prefix(seq, m):
+        """Whether prefix(m) has every degree >= 1 and prefix(m - 1) does not,
+        from bincounts of the two prefixes."""
+        def covered(codes):
+            u, v = np.divmod(codes, seq.n)
+            return (np.bincount(u, minlength=seq.n).min() >= 1
+                    and np.bincount(v, minlength=seq.n).min() >= 1)
+        codes = seq.codes(m)
+        return covered(codes) and not covered(codes[:-1])
+
+    @pytest.mark.parametrize("loopless_first", [True, False])
+    def test_coupled_pins_and_draws(self, loopless_first):
+        for seed, (want_less, want_ful) in self.PINNED.items():
+            cp = couple(gen_process(10_000, "loopful", seed))
+            if loopless_first:
+                m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
+            else:
+                m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
+            assert (m_less, m_ful) == (want_less, want_ful)
+            assert 92_000 <= min(m_less, m_ful) and max(m_less, m_ful) <= 107_000
+            # two blocks of about 65.5k distinct codes cover m* in either order
+            assert cp.loopful.materialized <= 2 * _DRAW_BLOCK
+            assert self.least_covering_prefix(cp.loopless, m_less)
+            assert self.least_covering_prefix(cp.loopful, m_ful)
+
+    def test_independent_of_materialisation(self):
+        for seed, (want_less, want_ful) in list(self.PINNED.items())[:2]:
+            cp = couple(gen_process(10_000, "loopful", seed))
+            cp.loopful.codes(300_000)
+            cp.loopless.codes(300_000)
+            assert (hitting_time(cp.loopless), hitting_time(cp.loopful)) == (want_less, want_ful)
+
+    def test_shared_across_threads(self):
+        # hitting times and long prefixes requested at once from both sides
+        # of one coupled process give the single-threaded answers
+        cp = couple(gen_process(10_000, "loopful", 0))
+        results = {}
+
+        def work(i):
+            seq = cp.loopless if i % 2 else cp.loopful
+            results[i] = (hitting_time(seq), _sha256_codes(seq.codes(300_000)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        (want_less, want_ful), (ful, shadow) = self.PINNED[0], LOOPFUL_PINS[0]
+        assert results == {i: (want_less, shadow) if i % 2 else (want_ful, ful) for i in range(6)}
+
+    def test_stream_unchanged_after_hitting_time(self):
+        for seed, (loopful, shadow) in LOOPFUL_PINS.items():
+            cp = couple(gen_process(10_000, "loopful", seed))
+            hitting_time(cp.loopless)
+            hitting_time(cp.loopful)
+            assert _sha256_codes(cp.loopful.codes(300_000)) == loopful
+            assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
 
 
 class TestMinDegrees:

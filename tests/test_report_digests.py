@@ -1,9 +1,8 @@
 """Byte-identity pins: sha256 of reports and outputs that must not change.
 
-Each digest was recorded before the pipeline options were removed, so a
+Each digest was recorded before the code it covers was last reworked, so a
 failure here means an output changed.  A deliberate change of output
-re-records the digest and says why in CHANGES.md.  Hitting-time reports are
-left out: their verdict aggregates changed on purpose at the same time.
+re-records the digest and says why in CHANGES.md.
 """
 import hashlib
 import json
@@ -38,8 +37,11 @@ def sha256(text: str) -> str:
     # gen_binomial's Bernoulli mask feeding the Hamilton-cycle count
     ({"experiment": "expected-count", "n": 6, "p": 0.6, "trials": 200, "seed": 3},
      "2094f70902f5670a1dbf05377a64a591bd837c0df6b6574bef3d137d4b66569a"),
+    # the lazily drawn loopful process, its loop-deleted shadow and hitting_time
+    ({"experiment": "hitting-time", "n": 10000, "trials": 5, "seed": 42},
+     "2c8fe37bdc33ed2be56f03185022ee6bc0f33ce5b0e0220b16e35a36634a055b"),
 ], ids=["pipeline-300-5-7", "pipeline-250-3-9", "almost-containment",
-        "factor-count-bound-16", "expected-count-6"])
+        "factor-count-bound-16", "expected-count-6", "hitting-time-10000"])
 def test_report_digest(config, digest):
     report = run_experiment(ExperimentConfig.from_dict(config))
     assert sha256(report.to_json()) == digest
@@ -49,6 +51,15 @@ def test_find_hamilton_json_digest():
     res = CliRunner().invoke(main, ["find-hamilton", "--n", "220", "--seed", "11", "--json"])
     assert res.exit_code == 0
     assert sha256(res.stdout) == "0cb23ff02513c7b75cebb9e264af0afc840b8f8f5319c0e84414e12bfc2b918f"
+
+
+def test_hitting_time_loopless_json_digest():
+    # a directly drawn lazy loopless process, not the shadow of a loopful one
+    res = CliRunner().invoke(main, ["hitting-time", "--n", "3000", "--universe", "loopless",
+                                    "--seed", "1", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["m_star"] == 27358
+    assert sha256(res.stdout) == "2ac76d1d04b936d2fc48ff30dcd13aa847159c09330aa4f8f80f837b824715ae"
 
 
 # The pins above all take their factor from the "early" tier and succeed.
