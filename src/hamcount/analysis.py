@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -169,14 +169,13 @@ class DiscrepancyReport:
     exhaustive: bool
     tested: dict = field(default_factory=dict)      # check name -> pairs tested
     violations: dict = field(default_factory=dict)  # check name -> violation count
-    records: list = field(default_factory=list)     # sampled records / all violations
+    records: list = field(default_factory=list)     # tested sampled pairs / violations
     worst: Optional[PairRecord] = None
 
-    def note(self, rec: PairRecord, keep_record: bool) -> None:
-        self.tested[rec.check] = self.tested.get(rec.check, 0) + 1
-        if not rec.passed:
-            self.violations[rec.check] = self.violations.get(rec.check, 0) + 1
-        if keep_record or not rec.passed:
+    def note(self, rec: PairRecord) -> None:
+        """Keep a record (an exhaustive report keeps at most 500) and track
+        the worst violation; the counts are tallied by the scanner."""
+        if not self.exhaustive or len(self.records) < 500:
             self.records.append(rec)
         if not rec.passed and (self.worst is None or rec.margin < self.worst.margin):
             self.worst = rec
@@ -197,54 +196,99 @@ class DiscrepancyReport:
 
 EXHAUSTIVE_MAX_N = 12
 
+# A subset-pair check is (name, gate, bound, metric).  A pair with sizes s1,
+# s2 and e = e(X1, X2) edges is tested when gate(s1, s2) holds and violates
+# the check when metric(e, s1 s2) > bound(s1 s2).  All three work elementwise
+# on arrays, so one entry serves the exhaustive and the sampled scan.
 
-def edge_discrepancy_check(d: Digraph, m3: int, samples: int = 10_000, seed: int = 0,
-                           gate_constant: float = 4.0) -> DiscrepancyReport:
+
+def _size_capped(name: str, n: int, coef: float) -> tuple:
+    """e(X1,X2) <= coef sqrt(|X1||X2|) for pairs with both sizes at most 3n/5."""
+    size_cap = math.floor(0.6 * n)
+    return (name, lambda s1, s2: (s1 <= size_cap) & (s2 <= size_cap),
+            lambda prod: coef * np.sqrt(prod), lambda e, prod: e)
+
+
+def edge_discrepancy_check(d: Digraph, m3: int, samples: int = 10_000,
+                           seed: int = 0) -> DiscrepancyReport:
     """Check subset-pair edge counts of a two-thirds-prefix digraph.
 
     Centred check: |e(X1,X2) - |X1||X2| m3/n^2| <= 4 sqrt(|X1||X2| m3/n),
-    applied to pairs with |X1||X2| >= gate_constant * n^2 / log n.
+    applied to pairs with |X1||X2| >= 4 n^2 / ln n.  That gate exceeds n^2,
+    the largest product, for every n below about 55, so there the check
+    tests no pair and an exhaustive report always shows ``centred: 0``.
     Cap check: e(X1,X2) <= (4 m3 / 5n) sqrt(|X1||X2|) for sizes <= 3n/5.
     Exhaustive over all subset pairs for n <= 12, sampled otherwise.
     """
     n = d.n
-    gate = gate_constant * n * n / math.log(n)
-    size_cap = math.floor(0.6 * n)
+    min_prod = 4.0 * n * n / math.log(n)
+    centred = ("centred", lambda s1, s2: s1 * s2 >= min_prod,
+               lambda prod: 4.0 * np.sqrt(prod * m3 / n),
+               lambda e, prod: abs(e - prod * m3 / (n * n)))
+    cap = _size_capped("cap", n, 4.0 * m3 / (5.0 * n))
+    return _scan_subset_pairs(d, [centred, cap], samples, seed, n)
 
-    def centred_bound(prod: float) -> float:
-        return 4.0 * math.sqrt(prod * m3 / n)
 
-    def cap_bound(prod: float) -> float:
-        return (4.0 * m3 / (5.0 * n)) * math.sqrt(prod)
+def _scan_subset_pairs(d: Digraph, checks: list, samples: int, seed: int,
+                       max_size: int) -> DiscrepancyReport:
+    """Apply each check to every subset pair when n <= EXHAUSTIVE_MAX_N, in
+    blocks of 256 rows to bound peak memory, and otherwise to ``samples``
+    random pairs with sizes uniform on 0..max_size.
 
-    if n <= EXHAUSTIVE_MAX_N:
-        return _exhaustive_scan(d, gate, size_cap, centred_bound, cap_bound, m3)
-
-    report = DiscrepancyReport(exhaustive=False)
-    for s1, s2, e in _sampled_pairs(d, samples, seed, n):
-        prod = s1 * s2
-        if prod >= gate:
-            dev = abs(e - prod * m3 / (n * n))
-            b = centred_bound(prod)
-            report.note(PairRecord(s1, s2, e, b, "centred", dev <= b, b - dev), True)
-        if s1 <= size_cap and s2 <= size_cap:
-            b = cap_bound(prod)
-            report.note(PairRecord(s1, s2, e, b, "cap", e <= b, b - e), True)
+    A sampled report records every tested pair in draw order; an exhaustive
+    one records only violations, at most 200 per block.
+    """
+    exhaustive = d.n <= EXHAUSTIVE_MAX_N
+    report = DiscrepancyReport(exhaustive)
+    if exhaustive:
+        counts, pop = _pair_counts(d)
+        pop = pop.astype(np.float64)
+        blocks = [(pop[i:i + 256, None], pop, counts[i:i + 256])
+                  for i in range(0, len(pop), 256)]
+    else:
+        blocks = [_sampled_pairs(d, samples, seed, max_size)]
+    columns = []
+    for name, gate, bound, metric in checks:
+        if exhaustive:  # a sampled report lists only the checks its pairs reach
+            report.tested[name] = 0
+        for s1, s2, e in blocks:
+            gated = gate(s1, s2)
+            if not gated.any():
+                continue
+            prod = s1 * s2
+            b, dev = bound(prod), metric(e, prod)
+            bad = gated & (dev > b)
+            report.tested[name] = report.tested.get(name, 0) + int(gated.sum())
+            if bad.any():
+                report.violations[name] = report.violations.get(name, 0) + int(bad.sum())
+            if exhaustive:
+                for r, c in np.argwhere(bad)[:200]:
+                    report.note(PairRecord(int(s1[r, 0]), int(s2[c]), int(e[r, c]),
+                                           float(b[r, c]), name, False,
+                                           float(b[r, c] - dev[r, c])))
+            else:
+                columns.append((name, gated.tolist(), bad.tolist(), b.tolist(), dev.tolist()))
+    if not exhaustive:
+        for i, (s1, s2, e) in enumerate(blocks[0].T.tolist()):
+            for name, gated, bad, b, dev in columns:
+                if gated[i]:
+                    report.note(PairRecord(s1, s2, e, b[i], name, not bad[i], b[i] - dev[i]))
     return report
 
 
-def _sampled_pairs(d: Digraph, samples: int, seed: int,
-                   max_size: int) -> Iterator[tuple[int, int, int]]:
-    """(|X1|, |X2|, e(X1, X2)) for random subset pairs with sizes uniform on
-    0..max_size, drawn in a fixed order from ``seed``."""
+def _sampled_pairs(d: Digraph, samples: int, seed: int, max_size: int) -> np.ndarray:
+    """Rows |X1|, |X2|, e(X1, X2), one column per random subset pair, with
+    sizes uniform on 0..max_size, drawn in a fixed order from ``seed``."""
     n = d.n
     rng = make_generator(seed)
     us, vs = np.divmod(d.codes, n)
-    for _ in range(samples):
+    pairs = np.zeros((samples, 3), dtype=np.int64)
+    for pair in pairs:
         s1, s2 = int(rng.integers(0, max_size + 1)), int(rng.integers(0, max_size + 1))
         in1 = np.zeros(n, dtype=bool); in1[rng.permutation(n)[:s1]] = True
         in2 = np.zeros(n, dtype=bool); in2[rng.permutation(n)[:s2]] = True
-        yield s1, s2, int(np.count_nonzero(in1[us] & in2[vs]))
+        pair[:] = s1, s2, np.count_nonzero(in1[us] & in2[vs])
+    return pairs.T
 
 
 def _pair_counts(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
@@ -262,53 +306,6 @@ def _pair_counts(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
     counts = out_count @ member
     pop = np.array([bin(m).count("1") for m in range(full)], dtype=np.int64)
     return counts, pop
-
-
-def _blocked_violations(report: DiscrepancyReport, name: str, counts, pop,
-                        gate_fn, bound_fn, metric_fn, block: int = 256) -> None:
-    """Scan all subset pairs block-by-block to bound peak memory."""
-    full = counts.shape[0]
-    p2 = pop[None, :].astype(np.float64)
-    for start in range(0, full, block):
-        stop = min(start + block, full)
-        p1 = pop[start:stop, None].astype(np.float64)
-        prod = p1 * p2
-        gate = gate_fn(p1, p2, prod)
-        report.tested[name] = report.tested.get(name, 0) + int(gate.sum())
-        bound = bound_fn(prod)
-        metric = metric_fn(counts[start:stop], prod)
-        bad = gate & (metric > bound)
-        idx = np.argwhere(bad)
-        if not idx.size:
-            continue
-        report.violations[name] = report.violations.get(name, 0) + len(idx)
-        for r, m2 in idx[:200]:
-            rec = PairRecord(int(pop[start + r]), int(pop[m2]),
-                             int(counts[start + r, m2]), float(bound[r, m2]), name,
-                             False, float(bound[r, m2] - metric[r, m2]))
-            if len(report.records) < 500:
-                report.records.append(rec)
-            if report.worst is None or rec.margin < report.worst.margin:
-                report.worst = rec
-
-
-def _exhaustive_scan(d: Digraph, gate, size_cap, centred_bound, cap_bound, m3) -> DiscrepancyReport:
-    n = d.n
-    counts, pop = _pair_counts(d)
-    report = DiscrepancyReport(exhaustive=True)
-    _blocked_violations(
-        report, "centred", counts, pop,
-        gate_fn=lambda p1, p2, prod: prod >= gate,
-        bound_fn=lambda prod: 4.0 * np.sqrt(prod * m3 / n),
-        metric_fn=lambda c, prod: np.abs(c - prod * m3 / (n * n)),
-    )
-    _blocked_violations(
-        report, "cap", counts, pop,
-        gate_fn=lambda p1, p2, prod: (p1 <= size_cap) & (p2 <= size_cap),
-        bound_fn=lambda prod: (4.0 * m3 / (5.0 * n)) * np.sqrt(prod),
-        metric_fn=lambda c, prod: c.astype(np.float64),
-    )
-    return report
 
 
 @dataclass
@@ -344,32 +341,10 @@ def gk_hypotheses(d: Digraph, r: float, samples: int = 10_000, seed: int = 0) ->
         int(v) for v in range(n)
         if not (lo <= outd[v] <= hi) or not (lo <= ind[v] <= hi)
     )
-    size_cap = math.floor(0.6 * n)
-
-    def bound(prod: float) -> float:
-        return 0.8 * r * math.sqrt(prod)
-
-    if n <= EXHAUSTIVE_MAX_N:
-        disc = _exhaustive_gk(d, size_cap, r)
-    else:
-        disc = DiscrepancyReport(exhaustive=False)
-        for s1, s2, e in _sampled_pairs(d, samples, seed, size_cap):
-            b = bound(s1 * s2)
-            disc.note(PairRecord(s1, s2, e, b, "gk-subset", e <= b, b - e), True)
+    disc = _scan_subset_pairs(d, [_size_capped("gk-subset", n, 0.8 * r)], samples, seed,
+                              math.floor(0.6 * n))
     loglog = math.log(math.log(n)) if n >= 3 else float("nan")
     return GkReport(not offenders, lo, hi, offenders, r / loglog, disc)
-
-
-def _exhaustive_gk(d: Digraph, size_cap: int, r: float) -> DiscrepancyReport:
-    counts, pop = _pair_counts(d)
-    report = DiscrepancyReport(exhaustive=True)
-    _blocked_violations(
-        report, "gk-subset", counts, pop,
-        gate_fn=lambda p1, p2, prod: (p1 <= size_cap) & (p2 <= size_cap),
-        bound_fn=lambda prod: 0.8 * r * np.sqrt(prod),
-        metric_fn=lambda c, prod: c.astype(np.float64),
-    )
-    return report
 
 
 # -- greedy degree regularisation ----------------------------------------------------

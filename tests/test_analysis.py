@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcount import analysis
 from hamcount.analysis import (
     GkReport,
+    _pair_counts,
     chernoff_two_sided,
     chernoff_upper,
     edge_discrepancy_check,
@@ -190,15 +192,41 @@ class TestGkHypotheses:
         assert not rep.degree_ok
         assert 0 in rep.degree_offenders
 
-    def test_exhaustive_vs_sampled_consistency(self):
-        d = circulant(10, 3)
-        exhaustive = gk_hypotheses(d, r=3)
-        assert exhaustive.discrepancy.exhaustive
-        # a sampled scan of the same instance cannot find a violation the
-        # exhaustive one missed
-        if exhaustive.discrepancy.passed:
-            forced = gk_hypotheses(d, r=3, samples=2000, seed=9)
-            assert forced.discrepancy.passed
+    def test_exhaustive_vs_sampled_consistency(self, monkeypatch):
+        n = 10
+        m3 = math.ceil(2 * n * math.log(n) / 3)
+        # two instances that violate, and the complete digraph, which passes
+        instances = [(gen_binomial(n, 0.3, True, 1), m3), (gen_binomial(n, 0.1, True, 5), m3),
+                     (Digraph.complete(n, allow_loops=True), n * n)]
+
+        def scans(d, m3, **kw):
+            return [edge_discrepancy_check(d, m3, **kw),
+                    gk_hypotheses(d, d.edge_count / n, **kw).discrepancy]
+
+        exhaustive = [scans(d, m3) for d, m3 in instances]
+        monkeypatch.setattr(analysis, "EXHAUSTIVE_MAX_N", 0)  # force the sampled path
+        sampled = [scans(d, m3, samples=2000, seed=9) for d, m3 in instances]
+        for (d, _), full_scans, sampled_scans in zip(instances, exhaustive, sampled):
+            counts, pop = _pair_counts(d)
+            triples = set(zip(np.repeat(pop, len(pop)).tolist(),
+                              np.tile(pop, len(pop)).tolist(), counts.ravel().tolist()))
+            for full, part in zip(full_scans, sampled_scans):
+                assert full.exhaustive and not part.exhaustive
+                # sampling flags only what the full scan flags, and passes
+                # wherever it passes
+                assert set(part.violations) <= set(full.violations)
+                assert part.passed or not full.passed
+                # a sampled report records every tested pair with its verdict
+                for name, tested in part.tested.items():
+                    verdicts = [r.passed for r in part.records if r.check == name]
+                    assert len(verdicts) == tested
+                    assert verdicts.count(False) == part.violations.get(name, 0)
+                # every sampled edge count is one the full count table holds
+                assert all((r.x1_size, r.x2_size, r.observed) in triples for r in part.records)
+        assert exhaustive[2][0].passed and exhaustive[2][1].passed
+        # at p = 0.3 over half the gated pairs violate the cap check
+        assert exhaustive[0][0].violations["cap"] > 0.5 * exhaustive[0][0].tested["cap"]
+        assert sampled[0][0].violations["cap"] > 0
 
 
 class TestRegularize:

@@ -40,9 +40,10 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"experiment": "pipeline", "n": 300, "pipeline": {key: "split"}})
 
-    def test_pipeline_timings_key_accepted(self):
-        cfg = ExperimentConfig("pipeline", n=300, pipeline={"include_timings": True})
-        assert cfg.pipeline == {"include_timings": True}
+    def test_pipeline_timings_key_rejected(self):
+        # phase durations follow the top-level include_timings alone
+        with pytest.raises(DomainError, match=r"unknown pipeline keys: \['include_timings'\]"):
+            ExperimentConfig("pipeline", n=300, pipeline={"include_timings": True})
 
 
 class TestExpectedCount:

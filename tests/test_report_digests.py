@@ -6,6 +6,7 @@ re-records the digest and says why in CHANGES.md.
 """
 import hashlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from hamcount.analysis import edge_discrepancy_check, gk_hypotheses
 from hamcount.cli import main
-from hamcount.digraph import gen_process
+from hamcount.digraph import gen_binomial, gen_process
 from hamcount.frieze import compute_constants
 from hamcount.harness import ExperimentConfig, run_experiment
 
@@ -40,8 +41,16 @@ def sha256(text: str) -> str:
     # the lazily drawn loopful process, its loop-deleted shadow and hitting_time
     ({"experiment": "hitting-time", "n": 10000, "trials": 5, "seed": 42},
      "2c8fe37bdc33ed2be56f03185022ee6bc0f33ce5b0e0220b16e35a36634a055b"),
+    # the exact ratio and its enumeration check (m <= 12)
+    ({"experiment": "subsample-ratio", "n": 4, "m": 12, "m_prime": 8, "samples": 20000,
+      "seed": 1},
+     "51791274e0239fcb175ba06d6d40097e935c10fe8e23feff39a69e55662593cd"),
+    # enumerated star factors and the exact fixed-point reference_loop_bound
+    ({"experiment": "good-fraction", "n": 16, "trials": 2, "seed": 4, "enum_limit": 2000},
+     "ee1065a8086843b9e2babab043e8124fbaa7a547f65175b0cbcbcbfca2ef7b12"),
 ], ids=["pipeline-300-5-7", "pipeline-250-3-9", "almost-containment",
-        "factor-count-bound-16", "expected-count-6", "hitting-time-10000"])
+        "factor-count-bound-16", "expected-count-6", "hitting-time-10000",
+        "subsample-ratio-4-12-8", "good-fraction-16"])
 def test_report_digest(config, digest):
     report = run_experiment(ExperimentConfig.from_dict(config))
     assert sha256(report.to_json()) == digest
@@ -102,3 +111,41 @@ def test_sampled_subset_pair_digests():
         "e89f68e5650c3132c6f8627ec1b3b142e6027f62913f54084a779d43e6e799b2"
     assert _discrepancy_digest(gk) == \
         "e0fcf73fed1b71b2443cbc74f6a857dc109f9c77a4f438a2caa8ca353fb8af77"
+
+
+def test_sampled_centred_digests():
+    # at n = 500 the centred gate 4n^2/ln n is below n^2, so large pairs reach it
+    n = 500
+    c = compute_constants(n)
+    seq = gen_process(n, "loopful", 3)
+    d = seq.prefix(c.m3)
+    disc = edge_discrepancy_check(d, c.m3, samples=300, seed=5)
+    gk = gk_hypotheses(d, c.m3 / n, samples=300, seed=5).discrepancy
+    assert disc.tested == {"cap": 109, "centred": 20} and disc.passed
+    assert _discrepancy_digest(disc) == \
+        "633ccb866878f91db1bf78908390bf011a445dbf665c25d22bb31f68ae5ee0b4"
+    assert _discrepancy_digest(gk) == \
+        "8c541fd63cd0ca0622752fb8f56c9c35b6d818ca16481415478e43eba9ea6137"
+    # a prefix five times as long as the m3 it is checked against
+    over = edge_discrepancy_check(seq.prefix(5 * c.m3), c.m3, samples=300, seed=5)
+    assert over.violations == {"cap": 80, "centred": 20}
+    assert _discrepancy_digest(over) == \
+        "b220771f2c25f1d62b51d12165cc199e583331eac6b247de6522563fb9c626c2"
+
+
+@pytest.mark.parametrize("n, disc_digest, gk_digest", [
+    (8, "77254da20e2b38d4e7839daaae3daa37998221cdbffc9c3a6c47793a9d96fb8e",
+     "8b36ae459beb088194b6cf9630876bdbe6f900af427d9bc938c2a3068ac29e00"),
+    (10, "7e394b36ba23d51f5f20cbd383a5fffce1ed9432d0a9ac67d23b25e60184748d",
+     "7ec679b39261da2c9f687a9a0450e8af7c6c71070b9027f23fdbae35ede913a7"),
+    (12, "4d6dfe1a5d94081b7f70743cd8de8beec1b4ecb60d214f0c04fe69ee472a8108",
+     "851edd0fa2ed18257f9d36edfd6a27ea0c45c6078a618e13e3d5cda9abab6611"),
+])
+def test_exhaustive_subset_pair_digests(n, disc_digest, gk_digest):
+    d = gen_binomial(n, 0.3, True, 1)
+    disc = edge_discrepancy_check(d, math.ceil(2 * n * math.log(n) / 3))
+    gk = gk_hypotheses(d, d.edge_count / n).discrepancy
+    assert disc.exhaustive and gk.exhaustive
+    assert disc.violations["cap"] > 0 and gk.violations["gk-subset"] > 0
+    assert _discrepancy_digest(disc) == disc_digest
+    assert _discrepancy_digest(gk) == gk_digest
