@@ -17,7 +17,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import DomainError
-from .exact import OneFactor, rencontres
+from .exact import OneFactor, _subset_sums, rencontres
 from .rng import make_generator
 
 EXACT_TAIL_MAX_N = 1000  # rational arithmetic cap; log-space floats beyond
@@ -173,12 +173,10 @@ class DiscrepancyReport:
     worst: Optional[PairRecord] = None
 
     def note(self, rec: PairRecord) -> None:
-        """Keep a record (an exhaustive report keeps at most 500) and track
-        the worst violation; the counts are tallied by the scanner."""
+        """Keep a record (an exhaustive report keeps at most 500); the counts
+        and the worst violation are set by the scanner."""
         if not self.exhaustive or len(self.records) < 500:
             self.records.append(rec)
-        if not rec.passed and (self.worst is None or rec.margin < self.worst.margin):
-            self.worst = rec
 
     @property
     def passed(self) -> bool:
@@ -221,6 +219,8 @@ def edge_discrepancy_check(d: Digraph, m3: int, samples: int = 10_000,
     Exhaustive over all subset pairs for n <= 12, sampled otherwise.
     """
     n = d.n
+    if n < 2:
+        raise DomainError(f"the discrepancy check needs n >= 2, got {n}")
     min_prod = 4.0 * n * n / math.log(n)
     centred = ("centred", lambda s1, s2: s1 * s2 >= min_prod,
                lambda prod: 4.0 * np.sqrt(prod * m3 / n),
@@ -236,7 +236,9 @@ def _scan_subset_pairs(d: Digraph, checks: list, samples: int, seed: int,
     random pairs with sizes uniform on 0..max_size.
 
     A sampled report records every tested pair in draw order; an exhaustive
-    one records only violations, at most 200 per block.
+    one records only violations, at most 200 per block.  ``worst`` is the
+    violation of least margin over every tested pair, the first in scan order
+    on a tie.
     """
     exhaustive = d.n <= EXHAUSTIVE_MAX_N
     report = DiscrepancyReport(exhaustive)
@@ -247,7 +249,7 @@ def _scan_subset_pairs(d: Digraph, checks: list, samples: int, seed: int,
                   for i in range(0, len(pop), 256)]
     else:
         blocks = [_sampled_pairs(d, samples, seed, max_size)]
-    columns = []
+    columns, worst = [], []
     for name, gate, bound, metric in checks:
         if exhaustive:  # a sampled report lists only the checks its pairs reach
             report.tested[name] = 0
@@ -262,10 +264,15 @@ def _scan_subset_pairs(d: Digraph, checks: list, samples: int, seed: int,
             if bad.any():
                 report.violations[name] = report.violations.get(name, 0) + int(bad.sum())
             if exhaustive:
+                def record(r, c):
+                    return PairRecord(int(s1[r, 0]), int(s2[c]), int(e[r, c]), float(b[r, c]),
+                                      name, False, float(b[r, c] - dev[r, c]))
+
                 for r, c in np.argwhere(bad)[:200]:
-                    report.note(PairRecord(int(s1[r, 0]), int(s2[c]), int(e[r, c]),
-                                           float(b[r, c]), name, False,
-                                           float(b[r, c] - dev[r, c])))
+                    report.note(record(r, c))
+                if bad.any():
+                    margin = np.where(bad, b - dev, np.inf)
+                    worst.append(record(*divmod(int(margin.argmin()), margin.shape[1])))
             else:
                 columns.append((name, gated.tolist(), bad.tolist(), b.tolist(), dev.tolist()))
     if not exhaustive:
@@ -273,6 +280,8 @@ def _scan_subset_pairs(d: Digraph, checks: list, samples: int, seed: int,
             for name, gated, bad, b, dev in columns:
                 if gated[i]:
                     report.note(PairRecord(s1, s2, e, b[i], name, not bad[i], b[i] - dev[i]))
+        worst = [rec for rec in report.records if not rec.passed]
+    report.worst = min(worst, key=lambda rec: rec.margin, default=None)
     return report
 
 
@@ -293,19 +302,9 @@ def _sampled_pairs(d: Digraph, samples: int, seed: int, max_size: int) -> np.nda
 
 def _pair_counts(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
     """counts[mask1, mask2] = e(X1, X2) over all subset pairs, plus popcounts."""
-    n = d.n
-    full = 1 << n
     adj = d.adjacency_matrix().astype(np.int32)
-    out_count = np.zeros((full, n), dtype=np.int32)
-    for mask in range(1, full):
-        low = mask & (-mask)
-        out_count[mask] = out_count[mask ^ low] + adj[low.bit_length() - 1]
-    member = np.zeros((n, full), dtype=np.int32)
-    for v in range(n):
-        member[v, :] = (np.arange(full) >> v) & 1
-    counts = out_count @ member
-    pop = np.array([bin(m).count("1") for m in range(full)], dtype=np.int64)
-    return counts, pop
+    counts = _subset_sums(adj.T).T @ _subset_sums(np.eye(d.n, dtype=np.int32))
+    return counts, _subset_sums(np.ones((1, d.n), dtype=np.int32))[0]
 
 
 @dataclass

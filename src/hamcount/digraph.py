@@ -330,7 +330,9 @@ class EdgeSequence:
         all_codes = np.arange(self.universe_size, dtype=np.int64)
         if not self.loopful:
             all_codes = _loopless_index_to_code(all_codes, self.n)
-        rest = np.setdiff1d(all_codes, have, assume_unique=False)
+        # Both arrays are free of repeats, and all_codes is sorted, so the
+        # result is the sorted leftovers without numpy's costly unique pass.
+        rest = np.setdiff1d(all_codes, have, assume_unique=True)
         self._codes = np.concatenate([have, self._rng.permutation(rest)])
         self._sorted = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
@@ -424,19 +426,8 @@ def gen_binomial(n: int, p: float, allow_loops: bool, seed: int) -> Digraph:
         # Draw the edge count, then a uniform set of that size: exactly the
         # same joint law, without touching all ~n^2 pairs.
         m = int(rng.binomial(universe, p))
-        codes = _draw_distinct(rng, n, allow_loops, m)
+        codes = EdgeSequence(n, allow_loops, _rng=rng).codes(m)
     return Digraph(n, codes, allow_loops=allow_loops)
-
-
-def _draw_distinct(rng: np.random.Generator, n: int, loopful: bool, m: int) -> np.ndarray:
-    universe = n * n if loopful else n * (n - 1)
-    if m > universe:
-        raise DomainError("cannot draw more pairs than the universe holds")
-    out = seen = np.empty(0, dtype=np.int64)
-    while out.size < m:
-        fresh, seen = _fresh_in_order(_random_block(rng, n, loopful), seen)
-        out = np.concatenate([out, fresh])
-    return out[:m]
 
 
 def gen_process(n: int, universe: str, seed: int) -> EdgeSequence:

@@ -380,82 +380,35 @@ def merge_loops(f: OneFactor, d: Digraph, large: frozenset, seed: int = 0) -> tu
 # -- paths, rotations, patching ----------------------------------------------------
 
 
-class PathState:
-    """Directed path with O(1) vertex-position lookup."""
-
-    __slots__ = ("n", "_verts", "_pos")
-
-    def __init__(self, vertices: Sequence[int], n: int):
-        verts = np.asarray(list(vertices), dtype=np.int64)
-        if verts.size == 0:
-            raise DomainError("empty path")
-        if np.unique(verts).size != verts.size:
-            raise DomainError("path vertices must be distinct")
-        if verts.min() < 0 or verts.max() >= n:
-            raise DomainError("path vertex out of range")
-        self.n = n
-        self._verts = verts
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[verts] = np.arange(verts.size)
-        self._pos = pos
-
-    @classmethod
-    def _raw(cls, verts: np.ndarray, n: int) -> "PathState":
-        obj = object.__new__(cls)
-        obj.n = n
-        obj._verts = verts
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[verts] = np.arange(verts.size)
-        obj._pos = pos
-        return obj
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self._verts.tolist())
-
-    @property
-    def first(self) -> int:
-        return int(self._verts[0])
-
-    @property
-    def last(self) -> int:
-        return int(self._verts[-1])
-
-    def position(self, v: int) -> int:
-        """Index of v on the path, or -1."""
-        return int(self._pos[v])
-
-    def __len__(self) -> int:
-        return int(self._verts.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PathState) and self.n == other.n and \
-            np.array_equal(self._verts, other._verts)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.vertices))
-
-    def rotated(self, i: int, j: int) -> "PathState":
-        """v0..vi vj..vl v_{i+1}..v_{j-1}; no edge checks (see ``rotate``)."""
-        v = self._verts
-        return PathState._raw(np.concatenate([v[: i + 1], v[j:], v[i + 1: j]]), self.n)
-
-    def __repr__(self) -> str:
-        return f"PathState({self._verts.tolist()})"
+def _path_array(path: Sequence[int], n: int) -> np.ndarray:
+    """The path as an int64 array of distinct vertices of 0..n-1, not empty."""
+    verts = np.asarray(list(path), dtype=np.int64)
+    if verts.size == 0:
+        raise DomainError("empty path")
+    if verts.min() < 0 or verts.max() >= n:
+        raise DomainError("path vertex out of range")
+    if np.unique(verts).size != verts.size:
+        raise DomainError("path vertices must be distinct")
+    return verts
 
 
-def rotate(p: PathState, i: int, j: int, d: Digraph) -> PathState:
+def _rotated(verts: np.ndarray, i: int, j: int) -> np.ndarray:
+    """v0..vi vj..vl v_{i+1}..v_{j-1}; no edge checks (see ``rotate``)."""
+    return np.concatenate([verts[: i + 1], verts[j:], verts[i + 1: j]])
+
+
+def rotate(path: Sequence[int], i: int, j: int, d: Digraph) -> list[int]:
     """Path rotation using the chord (v_i, v_j) and the end edge (v_l, v_{i+1})."""
-    ell = len(p) - 1
+    verts = _path_array(path, d.n)
+    ell = verts.size - 1
     if not (1 <= i < j <= ell):
         raise PreconditionError(f"rotation indices out of range: i={i}, j={j}, l={ell}")
-    verts = p._verts
-    vi, vj, vl, vnext = int(verts[i]), int(verts[j]), int(verts[ell]), int(verts[i + 1])
+    vi, vj, vl, vnext = verts[[i, j, ell, i + 1]].tolist()
     if not d.has_edge(vi, vj):
         raise PreconditionError(f"missing chord ({vi},{vj})")
     if not d.has_edge(vl, vnext):
         raise PreconditionError(f"missing end edge ({vl},{vnext})")
-    return p.rotated(i, j)
+    return _rotated(verts, i, j).tolist()
 
 
 def patch_cycles(c1: Sequence[int], c2: Sequence[int], d: Digraph) -> Optional[list[int]]:
@@ -497,7 +450,7 @@ def _default_budget(n: int) -> int:
     return math.ceil(3.0 * math.log(n))
 
 
-def close_path(path: PathState, d: Digraph, forbidden: frozenset,
+def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
                rng: np.random.Generator) -> Optional[tuple[list[int], int]]:
     """Rotate the path until its last vertex closes back to its first one.
 
@@ -506,81 +459,82 @@ def close_path(path: PathState, d: Digraph, forbidden: frozenset,
     added.  Returns (cycle on exactly the path's vertex set, rotations used),
     or None if the budget is exhausted.
     """
-    v0 = path.first
+    verts = _path_array(path, d.n)
+    v0, ell = int(verts[0]), verts.size - 1
 
-    def closes(p: PathState) -> bool:
-        return d.has_edge(p.last, v0) and (p.last, v0) not in forbidden
+    def closes(end: int) -> bool:
+        return d.has_edge(end, v0) and (end, v0) not in forbidden
 
-    if closes(path):
-        return list(path.vertices), 0
-    seen_ends = {path.last}
-    frontier = [path]
+    if closes(int(verts[-1])):
+        return verts.tolist(), 0
+    # Every path of the search has the same vertex set, so one position array,
+    # refilled per expanded path, serves them all; off-path vertices stay -1.
+    pos = np.full(d.n, -1, dtype=np.int64)
+    index = np.arange(verts.size)
+    seen_ends = {int(verts[-1])}
+    frontier = [verts]
     for depth in range(1, _default_budget(d.n) + 1):
-        nxt: list[PathState] = []
+        nxt: list[np.ndarray] = []
         for p in frontier:
-            verts = p._verts
-            ell = verts.size - 1
-            vl = int(verts[-1])
+            pos[p] = index
+            vl = int(p[-1])
             cands: list[tuple[int, int]] = []
             for u in d.out_neighbors(vl):
-                pu = p.position(u)
+                pu = int(pos[u])
                 if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
                     continue
                 i = pu - 1
-                vi = int(verts[i])
+                vi = int(p[i])
                 for w in d.out_neighbors(vi):
-                    j = p.position(w)
+                    j = int(pos[w])
                     if j >= i + 2 and (vi, w) not in forbidden:
                         cands.append((i, j))
             if len(cands) > 1:
                 rng.shuffle(cands)
             for i, j in cands:
-                end = int(verts[j - 1])
+                end = int(p[j - 1])  # the last vertex after the rotation
                 if end in seen_ends:
                     continue
-                q = p.rotated(i, j)
-                if closes(q):
-                    return list(q.vertices), depth
+                if closes(end):
+                    return _rotated(p, i, j).tolist(), depth
                 seen_ends.add(end)
-                nxt.append(q)
+                nxt.append(_rotated(p, i, j))
         if not nxt:
             return None
         frontier = nxt
     return None
 
 
+def _forbidden_at(cycle: list[int], forbidden: frozenset) -> list[int]:
+    """Indices idx whose cycle edge (cycle[idx], cycle[idx + 1]) is forbidden."""
+    return [idx for idx, e in enumerate(zip(cycle, cycle[1:] + cycle[:1])) if e in forbidden]
+
+
 def eliminate_forbidden(cycle: list[int], forbidden: frozenset, d: Digraph,
                         seed: int) -> Optional[tuple[list[int], int, int]]:
     """Rotate the ``forbidden`` (virtual) edges out of a Hamilton cycle, one
     per round.  Returns (cycle, rounds, rotations), or None when stuck."""
-    rounds = 0
-    rotations = 0
-    while True:
-        k = len(cycle)
-        present = [(idx, (cycle[idx], cycle[(idx + 1) % k])) for idx in range(k)
-                   if (cycle[idx], cycle[(idx + 1) % k]) in forbidden]
-        if not present:
-            return cycle, rounds, rotations
+    rounds = rotations = 0
+    present = _forbidden_at(cycle, forbidden)
+    while present:
         # A removal can be unclosable (e.g. the freed head has no usable
         # in-edge); any of the present edges may be removed first, so try
         # them all before declaring the round stuck.
-        got = None
-        for attempt, (idx, _edge) in enumerate(present):
-            path_vertices = cycle[idx + 1:] + cycle[: idx + 1]
-            path = PathState(path_vertices, d.n)
-            got = close_path(path, d, forbidden, make_generator(derive_seed(seed, rounds, attempt)))
+        for attempt, idx in enumerate(present):
+            got = close_path(cycle[idx + 1:] + cycle[: idx + 1], d, forbidden,
+                             make_generator(derive_seed(seed, rounds, attempt)))
             if got is not None:
                 break
         if got is None:
             return None
-        new_cycle, used = got
-        new_count = sum(1 for t in range(len(new_cycle))
-                        if (new_cycle[t], new_cycle[(t + 1) % len(new_cycle)]) in forbidden)
-        if new_count >= len(present):
+        cycle, used = got
+        left = _forbidden_at(cycle, forbidden)
+        if len(left) >= len(present):
             raise AssertionError("forbidden-edge round did not make progress")
-        cycle = new_cycle
+        present = left
         rounds += 1
         rotations += used
+    return cycle, rounds, rotations
 
 
 # -- compression ---------------------------------------------------------------------
@@ -815,37 +769,36 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
              if i == 0 or not np.array_equal(codes, sources[i - 1][1])]
     mark("early", t0)
 
-    # Extract a factor; re-extract under fresh right-side relabelings until
-    # it is good and its loops sit inside the large set.
+    # Extract a factor from the first tier that has one; re-extract under
+    # fresh right-side relabelings until it is good and its loops sit inside
+    # the large set.  A relabeling keeps whether a tier has a perfect
+    # matching, so every attempt uses the tier chosen at attempt 0.
     t0 = time.perf_counter()
+
+    def extract(tier: Digraph, sigma: np.ndarray) -> Optional[OneFactor]:
+        # The matcher is positional, so the relabeled lists must be
+        # re-sorted: that is what makes a fresh sigma reach a genuinely
+        # different factor rather than replaying the same execution.
+        relabeled = [sorted(int(sigma[w]) for w in tier.out_neighbors(u)) for u in range(n)]
+        size, match_left, _ = hopcroft_karp(n, n, relabeled)
+        if size < n:
+            return None
+        return OneFactor(np.argsort(sigma)[match_left].tolist())  # undo the relabeling
+
+    for factor_source, tier in tiers:
+        got = extract(tier, np.arange(n))
+        if got is not None:
+            break
+    else:
+        return fail("one_factor", "no 1-factor in the hitting-time edges")
     factor = None
-    factor_source = None
-    attempts = 0
     for attempt in range(RELABEL_RETRIES + 1):
-        attempts = attempt + 1
-        rng = make_generator(derive_seed(seed, 1, attempt))
-        sigma = np.arange(n) if attempt == 0 else rng.permutation(n)
-        inv = np.empty(n, dtype=np.int64)
-        inv[sigma] = np.arange(n)
-        got = None
-        for source, tier in tiers:
-            # The matcher is positional, so the relabeled lists must be
-            # re-sorted: that is what makes a fresh sigma reach a genuinely
-            # different factor rather than replaying the same execution.
-            relabeled = [sorted(int(sigma[w]) for w in tier.out_neighbors(u)) for u in range(n)]
-            size, match_left, _ = hopcroft_karp(n, n, relabeled)
-            if size == n:
-                got = OneFactor([int(inv[w]) for w in match_left])
-                factor_source = source
-                break
-        if got is None:
-            if attempt == 0:
-                return fail("one_factor", "no 1-factor in the hitting-time edges")
-            continue
+        if attempt:
+            got = extract(tier, make_generator(derive_seed(seed, 1, attempt)).permutation(n))
         if is_good_factor(got, c) and all(got.image[v] != v or v in large for v in range(n)):
             factor = got
             break
-    log["relabel_attempts"] = attempts
+    log["relabel_attempts"] = attempt + 1
     log["factor_source"] = factor_source
     mark("factor", t0)
     if factor is None:
@@ -999,19 +952,16 @@ def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: froz
                 candidates.append((a, b))
     if not candidates:
         return None
-    rng = make_generator(seed)
-    rng.shuffle(candidates)
-    rotations = 0
+    make_generator(seed).shuffle(candidates)
     for k, (a, b) in enumerate(candidates[:MERGE_RETRY_CAP]):
         if a in cyc_pos:
             ca, cb, apos, bpos = cyc, main, cyc_pos[a], main_pos[b]
         else:
             ca, cb, apos, bpos = main, cyc, main_pos[a], cyc_pos[b]
-        path_vertices = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
-        path = PathState(path_vertices, rot_d.n)
+        path = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
         got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
         if got is not None:
+            # a failed candidate counts as a full budget; +1 for the closing edge round
             cycle, used = got
-            return cycle, rotations + used + 1  # +1 for the closing edge round
-        rotations += _default_budget(rot_d.n)
+            return cycle, k * _default_budget(rot_d.n) + used + 1
     return None

@@ -33,7 +33,6 @@ from hamcount.exact import (
     permanent,
 )
 from hamcount.frieze import (
-    PathState,
     VirtualEdgeSet,
     compress,
     compute_constants,
@@ -357,13 +356,11 @@ def test_11_structural_property_suites():
         j = int(rng.integers(i + 2, ell + 1)) if i + 2 <= ell else ell
         d = Digraph(n, {(verts[i], verts[j]), (verts[ell], verts[i + 1])}
                     | {(verts[t], verts[t + 1]) for t in range(ell)})
-        p = PathState(verts, n)
-        q = rotate(p, i, j, d)
-        assert set(q.vertices) == set(verts)
-        assert q.first == verts[0]
+        q = rotate(verts, i, j, d)
+        assert set(q) == set(verts)
+        assert q[0] == verts[0]
         old = {(verts[t], verts[t + 1]) for t in range(ell)}
-        new_v = list(q.vertices)
-        assert len(old - {(new_v[t], new_v[t + 1]) for t in range(ell)}) <= 2
+        assert len(old - {(q[t], q[t + 1]) for t in range(ell)}) <= 2
 
     for _ in range(1000):  # patching
         k1, k2 = int(rng.integers(2, 15)), int(rng.integers(2, 15))

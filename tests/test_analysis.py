@@ -155,6 +155,33 @@ class TestEdgeDiscrepancy:
         rep = edge_discrepancy_check(d, m3=5)
         assert rep.passed
 
+    def test_one_vertex_rejected(self):
+        with pytest.raises(DomainError):
+            edge_discrepancy_check(Digraph(1, [], allow_loops=True), m3=1)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_exhaustive_worst_is_least_margin(self, n):
+        # every cap-type margin recomputed from the full count table; the
+        # centred gate admits no pair at n <= 12
+        d = gen_binomial(n, 0.3, True, 1)
+        m3 = math.ceil(2 * n * math.log(n) / 3)
+        counts, pop = _pair_counts(d)
+        s1, s2 = pop[:, None].astype(float), pop[None, :].astype(float)
+        size_cap = math.floor(0.6 * n)
+        gated = (s1 <= size_cap) & (s2 <= size_cap)
+        reports = [(edge_discrepancy_check(d, m3), "cap", 4 * m3 / (5 * n)),
+                   (gk_hypotheses(d, d.edge_count / n).discrepancy, "gk-subset",
+                    0.8 * d.edge_count / n)]
+        for rep, name, coef in reports:
+            assert rep.tested.get("centred", 0) == 0
+            margin = np.where(gated, coef * np.sqrt(s1 * s2) - counts, np.inf)
+            r, c = divmod(int(margin.argmin()), margin.shape[1])  # first least, in scan order
+            assert margin[r, c] < 0
+            w = rep.worst
+            assert (w.check, w.passed) == (name, False)
+            assert (w.x1_size, w.x2_size, w.observed) == (pop[r], pop[c], counts[r, c])
+            assert w.margin == pytest.approx(margin[r, c], rel=1e-12)
+
     def test_exhaustive_matches_recount(self):
         import math as _m
 

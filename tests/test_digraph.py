@@ -20,6 +20,7 @@ from hamcount.digraph import (
     gen_binomial,
     gen_process,
     hitting_time,
+    loop_mask,
     min_degrees,
     read_edge_list,
     write_edge_list,
@@ -314,6 +315,16 @@ class TestStreamPins:
         d = gen_binomial(3000, p, False, 5)
         assert d.edge_count == edges
         assert _sha256_codes([u * 3000 + v for u, v in d.edges()]) == digest
+
+    def test_dense_binomial_past_half_the_universe(self):
+        # the lazy draw stops at half the universe and shuffles the rest
+        n = 2100
+        assert n * (n - 1) > _FULL_SHUFFLE_MAX
+        d = gen_binomial(n, 0.9, False, 3)
+        codes = d.codes
+        assert 0.89 * n * (n - 1) < codes.size < 0.91 * n * (n - 1)
+        assert np.unique(codes).size == codes.size
+        assert not loop_mask(codes, n).any()
 
 
 class TestCoupling:

@@ -11,7 +11,6 @@ from hamcount.exact import OneFactor
 from hamcount.rng import make_generator
 from hamcount.frieze import (
     Constants,
-    PathState,
     VirtualEdgeSet,
     build_early_subgraph,
     build_star_digraph,
@@ -216,23 +215,20 @@ class TestCheckProperties:
 
 class TestRotate:
     def test_direct_rule(self):
-        p = PathState([0, 1, 2, 3, 4], 5)
         d = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (4, 2)])
-        assert rotate(p, 1, 3, d).vertices == (0, 1, 3, 4, 2)
+        assert rotate([0, 1, 2, 3, 4], 1, 3, d) == [0, 1, 3, 4, 2]
 
     def test_degenerate_segment(self):
-        p = PathState([0, 1, 2, 3], 4)
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 2)])
-        assert rotate(p, 1, 3, d).vertices == (0, 1, 3, 2)
+        assert rotate([0, 1, 2, 3], 1, 3, d) == [0, 1, 3, 2]
 
     def test_missing_edge_rejected(self):
-        p = PathState([0, 1, 2, 3], 4)
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         with pytest.raises(PreconditionError):
-            rotate(p, 1, 3, d)  # (3,2) absent
+            rotate([0, 1, 2, 3], 1, 3, d)  # (3,2) absent
 
     def test_index_bounds(self):
-        p = PathState([0, 1, 2, 3], 4)
+        p = [0, 1, 2, 3]
         d = Digraph.complete(4)
         with pytest.raises(PreconditionError):
             rotate(p, 0, 2, d)
@@ -247,19 +243,17 @@ class TestRotate:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 12))
         verts = rng.permutation(n).tolist()
-        p = PathState(verts, n)
         d = Digraph.complete(n)
         ell = n - 1
         # i <= ell-2 so the required end edge (v_l, v_{i+1}) is never a loop
         i = int(rng.integers(1, ell - 1))
         j = int(rng.integers(i + 1, ell + 1))
-        q = rotate(p, i, j, d)
-        assert set(q.vertices) == set(p.vertices)
-        assert q.first == p.first
+        q = rotate(verts, i, j, d)
+        assert set(q) == set(verts)
+        assert q[0] == verts[0]
         # at most two edges replaced
         old = {(verts[t], verts[t + 1]) for t in range(ell)}
-        new_v = list(q.vertices)
-        new = {(new_v[t], new_v[t + 1]) for t in range(ell)}
+        new = {(q[t], q[t + 1]) for t in range(ell)}
         assert len(old - new) <= 2
 
 
@@ -353,26 +347,33 @@ class TestPatch:
         assert all(d.has_edge(*e) for e in edges)
 
 
+@pytest.mark.parametrize("path", [[], [0, 1, 0], [0, 1, 4], [-1, 0, 1]],
+                         ids=["empty", "repeated", "too-large", "negative"])
+def test_bad_paths_rejected(path):
+    d = Digraph.complete(4)
+    with pytest.raises(DomainError):
+        rotate(path, 1, 2, d)
+    with pytest.raises(DomainError):
+        close_path(path, d, frozenset(), make_generator(0))
+
+
 class TestClosePath:
     def test_immediate(self):
-        p = PathState([0, 1, 2], 3)
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert close_path(p, d, frozenset(), make_generator(0)) == ([0, 1, 2], 0)
+        assert close_path([0, 1, 2], d, frozenset(), make_generator(0)) == ([0, 1, 2], 0)
 
     def test_impossible_on_bare_path(self):
-        p = PathState([0, 1, 2], 3)
-        assert close_path(p, Digraph(3, [(0, 1), (1, 2)]), frozenset(), make_generator(0)) is None
+        d = Digraph(3, [(0, 1), (1, 2)])
+        assert close_path([0, 1, 2], d, frozenset(), make_generator(0)) is None
 
     def test_one_rotation_needed(self):
-        p = PathState([0, 1, 2, 3], 4)
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 2), (2, 0)])
-        assert close_path(p, d, frozenset(), make_generator(0)) == ([0, 1, 3, 2], 1)
+        assert close_path([0, 1, 2, 3], d, frozenset(), make_generator(0)) == ([0, 1, 3, 2], 1)
 
     def test_respects_forbidden_closing_edge(self):
-        p = PathState([0, 1, 2], 3)
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
         forbidden = VirtualEdgeSet([(2, 0)]).edge_set()
-        assert close_path(p, d, forbidden, make_generator(0)) is None
+        assert close_path([0, 1, 2], d, forbidden, make_generator(0)) is None
 
     def test_cycle_uses_path_vertices_only(self):
         for seed in range(10):
@@ -380,8 +381,7 @@ class TestClosePath:
             n = 12
             verts = rng.permutation(n).tolist()
             d = random_digraph(rng, n, 0.4, allow_loops=False)
-            p = PathState(verts, n)
-            got = close_path(p, d, frozenset(), make_generator(seed))
+            got = close_path(verts, d, frozenset(), make_generator(seed))
             if got is not None:
                 assert sorted(got[0]) == sorted(verts)
 

@@ -133,14 +133,15 @@ def test_sampled_centred_digests():
         "b220771f2c25f1d62b51d12165cc199e583331eac6b247de6522563fb9c626c2"
 
 
+# ``worst`` is the least margin over every violating pair, recorded or not.
 @pytest.mark.parametrize("n, disc_digest, gk_digest", [
-    (8, "77254da20e2b38d4e7839daaae3daa37998221cdbffc9c3a6c47793a9d96fb8e",
+    (8, "dbe56f094df522289e3932cd35456a2b1ec4f579aa44676058957742c0f90bc6",
      "8b36ae459beb088194b6cf9630876bdbe6f900af427d9bc938c2a3068ac29e00"),
-    (10, "7e394b36ba23d51f5f20cbd383a5fffce1ed9432d0a9ac67d23b25e60184748d",
+    (10, "99c78fab8e373abf5c79bd0a328b32a5cd29dc3cd92bb4ab911c30ebbc12a1e9",
      "7ec679b39261da2c9f687a9a0450e8af7c6c71070b9027f23fdbae35ede913a7"),
-    (12, "4d6dfe1a5d94081b7f70743cd8de8beec1b4ecb60d214f0c04fe69ee472a8108",
-     "851edd0fa2ed18257f9d36edfd6a27ea0c45c6078a618e13e3d5cda9abab6611"),
-])
+    (12, "4a3082bd75833eed2c9147eb28e42d62f51d7b69441d41ae1ad6ec23cb37c38a",
+     "a8920903dc715224603a3007ab17a240f88c3bb971e9edd4e626fe619bc5433e"),
+], ids=["n8", "n10", "n12"])
 def test_exhaustive_subset_pair_digests(n, disc_digest, gk_digest):
     d = gen_binomial(n, 0.3, True, 1)
     disc = edge_discrepancy_check(d, math.ceil(2 * n * math.log(n) / 3))
