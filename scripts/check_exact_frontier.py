@@ -15,7 +15,7 @@ From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  The
 last line gives the peak resident memory.  Exit code 0 when every check
 holds, 1 otherwise.  At seed 4 (m* = 87: 4,062 factors, 358 Hamilton
-cycles) a run takes about 20 s and 0.65 GB on a 2-core host, so it is kept
+cycles) a run takes about 17 s and 0.63 GB on a 2-core host, so it is kept
 out of the test suite; enumerating the factors of seed 1 adds about 50 s.
 """
 import argparse

@@ -396,7 +396,8 @@ class CoupledProcess:
     def audit(self, m: int) -> bool:
         """Check the coupling invariant at one m <= n(n-1); raises if violated."""
         ful = self.loopful.codes(m)
-        if np.setdiff1d(ful[~loop_mask(ful, self.n)], self.loopless.codes(m)).size:
+        if np.setdiff1d(ful[~loop_mask(ful, self.n)], self.loopless.codes(m),
+                        assume_unique=True).size:
             raise AssertionError(f"coupling invariant violated at m={m}")
         return True
 

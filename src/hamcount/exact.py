@@ -20,15 +20,17 @@ from .errors import DomainError, ResourceCapError
 
 DEFAULT_CAP = 24
 
-# The moduli: the three largest primes below 2^40.  Every intermediate is an
-# exact integer.  A step of the Hamilton-cycle DP adds at most k = n - 1
-# residues below p < 2^40, so whatever order the BLAS adds them in, every
-# partial sum is an integer below k * 2^40, which is below 2^45 < 2^53 for
-# k <= 23 (and below 2^53 for any k < 2^13): float64 holds it exactly.  Glynn
-# multiplies a residue by a product of two factors in [-n, n] (at most n^2)
-# or adds up a block of at most max(2^16, 2^ceil((n-1)/2)) residues, below
-# 2^23 * 2^40 = 2^63 for n <= 47, past any n whose 2^(n-1) subsets can be
-# enumerated, so int64 holds those exactly.
+# The moduli: the three largest primes below 2^40.  A kernel reduces modulo
+# p only once a bound hi that it tracks could pass the exact range.  A step
+# of the Hamilton-cycle DP adds non-negative terms and raises its largest
+# entry hi to at most D * hi, D (>= 1) the most in-edges from 1..n-1 at any
+# vertex, so every BLAS partial sum is an integer of at most D * hi; the
+# layer is reduced (hi = p - 1) once D * hi could reach 2^53, and
+# D (p - 1) < 2^53 for D < 2^13.  In Glynn's formula |R_i - 2 a_i(S)| <= R_i,
+# so rows i and i+1 raise |prod| by at most R_i R_(i+1) <= n^2, and a block
+# sums at most max(2^16, 2^ceil((n-1)/2)) products; a block is reduced once
+# the next pair or the block sum could reach 2^63, and after a reduction both
+# stay below 2^63 for n <= 47, far past any n whose subsets can be listed.
 _PRIMES = (1099511627689, 1099511627609, 1099511627581)
 
 
@@ -81,9 +83,6 @@ class OneFactor:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, w) for v, w in enumerate(self.image)]
-
-    def is_subgraph_of(self, d: Digraph) -> bool:
-        return all(d.has_edge(v, w) for v, w in enumerate(self.image))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "OneFactor":
@@ -154,12 +153,11 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     for n = 1).
 
     Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
-    18 k c + 17 * 2^k + 2^18 bytes: two layers of k x c float64 path counts
-    and their membership masks, the 2^k subsets ordered by size, and a fixed
-    part.  The fixed part is numpy's buffers for the broadcast that builds a
-    mask (at most three operands of 8192 8-byte elements, 192 KiB) plus a
-    few kB of small arrays and interpreter objects.  It matters for n <= 13;
-    at n = 14..20 the measured peak is under the first two terms alone.
+    17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes: two layers of k x c float64 path
+    counts and a bool membership mask, the 2^k int32 subsets ordered by size,
+    the adjacency matrix in int64 and float64, and a few kB of small arrays
+    and interpreter objects.  Ordering the subsets briefly takes 13 * 2^k
+    bytes, which the first term exceeds.
     """
     n = d.n
     if n > cap:
@@ -173,10 +171,10 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 
 
 def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^k bitmasks over k elements ordered by size, increasing within a
-    size, and the end offset of each size in that order."""
+    """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
+    within a size, and the end offset of each size in that order."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
-    return np.argsort(size, kind="stable"), np.cumsum(np.bincount(size))
+    return np.argsort(size, kind="stable").astype(np.int32), np.cumsum(np.bincount(size))
 
 
 def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
@@ -188,15 +186,20 @@ def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> 
     adj, masks, ends = dp
     k = adj.shape[0] - 1
     to_inner = adj[1:, 1:].T.astype(np.float64)
-    bits = np.left_shift(1, np.arange(k, dtype=np.int64))[:, None]
+    growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
+    bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:]  # layer 1: the paths 0 -> w
+    hi = 1  # no entry exceeds hi (see the comment by _PRIMES)
     for r in range(1, k):
         inside = (masks[ends[r - 1]:ends[r]] & bits) != 0
         layer = np.zeros(inside.shape, dtype=np.float64)
         layer[inside] = entries
         del entries
         layer = to_inner @ layer  # layer[w, S]: paths through S, then on to w
-        np.fmod(layer, p, out=layer)
+        hi *= growth
+        if hi * growth >= 1 << 53:
+            np.fmod(layer, p, out=layer)
+            hi = p - 1
         # T = S + {w} has the one predecessor S = T - {w}, and for a fixed w
         # the map S -> T is increasing, so this lists the entries (w, S) with
         # w not in S in the row-major order of the entries (w, T) of layer r+1.
@@ -253,13 +256,19 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
     low_sign, high_sign = (1 - 2 * (_subset_sums(np.ones((1, c), dtype=np.int64))[0] & 1)
                            for c in (low_n, n - 1 - low_n))
     step = max(1, (1 << 16) >> low_n)  # high subsets per block
+    rows = a.sum(axis=1).tolist()  # |prod| grows by at most R_i R_(i+1) per pair
+    bounds = [math.prod(rows[i:i + 2]) for i in range(0, n, 2)] + [step << low_n]
     total = 0
     for t in range(0, high.shape[1], step):
         block = slice(t, t + step)
         prod = np.ones((len(high_sign[block]), low.shape[2]), dtype=np.int64)
-        for i in range(0, n, 2):  # rows two at a time: one reduction per pair
+        hi = 1  # no |entry| exceeds hi (see the comment by _PRIMES)
+        for i, pair, after in zip(range(0, n, 2), bounds, bounds[1:]):
             prod *= np.multiply.reduce(low[i:i + 2] + high[i:i + 2, block])
-            prod %= p
+            hi *= pair
+            if hi * after >= 1 << 63:
+                prod %= p
+                hi = p - 1
         total += int(high_sign[block] @ (prod @ low_sign))
     return total * pow(2, -(n - 1), p) % p
 

@@ -337,6 +337,15 @@ class TestCoupling:
         with pytest.raises(DomainError):
             couple(gen_process(3, "loopless", 1))
 
+    def test_audit_raises_when_the_invariant_fails(self):
+        # a loopless order that is not the loop-deleted loopful one: at m = 1
+        # the loopful prefix has (0, 1) and the loopless one only (1, 0)
+        lf = EdgeSequence.from_order(2, True, [(0, 1), (0, 0), (1, 0), (1, 1)])
+        cp = CoupledProcess(lf, EdgeSequence.from_order(2, False, [(1, 0), (0, 1)]))
+        with pytest.raises(AssertionError, match="m=1"):
+            cp.audit(1)
+        assert cp.audit(2)
+
     @given(st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_invariant_exhaustive(self, seed):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcount import exact
-from hamcount.digraph import Digraph
+from hamcount.digraph import Digraph, couple, gen_process, hitting_time
 from hamcount.errors import DomainError, ResourceCapError
 from hamcount.exact import (
     OneFactor,
@@ -19,6 +19,7 @@ from hamcount.exact import (
     permanent,
     rencontres,
 )
+from hamcount.rng import derive_seed
 
 from conftest import (
     brute_force_factor_count,
@@ -108,7 +109,7 @@ class TestHamiltonCount:
         assert [count_hamilton_cycles(d) for d in graphs] == single
 
     def test_peak_memory_within_stated_bound(self):
-        for n in (3, 8, 12, 20):
+        for n in (3, 8, 12, 16, 20):
             k = n - 1
             d = Digraph.complete(n)
             tracemalloc.start()
@@ -118,10 +119,7 @@ class TestHamiltonCount:
             finally:
                 tracemalloc.stop()
             # the bound in the docstring of count_hamilton_cycles
-            scaling = 18 * k * math.comb(k, k // 2) + 17 * 2**k
-            assert peak <= scaling + 2**18, n
-            if n == 20:  # the fixed part is not needed at large n
-                assert peak <= scaling
+            assert peak <= 17 * k * math.comb(k, k // 2) + 4 * 2**k + 16 * n**2 + 2**14, n
 
 
 class TestFactorCount:
@@ -226,6 +224,42 @@ class TestKernelsAgainstReference:
         for p in exact._PRIMES + SMALL_PRIMES:
             assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
 
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_hamilton_residue_across_the_reduction_gate(self, n):
+        # a layer is reduced only once D times its bound could reach 2^53,
+        # D the largest in-degree: never for the sparse digraphs here, and
+        # for the complete ones (D^(n-1) >= 2^53 from n = 15) in the last
+        # layers; at the n <= 12 of the hypothesis test it never fires
+        for density in (0.15, 0.3, 0.5, 0.75, 1.0):
+            adj = random_matrix(n, density, False, n)
+            for p in exact._PRIMES + SMALL_PRIMES:
+                assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_permanent_residue_across_the_reduction_gate(self, n):
+        for density in (0.15, 0.3, 0.5, 0.75, 1.0):
+            a = random_matrix(n, density, True, n)
+            for p in exact._PRIMES + SMALL_PRIMES:
+                assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
+
+    def test_glynn_reduces_inside_a_block(self):
+        # the 16 full rows alone give the empty column set a product of
+        # 18^16 > 2^63, so a block must be reduced before its last row pair
+        a = random_matrix(18, 0.2, True, 1)
+        a[:16] = 1
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
+
+    def test_exact_large_golden_instances(self):
+        # the first two hitting-time instances of the hitting_time_small_exact
+        # config (n = 18, seed 12345), with their HC and per at m*
+        pinned = [(58, 1, 6), (51, 0, 0)]
+        for idx, want in enumerate(pinned):
+            cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
+            m_star = hitting_time(cp.loopless)
+            d = cp.loopless.prefix(m_star)
+            assert (m_star, count_hamilton_cycles(d), count_one_factors(d)) == want
+
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_residues_wrap_under_the_real_primes(self, n):
         # (n-1)! and n! pass 2^40 here, so every residue is a wrapped value
@@ -244,6 +278,10 @@ class TestKernelsAgainstReference:
         adj = random_matrix(21, 0.95, False, 0)
         p = exact._PRIMES[0]
         assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+        # the complete digraph at n = 22 would round if its layers were
+        # reduced only from 2^60 on rather than 2^53
+        assert hamilton_residue(Digraph.complete(22).adjacency_matrix(), p) \
+            == math.factorial(21) % p
 
     def test_glynn_at_one_and_two_rows(self):
         # 2^-(n-1) is 1 at n = 1 and the inverse of 2 at n = 2

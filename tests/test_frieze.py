@@ -136,7 +136,7 @@ class TestFindOneFactor:
     def test_complete_has_factor(self):
         d = Digraph.complete(6, allow_loops=True)
         f = find_one_factor(d, seed=1)
-        assert f is not None and f.is_subgraph_of(d)
+        assert f is not None and all(d.has_edge(v, w) for v, w in enumerate(f.image))
 
     def test_zero_out_degree_vertex(self):
         assert find_one_factor(Digraph(3, [(0, 1), (1, 0)])) is None
@@ -148,7 +148,7 @@ class TestFindOneFactor:
             exists = brute_force_factor_count(d) > 0
             assert (f is not None) == exists
             if f is not None:
-                assert f.is_subgraph_of(d)
+                assert all(d.has_edge(v, w) for v, w in enumerate(f.image))
 
     def test_deterministic_per_seed(self):
         d = Digraph.complete(9, allow_loops=True)
