@@ -19,7 +19,6 @@ from .exact import (
     OneFactor,
     count_hamilton_cycles,
     count_one_factors,
-    cycle_type,
     enumerate_one_factors,
     permanent,
     rencontres,

@@ -3,7 +3,7 @@
 Binomial tail bounds (with their validity conditions), exact rational tails
 to compare them against, permanent lower bounds for regular bipartite
 digraphs, edge-discrepancy pseudorandomness checks, greedy degree
-regularisation, head-side relabeling, and random-permutation cycle
+regularisation, 1-factor relabeling, and random-permutation cycle
 statistics.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DomainError
 from .exact import OneFactor, _subset_sums, rencontres
 from .rng import make_generator
 
-EXACT_TAIL_MAX_N = 1000  # rational arithmetic cap; log-space floats beyond
+EXACT_TAIL_MAX_N = 1000  # rational arithmetic cap; larger n raise DomainError
 
 
 # -- Chernoff-style bounds -----------------------------------------------------
@@ -110,24 +110,6 @@ def _pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:
     for k in ks:
         total += math.comb(n, k) * p ** k * q ** (n - k)
     return total
-
-
-def log_binomial_upper_tail(n: int, p: float, a: float) -> float:
-    """log Pr(X >= a), float log-space for n beyond the rational cap."""
-    k0 = max(0, math.ceil(a))
-    if k0 > n:
-        return -math.inf
-    if p <= 0.0:
-        return 0.0 if k0 == 0 else -math.inf
-    if p >= 1.0:
-        return 0.0
-    logs = [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-        for k in range(k0, n + 1)
-    ]
-    top = max(logs)
-    return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
 # -- permanent lower bounds ------------------------------------------------------
@@ -419,19 +401,6 @@ def _check_permutation(sigma: Sequence[int], n: int) -> list[int]:
     if sorted(s) != list(range(n)):
         raise DomainError("sigma is not a permutation of the vertex set")
     return s
-
-
-def relabel(d: Digraph, sigma: Sequence[int]) -> Digraph:
-    """Map every edge (v, w) to (v, sigma(w)).
-
-    Relabeling only the head side can create loops from a loopless input;
-    the result allows loops exactly when one appears.
-    """
-    s = np.array(_check_permutation(sigma, d.n), dtype=np.int64)
-    u, v = np.divmod(d.codes, d.n)
-    heads = s[v]
-    loops = d.allow_loops or bool((u == heads).any())
-    return Digraph(d.n, u * d.n + heads, allow_loops=loops)
 
 
 def relabel_factor(f: OneFactor, sigma: Sequence[int]) -> OneFactor:

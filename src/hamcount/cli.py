@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -133,18 +134,7 @@ def count_1f(input, cap, one_indexed, as_json):
 @_mapped_errors
 def constants(n, as_json):
     """Edge-count milestones and thresholds used by the pipeline at size n."""
-    c = compute_constants(n)
-    fields = {
-        "n": c.n, "m0": c.m0, "m1": c.m1, "m3": c.m3,
-        "large_threshold": c.large_threshold,
-        "early_edges_per_vertex": c.early_edges_per_vertex,
-        "isolation_distance": c.isolation_distance,
-        "degree_window_eps": c.degree_window_eps,
-        "good_loop_cap": c.good_loop_cap,
-        "good_cycle_cap": c.good_cycle_cap,
-        "short_cycle_len": c.short_cycle_len,
-        "degree_cap": c.degree_cap,
-    }
+    fields = asdict(compute_constants(n))
     if as_json:
         click.echo(json.dumps(fields, sort_keys=True))
     else:

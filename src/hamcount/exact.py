@@ -102,11 +102,6 @@ class OneFactor:
         return f"OneFactor({list(self.image)})"
 
 
-def cycle_type(f: OneFactor) -> tuple[int, int]:
-    """(number of loops, total number of cycles including loops)."""
-    return f.num_loops, f.num_cycles
-
-
 # -- exact counts from residues -----------------------------------------------
 
 

@@ -1,25 +1,27 @@
 """The 1-factor-to-Hamilton-cycle construction pipeline.
 
 Stages: expose a two-thirds prefix of the loopful edge process, augment it
-with every later edge touching a low-degree vertex, extract a 1-factor of
-that graph (preferring each vertex's few earliest edges), re-extract under
-random right-side relabelings until the factor has few loops and few cycles,
-merge loops into other cycles (recording virtual edges where a needed edge
-is absent), then use the still-unexposed random edges to patch cycles
-together, rotate-and-close the remaining cycles into one, and finally rotate
-away any virtual edges.  The output is verified against the loopless prefix
-at its hitting time.
+with every later edge touching a low-degree vertex (the star digraph),
+extract a 1-factor of that graph (preferring each vertex's few earliest
+edges), re-extract under random right-side relabelings until the factor has
+few loops and few cycles, merge loops into other cycles (recording virtual
+edges where a needed edge is absent), then use the still-unexposed random
+edges to patch cycles together, rotate-and-close the remaining cycles into
+one, and finally rotate away any virtual edges.  The output is verified
+against the loopless prefix at its hitting time.
 
 ``compress``/``CompressionMap`` implement the instance-shrinking step that
 removes low-degree vertices by contracting them with their factor
 neighbours; the pipeline keeps every vertex instead, because the step's
-isolation precondition is never met at desk-scale n (see README).
+isolation precondition is never met at desk-scale n (see README).  The
+star digraph's isolation, short-cycle and maximum-degree properties only
+license that step, so nothing here checks them.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,12 +54,9 @@ class Constants:
     m3: int
     large_threshold: int
     early_edges_per_vertex: int
-    isolation_distance: int
     degree_window_eps: float
     good_loop_cap: float
     good_cycle_cap: float
-    short_cycle_len: int
-    degree_cap: float
     overlap_floor: float
     low_degree_budget: float
 
@@ -77,12 +76,9 @@ def compute_constants(n: int) -> Constants:
         m3=m3,
         large_threshold=math.ceil(3.0 * log_n / loglog),
         early_edges_per_vertex=10,
-        isolation_distance=10,
         degree_window_eps=4.0 / loglog,
         good_loop_cap=loglog,
         good_cycle_cap=2.0 * log_n,
-        short_cycle_len=3,
-        degree_cap=log_n * log_n,
         overlap_floor=n - 10.0 * log_n ** 2,
         low_degree_budget=10.0 * math.sqrt(n),
     )
@@ -106,64 +102,11 @@ def _inside(codes: np.ndarray, n: int, vertices: frozenset) -> np.ndarray:
     return member[u] & member[v]
 
 
-class StarDigraph:
-    """Two-thirds prefix plus all hitting-time edges at low-degree vertices;
-    ``extra`` holds the codes of the hitting-time edges touching a vertex
-    outside ``large``."""
-
-    def __init__(self, base: Digraph, extra: np.ndarray, large: frozenset, m_star_loopful: int):
-        self.base = base
-        self.extra = extra
-        self.large = large
-        self.m_star_loopful = m_star_loopful
-        self._star: Optional[Digraph] = None
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def star(self) -> Digraph:
-        if self._star is None:
-            self._star = self.base.with_edges(self.extra)
-        return self._star
-
-    def audit(self) -> bool:
-        stray = self.extra[_inside(self.extra, self.n, self.large)]
-        if stray.size:
-            u, v = divmod(int(stray[0]), self.n)
-            raise AssertionError(f"extra edge ({u},{v}) lies inside the large set")
-        return True
-
-
-def build_star_digraph(cp: CoupledProcess, c: Constants, threshold_override: Optional[int] = None,
-                       base: Optional[Digraph] = None) -> StarDigraph:
-    """``base``, if given, is the already built ``cp.loopful.prefix(c.m3)``."""
-    m_star_l = hitting_time(cp.loopful)
-    if base is None:
-        base = cp.loopful.prefix(c.m3)
-    thr = c.large_threshold if threshold_override is None else threshold_override
-    large = compute_large(base, thr)
-    codes = cp.loopful.codes(m_star_l)
-    return StarDigraph(base, codes[~_inside(codes, cp.n, large)], large, m_star_l)
-
-
-def build_early_subgraph(cp: CoupledProcess, c: Constants,
-                         star: Optional[StarDigraph] = None) -> Digraph:
-    """Per vertex, the earliest few outgoing and incoming process edges.
-
-    Two ordered passes over the loopful order up to its hitting time: first
-    collect up to ``early_edges_per_vertex`` out-edges per vertex, then the
-    same for in-edges, skipping edges already taken.  The result is checked
-    to be a subgraph of the star digraph.
-    """
-    if star is None:
-        star = build_star_digraph(cp, c)
-    taken = _early_edges(cp, c, star.m_star_loopful)
-    stray = np.setdiff1d(taken, star.star.codes)
-    if stray.size:
-        raise AssertionError(f"early subgraph leaves the star digraph: codes {stray[:5].tolist()}")
-    return Digraph(cp.n, taken, allow_loops=True)
+def build_star_digraph(cp: CoupledProcess, base: Digraph, large: frozenset) -> Digraph:
+    """``base`` (the two-thirds prefix) plus every edge of the loopful
+    process up to its hitting time that touches a vertex outside ``large``."""
+    codes = cp.loopful.codes(hitting_time(cp.loopful))
+    return base.with_edges(codes[~_inside(codes, cp.n, large)])
 
 
 # -- 1-factor extraction ---------------------------------------------------------
@@ -189,101 +132,6 @@ def find_one_factor(d: Digraph, seed: int = 0) -> Optional[OneFactor]:
 def is_good_factor(f: OneFactor, c: Constants) -> bool:
     """Few loops, few cycles (strict caps)."""
     return f.num_loops < c.good_loop_cap and f.num_cycles < c.good_cycle_cap
-
-
-# -- star property report ---------------------------------------------------------
-
-
-@dataclass
-class StarPropertyReport:
-    size_ok: bool              # complement of large is O(sqrt n)
-    isolation_ok: bool         # no two non-large vertices within distance 10
-    short_cycles_ok: bool      # every cycle of length <= 3 inside large
-    degree_ok: bool            # max degree at most log^2 n
-    large_size: int
-    non_large: int
-    sqrt_budget: float
-    max_out_degree: int
-    max_in_degree: int
-    degree_cap: float
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.size_ok and self.isolation_ok and self.short_cycles_ok and self.degree_ok
-
-
-def check_star_properties(s: StarDigraph, c: Constants) -> StarPropertyReport:
-    d = s.star
-    n = d.n
-    large = s.large
-    non_large = sorted(set(range(n)) - large)
-    witnesses: dict = {}
-
-    sqrt_budget = c.low_degree_budget
-    size_ok = len(non_large) <= sqrt_budget
-
-    # Undirected BFS to the isolation radius from every non-large vertex.
-    isolation_ok = True
-    non_large_set = set(non_large)
-    for src in non_large:
-        dist = {src: 0}
-        frontier = [src]
-        hit = None
-        for depth in range(1, c.isolation_distance + 1):
-            nxt = []
-            for x in frontier:
-                for y in d.out_neighbors(x) + d.in_neighbors(x):
-                    if y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        if y in non_large_set and y != src:
-                            hit = (src, y, depth)
-                            break
-                if hit:
-                    break
-            if hit:
-                break
-            frontier = nxt
-        if hit:
-            isolation_ok = False
-            witnesses.setdefault("isolation", []).append(hit)
-            break
-
-    bad_cycles = [cyc for cyc in _short_cycles(d, c.short_cycle_len)
-                  if any(v not in large for v in cyc)]
-    short_cycles_ok = not bad_cycles
-    if bad_cycles:
-        witnesses["short_cycles"] = bad_cycles[:10]
-
-    outd, ind = d.degrees()
-    max_out, max_in = int(outd.max()), int(ind.max())
-    degree_ok = max_out <= c.degree_cap and max_in <= c.degree_cap
-    if not degree_ok:
-        witnesses["degree"] = [int(np.argmax(outd)), int(np.argmax(ind))]
-
-    return StarPropertyReport(
-        size_ok=size_ok, isolation_ok=isolation_ok, short_cycles_ok=short_cycles_ok,
-        degree_ok=degree_ok, large_size=len(large), non_large=len(non_large),
-        sqrt_budget=sqrt_budget, max_out_degree=max_out, max_in_degree=max_in,
-        degree_cap=c.degree_cap, witnesses=witnesses,
-    )
-
-
-def _short_cycles(d: Digraph, max_len: int) -> list[tuple[int, ...]]:
-    """All directed cycles of length <= max_len (loops, 2-cycles, triangles)."""
-    assert max_len == 3, "only the loop/2-cycle/triangle enumeration is implemented"
-    cycles: list[tuple[int, ...]] = [(v,) for v in range(d.n) if d.has_edge(v, v)]
-    cycles += [(u, v) for u, v in d.edges() if u < v and d.has_edge(v, u)]
-    in_sets = [set(d.in_neighbors(v)) for v in range(d.n)]
-    for u, v in d.edges():
-        if u == v:
-            continue
-        for w in d.out_neighbors(v):
-            if w != u and w != v and w in in_sets[u]:
-                if u == min(u, v, w):  # canonical rotation: smallest first
-                    cycles.append((u, v, w))
-    return cycles
 
 
 # -- loop merging -----------------------------------------------------------------
@@ -738,10 +586,11 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # neighbour are the dominant matching obstruction at moderate n).
     t0 = time.perf_counter()
     thr = c.large_threshold
-    if n - len(compute_large(d_m3, thr)) > c.low_degree_budget:
+    large = compute_large(d_m3, thr)
+    if n - len(large) > c.low_degree_budget:
         thr = 2
-    star = build_star_digraph(cp, c, threshold_override=thr, base=d_m3)
-    large = star.large
+        large = compute_large(d_m3, thr)
+    star_codes = build_star_digraph(cp, d_m3, large).codes
     log["large_threshold_formula"] = c.large_threshold
     log["large_threshold_used"] = thr
     log["large_size"] = len(large)
@@ -750,7 +599,6 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # Factor-eligible edges: loops may enter the factor (they are merged away
     # later); non-loop edges must already lie in the verification target.
     t0 = time.perf_counter()
-    star_codes = star.star.codes
     eligible = star_codes[loop_mask(star_codes, n)
                           | np.isin(star_codes, target.codes, assume_unique=True)]
     log["eligible_edges"] = eligible.size

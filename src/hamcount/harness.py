@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
@@ -28,6 +28,7 @@ from .frieze import (
     PipelineConfig,
     build_star_digraph,
     compute_constants,
+    compute_large,
     find_hamilton,
     find_one_factor,
     is_good_factor,
@@ -87,10 +88,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise DomainError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.name not in data and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise DomainError(f"missing config keys: {missing}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -414,16 +421,17 @@ def _good_fraction_trial(cfg: ExperimentConfig, idx: int) -> dict:
     seed = derive_seed(cfg.seed, idx)
     c = compute_constants(cfg.n)
     cp = couple(gen_process(cfg.n, "loopful", seed))
-    star = build_star_digraph(cp, c)
+    base = cp.loopful.prefix(c.m3)
+    star = build_star_digraph(cp, base, compute_large(base, c.large_threshold))
     rec = {"trial": idx, "seed": seed}
     if cfg.n <= 16:
-        rec.update(good_fraction_of_digraph(star.star, c, derive_seed(seed, 1), cfg.enum_limit))
+        rec.update(good_fraction_of_digraph(star, c, derive_seed(seed, 1), cfg.enum_limit))
     else:
         # sampling mode: repeated seeded extraction counts as one sample each
         good = 0
         got = 0
         for k in range(cfg.samples):
-            f = find_one_factor(star.star, seed=derive_seed(seed, 2, k))
+            f = find_one_factor(star, seed=derive_seed(seed, 2, k))
             if f is None:
                 continue
             sigma = make_generator(derive_seed(seed, 3, k)).permutation(cfg.n).tolist()
@@ -471,9 +479,10 @@ def _factor_count_trial(cfg: ExperimentConfig, idx: int) -> dict:
     seed = derive_seed(cfg.seed, idx)
     c = compute_constants(cfg.n)
     cp = couple(gen_process(cfg.n, "loopful", seed))
-    star = build_star_digraph(cp, c)
-    count_star = count_one_factors(star.star, cap=cfg.count_cap)
-    count_base = count_one_factors(star.base, cap=cfg.count_cap)
+    base = cp.loopful.prefix(c.m3)
+    star = build_star_digraph(cp, base, compute_large(base, c.large_threshold))
+    count_star = count_one_factors(star, cap=cfg.count_cap)
+    count_base = count_one_factors(base, cap=cfg.count_cap)
     rec = {
         "trial": idx,
         "seed": seed,
@@ -485,9 +494,9 @@ def _factor_count_trial(cfg: ExperimentConfig, idx: int) -> dict:
         rec["log_count_per_n"] = math.log(count_star) / cfg.n
     else:
         rec["no_factor"] = True
-    f = find_one_factor(star.star, seed=seed)
+    f = find_one_factor(star, seed=seed)
     if f is not None:
-        g = star.base.with_edges(f.edges())
+        g = base.with_edges(f.edges())
         reg = analysis.regularize_degrees(g, f, c.degree_window_eps, c.m3 / cfg.n)
         rec["removed_pairs"] = len(reg.removed)
     return rec
@@ -573,9 +582,3 @@ def write_trials_csv(report: Report, stream) -> None:
     stream.write(",".join(keys) + "\n")
     for r in report.records:
         stream.write(",".join(str(r.get(k, "")) for k in keys) + "\n")
-
-
-def write_histogram_csv(histogram: dict, stream) -> None:
-    stream.write("k,count\n")
-    for k in sorted(histogram):
-        stream.write(f"{k},{histogram[k]}\n")

@@ -95,6 +95,8 @@ class TestConstants:
         res = invoke(runner, ["constants", "100", "--json"])
         data = json.loads(res.stdout)
         assert (data["m0"], data["m1"], data["m3"]) == (418, 502, 308)
+        assert math.isclose(data["overlap_floor"], 100 - 10 * math.log(100) ** 2)
+        assert data["low_degree_budget"] == 100.0
 
     def test_too_small(self, runner):
         assert invoke(runner, ["constants", "8"]).exit_code == 2
@@ -203,6 +205,17 @@ class TestExperimentCommand:
         assert invoke(runner, ["experiment", str(cfg_path)]).exit_code == 2
         cfg_path.write_text(json.dumps({"experiment": "nope", "n": 4}))
         assert invoke(runner, ["experiment", str(cfg_path)]).exit_code == 2
+
+    @pytest.mark.parametrize("cfg, message", [
+        ([], "config must be a JSON object"),
+        ({"experiment": "pipeline"}, "missing config keys: ['n']"),
+    ])
+    def test_malformed_config_exits_two(self, runner, tmp_path, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = invoke(runner, ["experiment", str(cfg_path)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
 
     def test_csv_dump(self, runner, tmp_path):
         cfg = {"experiment": "expected-count", "n": 6, "p": 0.5, "trials": 4, "seed": 2}

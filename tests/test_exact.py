@@ -13,7 +13,6 @@ from hamcount.exact import (
     OneFactor,
     count_hamilton_cycles,
     count_one_factors,
-    cycle_type,
     derangements,
     enumerate_one_factors,
     permanent,
@@ -52,7 +51,7 @@ class TestOneFactor:
     def test_cycles_partition(self):
         f = OneFactor([1, 0, 2, 4, 5, 3])
         assert f.cycles() == ((0, 1), (2,), (3, 4, 5))
-        assert cycle_type(f) == (1, 3)
+        assert (f.num_loops, f.num_cycles) == (1, 3)
 
     def test_from_cycles_roundtrip(self):
         f = OneFactor.from_cycles(5, [(0, 2, 4), (1, 3)])
@@ -60,15 +59,19 @@ class TestOneFactor:
 
 
 class TestCycleType:
+    """``num_loops`` and ``num_cycles``, the latter counting loops too."""
+
     def test_identity(self):
-        assert cycle_type(OneFactor(range(5))) == (5, 5)
+        f = OneFactor(range(5))
+        assert (f.num_loops, f.num_cycles) == (5, 5)
 
     def test_single_cycle(self):
-        assert cycle_type(OneFactor([1, 2, 3, 4, 0])) == (0, 1)
+        f = OneFactor([1, 2, 3, 4, 0])
+        assert (f.num_loops, f.num_cycles) == (0, 1)
 
     def test_mixed(self):
-        # (a)(b c)(d e f)
-        assert cycle_type(OneFactor.from_cycles(6, [(0,), (1, 2), (3, 4, 5)])) == (1, 3)
+        f = OneFactor.from_cycles(6, [(0,), (1, 2), (3, 4, 5)])  # (a)(b c)(d e f)
+        assert (f.num_loops, f.num_cycles) == (1, 3)
 
 
 class TestHamiltonCount:

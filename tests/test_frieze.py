@@ -1,20 +1,20 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcount.digraph import Digraph, couple, gen_process
+from hamcount.digraph import Digraph, couple, gen_process, hitting_time
 from hamcount.errors import DomainError, MergeFailureError, PreconditionError
 from hamcount.exact import OneFactor
 from hamcount.rng import make_generator
 from hamcount.frieze import (
-    Constants,
     VirtualEdgeSet,
-    build_early_subgraph,
+    _early_edges,
     build_star_digraph,
-    check_star_properties,
     close_path,
     compress,
     compute_constants,
@@ -55,7 +55,6 @@ class TestConstants:
         c = compute_constants(1000)
         assert math.isclose(c.good_loop_cap, math.log(math.log(1000)))
         assert math.isclose(c.good_cycle_cap, 2 * math.log(1000))
-        assert math.isclose(c.degree_cap, math.log(1000) ** 2)
 
 
 class TestComputeLarge:
@@ -74,62 +73,77 @@ class TestComputeLarge:
         assert compute_large(d, 3) == frozenset()
 
 
+def star_parts(n: int, seed: int, thr=None):
+    """(process, base, large, star) for the two-thirds prefix at size n;
+    ``thr`` defaults to the formula threshold."""
+    c = compute_constants(n)
+    cp = couple(gen_process(n, "loopful", seed))
+    base = cp.loopful.prefix(c.m3)
+    large = compute_large(base, c.large_threshold if thr is None else thr)
+    return cp, base, large, build_star_digraph(cp, base, large)
+
+
 class TestStarDigraph:
     def test_every_vertex_large_means_no_extra(self):
-        c = compute_constants(20)
-        cp = couple(gen_process(20, "loopful", 3))
-        s = build_star_digraph(cp, c, threshold_override=0)
-        assert s.large == frozenset(range(20))
-        assert s.extra.size == 0
-        assert s.star == s.base
+        _, base, large, star = star_parts(20, 3, thr=0)
+        assert large == frozenset(range(20))
+        assert star == base
 
     def test_extra_touches_non_large(self):
-        c = compute_constants(200)
+        # threshold 2, the pipeline's fallback: at n = 200 the formula
+        # threshold leaves no vertex large
         for seed in range(5):
-            s = build_star_digraph(couple(gen_process(200, "loopful", seed)), c)
-            assert s.audit()
+            cp, base, large, star = star_parts(200, seed, thr=2)
+            assert 0 < len(large) < 200
+            extra = np.setdiff1d(star.codes, base.codes, assume_unique=True)
+            assert extra.size
+            assert np.isin(extra, cp.loopful.codes(hitting_time(cp.loopful))).all()
+            for code in extra.tolist():
+                assert not large.issuperset(divmod(code, 200))
 
     def test_star_contains_base(self):
-        c = compute_constants(50)
-        s = build_star_digraph(couple(gen_process(50, "loopful", 1)), c)
-        assert s.base.edge_set() <= s.star.edge_set()
+        _, base, _, star = star_parts(50, 1)
+        assert base.edge_set() <= star.edge_set()
+
+
+def early_edges_oracle(pairs: list, width: int) -> set:
+    """Each vertex's first ``width`` out-edges in order, then, among the
+    remaining edges, each vertex's first ``width`` in-edges."""
+    out_taken, in_taken = Counter(), Counter()
+    taken = set()
+    for u, v in pairs:
+        if out_taken[u] < width:
+            out_taken[u] += 1
+            taken.add((u, v))
+    for u, v in pairs:  # the pairs are distinct, so each is seen once here
+        if (u, v) not in taken and in_taken[v] < width:
+            in_taken[v] += 1
+            taken.add((u, v))
+    return taken
 
 
 class TestEarlySubgraph:
-    def test_quotas(self):
-        c = compute_constants(100)
-        cp = couple(gen_process(100, "loopful", 11))
-        s = build_star_digraph(cp, c)
-        e1 = build_early_subgraph(cp, c, star=s)
-        full = cp.loopful.prefix(s.m_star_loopful)
-        pairs = cp.loopful.pairs(s.m_star_loopful)
-        for v in range(100):
-            out_in_e1 = e1.out_degree(v)
-            if full.out_degree(v) >= 10:
-                earliest = [p for p in pairs if p[0] == v][:10]
-                assert all(e1.has_edge(*p) for p in earliest)
-                assert out_in_e1 >= 10
-            else:
-                # every out-edge collected when below quota
-                assert all(e1.has_edge(v, w) for w in full.out_neighbors(v))
-        assert e1.edge_set() <= s.star.edge_set()
+    # widths below the default make the quotas bind at these small n
+    @given(st.integers(16, 80), st.integers(0, 2**32 - 1), st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_quotas(self, n, seed, width):
+        c = replace(compute_constants(n), early_edges_per_vertex=width)
+        cp, _, _, star = star_parts(n, seed)
+        m_star_l = hitting_time(cp.loopful)
+        got = _early_edges(cp, c, m_star_l)
+        want = early_edges_oracle(cp.loopful.pairs(m_star_l), width)
+        assert got.tolist() == sorted(u * n + v for u, v in want)
+        assert np.isin(got, star.codes).all()
 
     def test_in_pass_skips_out_edges(self):
         # an edge collected for its source is never re-counted for its target
         c = compute_constants(60)
         cp = couple(gen_process(60, "loopful", 2))
-        e1 = build_early_subgraph(cp, c)
-        # sanity: no duplicate edges is structural (Digraph rejects), so the
-        # meaningful check is the quota arithmetic
-        full = cp.loopful.prefix(hitting_time_loopful(cp))
+        m_star_l = hitting_time(cp.loopful)
+        e1 = Digraph(60, _early_edges(cp, c, m_star_l), allow_loops=True)
+        full = cp.loopful.prefix(m_star_l)
         for v in range(60):
             assert e1.in_degree(v) <= 10 + min(10, full.out_degree(v))
-
-
-def hitting_time_loopful(cp):
-    from hamcount.digraph import hitting_time
-
-    return hitting_time(cp.loopful)
 
 
 class TestFindOneFactor:
@@ -178,39 +192,6 @@ class TestGoodFactor:
         )
         assert g.num_loops == 1 and g.num_cycles == 13
         assert is_good_factor(g, c)
-
-
-class TestCheckProperties:
-    def test_complete_loopful_thr1(self):
-        c = compute_constants(16)
-        d = Digraph.complete(16, allow_loops=True)
-        from hamcount.frieze import StarDigraph
-
-        s = StarDigraph(d, np.empty(0, dtype=np.int64), compute_large(d, 1), m_star_loopful=0)
-        rep = check_star_properties(s, c)
-        assert rep.size_ok and rep.isolation_ok and rep.short_cycles_ok
-        assert not rep.degree_ok  # degree 16 > log^2 16
-        assert not rep.passed
-
-    def test_adjacent_non_large_fails_isolation(self):
-        c = compute_constants(16)
-        d = Digraph(16, [(0, 1)] + [(i, (i + 1) % 16) for i in range(2, 15)])
-        from hamcount.frieze import StarDigraph
-
-        s = StarDigraph(d, np.empty(0, dtype=np.int64), frozenset(range(2, 16)), m_star_loopful=0)
-        rep = check_star_properties(s, c)
-        assert not rep.isolation_ok
-        assert rep.witnesses["isolation"][0][:2] == (0, 1)
-
-    def test_short_cycle_outside_large(self):
-        c = compute_constants(16)
-        d = Digraph(16, [(0, 1), (1, 0)])
-        from hamcount.frieze import StarDigraph
-
-        s = StarDigraph(d, np.empty(0, dtype=np.int64), frozenset(range(2, 16)), m_star_loopful=0)
-        rep = check_star_properties(s, c)
-        assert not rep.short_cycles_ok
-        assert (0, 1) in rep.witnesses["short_cycles"]
 
 
 class TestRotate:

@@ -6,16 +6,14 @@ import pytest
 
 from hamcount.digraph import Digraph, couple, gen_process
 from hamcount.errors import DomainError
-from hamcount.exact import OneFactor, enumerate_one_factors
+from hamcount.exact import enumerate_one_factors
 from hamcount.frieze import compute_constants
 from hamcount.harness import (
     EXPERIMENTS,
     ExperimentConfig,
-    Report,
     almost_containment_prob,
     good_fraction_of_digraph,
     run_experiment,
-    write_histogram_csv,
     write_trials_csv,
 )
 
@@ -256,7 +254,3 @@ class TestSerialization:
             write_trials_csv(r, fh)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4 and lines[0].split(",") == ["count", "seed", "trial"]
-        hpath = tmp_path / "hist.csv"
-        with open(hpath, "w") as fh:
-            write_histogram_csv({0: 3, 2: 5}, fh)
-        assert hpath.read_text() == "k,count\n0,3\n2,5\n"
