@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Check the exact counters up to their default cap of n = 24.
 
-    PYTHONPATH=src python scripts/check_exact_frontier.py            # seed 4
+    PYTHONPATH=src python scripts/check_exact_frontier.py            # seeds 4 and 1
     PYTHONPATH=src python scripts/check_exact_frontier.py --seed 1   # 297,613 factors
 
 The checks, each printed with its time:
 - HC(K_n) = (n-1)! for the complete loop-free digraph K_n, n = 2..24;
 - per(J_n) = n! for the all-ones n x n matrix J_n, n = 0..24;
-- at n = 22, the loopful random edge process of the given seed, stopped at
-  its hitting time m*: of its 1-factors, enumerated in full, those with a
-  single cycle and no loop number HC(m*), and all of them number per(m*).
+- at n = 22 and at n = 24, the loopful random edge process of the seed
+  given by --seed and --seed24, stopped at its hitting time m*: of its
+  1-factors, enumerated in full, those with a single cycle and no loop
+  number HC(m*), and all of them number per(m*).
 
 From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  The
 last line gives the peak resident memory.  Exit code 0 when every check
-holds, 1 otherwise.  At seed 4 (m* = 87: 4,062 factors, 358 Hamilton
-cycles) a run takes about 17 s and 0.63 GB on a 2-core host, so it is kept
-out of the test suite; enumerating the factors of seed 1 adds about 50 s.
+holds, 1 otherwise.  At the default seeds (n = 22: m* = 87, 4,062 factors,
+358 Hamilton cycles; n = 24: m* = 95, 1,183 factors, 21 Hamilton cycles) a
+run takes 10–25 s and 0.6 GB on a 2-core host, so it is kept out of the
+test suite; enumerating the factors of seed 1 at n = 22 adds about 50 s.
 """
 import argparse
 import math
@@ -35,7 +37,6 @@ from hamcount.exact import (
     permanent,
 )
 
-RANDOM_N = 22
 FACTOR_LIMIT = 10**6
 
 
@@ -52,10 +53,31 @@ def timed(f, *args):
     return out, time.perf_counter() - t0
 
 
+def check_process(n: int, seed: int) -> bool:
+    """HC and per of the loopful process of the seed at its hitting time,
+    against its 1-factors enumerated in full."""
+    seq = gen_process(n, "loopful", seed)
+    m_star = hitting_time(seq)
+    d = seq.prefix(m_star)
+    print(f"n = {n}, seed {seed}: m* = {m_star}, {sum(d.has_edge(v, v) for v in range(n))} loops")
+    factors, t = timed(enumerate_one_factors, d, FACTOR_LIMIT)
+    if factors.truncated:
+        print(f"more than {FACTOR_LIMIT} 1-factors: not enumerated in full")
+        return False
+    hamiltonian = sum(1 for f in factors if f.num_cycles == 1 and f.num_loops == 0)
+    hc, t_hc = timed(count_hamilton_cycles, d)
+    per, t_per = timed(count_one_factors, d)
+    print(f"enumerated {len(factors)} 1-factors in {t:.2f} s")
+    ok = check(f"HC(m*) ({t_hc:.2f} s)", hc, hamiltonian)
+    ok &= check(f"per(m*) ({t_per:.2f} s)", per, len(factors))
+    return ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=4, help="seed of the n = 22 process")
-    seed = parser.parse_args(argv).seed
+    parser.add_argument("--seed24", type=int, default=1, help="seed of the n = 24 process")
+    args = parser.parse_args(argv)
     ok = True
     for n in range(DEFAULT_CAP + 1):
         if n >= 2:
@@ -64,21 +86,8 @@ def main(argv=None) -> int:
         per, t = timed(permanent, np.ones((n, n), dtype=np.int64))
         ok &= check(f"per(J_{n}) ({t:.2f} s)", per, math.factorial(n))
 
-    seq = gen_process(RANDOM_N, "loopful", seed)
-    m_star = hitting_time(seq)
-    d = seq.prefix(m_star)
-    print(f"n = {RANDOM_N}, seed {seed}: m* = {m_star}, "
-          f"{sum(d.has_edge(v, v) for v in range(RANDOM_N))} loops")
-    factors, t = timed(enumerate_one_factors, d, FACTOR_LIMIT)
-    if factors.truncated:
-        print(f"more than {FACTOR_LIMIT} 1-factors: not enumerated in full")
-        return 1
-    hamiltonian = sum(1 for f in factors if f.num_cycles == 1 and f.num_loops == 0)
-    hc, t_hc = timed(count_hamilton_cycles, d)
-    per, t_per = timed(count_one_factors, d)
-    print(f"enumerated {len(factors)} 1-factors in {t:.2f} s")
-    ok &= check(f"HC(m*) ({t_hc:.2f} s)", hc, hamiltonian)
-    ok &= check(f"per(m*) ({t_per:.2f} s)", per, len(factors))
+    for n, seed in ((22, args.seed), (24, args.seed24)):
+        ok &= check_process(n, seed)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mb:.0f} MB")
     return 0 if ok else 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate, chain
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 

@@ -2,14 +2,18 @@
 
 Hamilton cycles are counted with a subset dynamic programme anchored at
 vertex 0, layered by subset size, whose layers are float64 arrays so that
-each step is one BLAS matrix product; 1-factors (the permanent of the 0/1
-adjacency matrix) with Glynn's formula over blocks of column subsets.  Both
+each step is one BLAS matrix product.  A dense layer has a column for every
+subset of its size; a sparse one, as most layers of a sparse random digraph
+are, only for the live subsets that some path from 0 covers, so the work
+follows the paths that exist.  1-factors (the permanent of the 0/1 adjacency
+matrix) are counted with Glynn's formula over blocks of column subsets.  Both
 kernels compute exactly modulo primes, as many as a proven bound on the
 count needs, and one Chinese remaindering makes the count exact.  Both
 counters refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterator, Optional
 
@@ -148,11 +152,19 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     for n = 1).
 
     Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
-    17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes: two layers of k x c float64 path
-    counts and a bool membership mask, the 2^k int32 subsets ordered by size,
-    the adjacency matrix in int64 and float64, and a few kB of small arrays
-    and interpreter objects.  Ordering the subsets briefly takes 13 * 2^k
-    bytes, which the first term exceeds.
+    17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes while the layers are full: two
+    layers of k x c float64 path counts and a bool membership mask, the 2^k
+    int32 subsets ordered by size, the adjacency matrix in int64 and float64,
+    and a few kB of small arrays and interpreter objects.  Here c may be read
+    as the most subsets of a layer built in the full layout.  While layers are
+    live, it is at most 20 (k + 1) l + 9 * 2^k + 16 n^2 + 2^14 bytes, with l
+    the most live subsets of a layer: the layer and its product in float64,
+    the indices, values and grown subsets of the nonzero entries (at most
+    (k + 1) l / 2 of them), and a 2^k bool and a 2^k int32 table over the
+    subsets; on the sparse hitting-time digraphs l is a small fraction of c.
+    The peak is the larger of the two.  Ordering the subsets briefly takes
+    13 * 2^k bytes; the 4 * 2^k bytes of the ordered subsets of the last n
+    stay cached between calls, so that this happens once per n.
     """
     n = d.n
     if n > cap:
@@ -165,11 +177,28 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
 
 
+@functools.lru_cache(maxsize=1)
 def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
-    within a size, and the end offset of each size in that order."""
+    within a size, and the end offset of each size in that order.  The last
+    result is cached, so both arrays are read-only."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
-    return np.argsort(size, kind="stable").astype(np.int32), np.cumsum(np.bincount(size))
+    masks = np.argsort(size, kind="stable").astype(np.int32)
+    ends = np.cumsum(np.bincount(size))
+    masks.flags.writeable = ends.flags.writeable = False
+    return masks, ends
+
+
+# A layer of the DP is held in one of two layouts.  The full layout has a
+# column for every subset of its size; the live layout has one only for each
+# live subset, one that some path from 0 covers.  The DP moves to the live
+# layout, for good, at the first layer of at least 2^8 subsets whose nonzero
+# (w, S) entries number at most half of its subsets (so at most half of them
+# are live): a live step costs more per column than a full one, which pays
+# off only once the dgemm runs on at most half of the columns.  Below 2^8
+# subsets a layer costs too little to be worth the bookkeeping, so no digraph
+# with n <= 11 and no layer of K_n (every entry nonzero) is ever live.
+_LIVE_MIN_SUBSETS = 1 << 8
 
 
 def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
@@ -177,30 +206,71 @@ def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> 
     ``_subsets_by_size(n - 1)``.  Layer r holds, for each r-subset T of the
     vertices 1..k (k = n - 1) in increasing bitmask order and each w in T,
     the number of paths from 0 through exactly T that end at w, in row w-1
-    and column T; the rest of the layer is zero."""
+    and the column of T; the rest of the layer is zero.  A full layer has a
+    column for every r-subset, a live one for every live r-subset (see the
+    comment by ``_LIVE_MIN_SUBSETS``)."""
     adj, masks, ends = dp
     k = adj.shape[0] - 1
     to_inner = adj[1:, 1:].T.astype(np.float64)
     growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:]  # layer 1: the paths 0 -> w
+    live = None  # the live subsets of a live layer, None for a full one
     hi = 1  # no entry exceeds hi (see the comment by _PRIMES)
     for r in range(1, k):
-        inside = (masks[ends[r - 1]:ends[r]] & bits) != 0
-        layer = np.zeros(inside.shape, dtype=np.float64)
-        layer[inside] = entries
-        del entries
-        layer = to_inner @ layer  # layer[w, S]: paths through S, then on to w
+        if live is None:
+            subsets = masks[ends[r - 1]:ends[r]]
+            inside = (subsets & bits) != 0
+            layer = np.zeros(inside.shape, dtype=np.float64)
+            layer[inside] = entries
+            # half + 1 nonzero entries in a prefix already rule the switch out,
+            # which spares dense layers a full count (5 % of HC(K_24))
+            half = len(subsets) // 2
+            if len(subsets) >= _LIVE_MIN_SUBSETS \
+                    and np.count_nonzero(entries[:half + 1]) <= half \
+                    and np.count_nonzero(entries) <= half:
+                live = np.flatnonzero(layer.any(axis=0))
+                layer = layer[:, live]
+                live = subsets[live]
+                del inside
+                marked = np.zeros(1 << k, dtype=bool)
+                rank = np.empty(1 << k, dtype=np.int32)
+            del entries
+        out = to_inner @ layer  # out[w, S]: paths through S, then on to w
+        del layer
         hi *= growth
         if hi * growth >= 1 << 53:
-            np.fmod(layer, p, out=layer)
+            np.fmod(out, p, out=out)
             hi = p - 1
-        # T = S + {w} has the one predecessor S = T - {w}, and for a fixed w
-        # the map S -> T is increasing, so this lists the entries (w, S) with
-        # w not in S in the row-major order of the entries (w, T) of layer r+1.
-        entries = layer[~inside]
-        del layer
-    return int(adj[1:, 0] @ entries) % p
+        if live is None:
+            # T = S + {w} has the one predecessor S = T - {w}, and for a fixed
+            # w the map S -> T is increasing, so this lists the entries (w, S)
+            # with w not in S in the row-major order of the entries (w, T) of
+            # layer r+1.
+            entries = out[~inside]
+            del out, inside
+            continue
+        grown = live | bits  # grown[w, j] = S + {w} for S = live[j]; S if w is in S
+        flat = np.flatnonzero((grown != live) & (out != 0))
+        values = out.ravel()[flat]
+        del out
+        grown = grown.ravel()[flat]
+        marked[grown] = True
+        flat //= len(live)  # the row w of each value
+        live = np.flatnonzero(marked).astype(np.int32)
+        if len(live) == 0:
+            return 0
+        marked[live] = False
+        rank[live] = np.arange(len(live), dtype=np.int32)
+        flat *= len(live)
+        flat += rank[grown]
+        del grown
+        layer = np.zeros((k, len(live)), dtype=np.float64)
+        layer.ravel()[flat] = values
+        del flat, values
+    if live is None:
+        return int(adj[1:, 0] @ entries) % p
+    return int(adj[1:, 0] @ layer[:, 0]) % p  # the one k-subset
 
 
 # -- permanent / 1-factor counting ---------------------------------------------

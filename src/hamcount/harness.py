@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
@@ -43,7 +44,8 @@ _BATCH = 100_000  # Bernoulli samples per record in the subsample experiment
 class ExperimentConfig:
     """One experiment run: everything needed to reproduce it bit-for-bit.
 
-    Optional fields are experiment-specific; validation happens at dispatch.
+    Optional fields are experiment-specific.  Every value must have the type
+    of its field (an int will do for a float); ranges are checked at dispatch.
     All thresholds are echoed into the report, so defaults are never hidden.
     """
 
@@ -70,13 +72,15 @@ class ExperimentConfig:
     pipeline: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _CONFIG_TYPES[f.name]):
+                raise DomainError(f"{f.name} must be {f.type}, got {value!r}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.experiment not in EXPERIMENTS:
             raise DomainError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}")
-        if not isinstance(self.pipeline, dict):
-            raise DomainError("pipeline must be an object")
         if self.pipeline:  # include_timings is a top-level key
             raise DomainError(f"unknown pipeline keys: {sorted(self.pipeline)}")
         if self.exact_counts and self.n > self.count_cap:
@@ -102,6 +106,19 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value has the type of its field: a bool is no int,
+    an int is a float, and None is an Optional value."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return value is None or _has_type(value, typing.get_args(hint)[0])
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass

@@ -7,7 +7,7 @@ adjacency order handed in, so results are deterministic for a given input.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Sequence
 
 INF = -1  # sentinel distance
 

@@ -209,6 +209,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("cfg, message", [
         ([], "config must be a JSON object"),
         ({"experiment": "pipeline"}, "missing config keys: ['n']"),
+        ({"experiment": "pipeline", "n": "5"}, "n must be int, got '5'"),
+        ({"experiment": "hitting-time", "n": 12, "exact_counts": 1},
+         "exact_counts must be bool, got 1"),
     ])
     def test_malformed_config_exits_two(self, runner, tmp_path, cfg, message):
         cfg_path = tmp_path / "cfg.json"

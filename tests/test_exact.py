@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,43 @@ SMALL_PRIMES = (31, 37, 41, 43)
 
 def hamilton_residue(adj: np.ndarray, p: int) -> int:
     return exact._hamilton_residue((adj, *exact._subsets_by_size(adj.shape[0] - 1)), p)
+
+
+def live_counts(adj: np.ndarray) -> list[int]:
+    """For each layer r = 1..k of the DP (k = n - 1), the number of its live
+    subsets, those that some path from 0 covers, from exact path counts."""
+    k = adj.shape[0] - 1
+    masks, ends = exact._subsets_by_size(k)
+    bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
+    entries = adj[0, 1:].astype(np.int64)
+    out = []
+    for r in range(1, k + 1):
+        inside = (masks[ends[r - 1]:ends[r]] & bits) != 0
+        layer = np.zeros(inside.shape, dtype=np.int64)
+        layer[inside] = entries
+        out.append(int(layer.any(axis=0).sum()))
+        entries = (adj[1:, 1:].T @ layer)[~inside]
+    return out
+
+
+def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[int]]:
+    """``_hamilton_residue`` of ``adj`` mod p, the layer at which it goes live
+    (None if it never does), and the number of columns of each live layer it
+    builds after that one.  The layouts are read from the kernel's calls to
+    np.zeros: one per full layer, then the 2^k table that it sets up on going
+    live, then one per later live layer."""
+    k = adj.shape[0] - 1
+    dp = (adj, *exact._subsets_by_size(k))
+    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        residue = exact._hamilton_residue(dp, p)
+    shapes = [call.args[0] for call in zeros.call_args_list]
+    if 1 << k not in shapes:
+        assert shapes == [(k, math.comb(k, r)) for r in range(1, k)]
+        return residue, None, []
+    first = shapes.index(1 << k)
+    assert shapes[:first] == [(k, math.comb(k, r)) for r in range(1, first + 1)]
+    assert all(rows == k for rows, _ in shapes[first + 1:])
+    return residue, first, [cols for _, cols in shapes[first + 1:]]
 
 
 def random_matrix(n: int, density: float, loops: bool, seed: int) -> np.ndarray:
@@ -297,6 +336,101 @@ class TestKernelsAgainstReference:
                 assert permanent(a) == brute_force_factor_count(d)
                 for p in exact._PRIMES + SMALL_PRIMES:
                     assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
+
+
+class TestLiveLayout:
+    """The DP on sparse layers, held only at their live subsets."""
+
+    @given(st.integers(9, 16), st.floats(0.05, 1.0), st.sampled_from(["any", "none", "one"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_against_reference(self, n, density, start, cut, seed):
+        adj = random_matrix(n, density, False, seed)
+        if start != "any":  # vertex 0 with out-degree 0 or 1
+            adj[0] = 0
+            adj[0, 1 + seed % (n - 1)] = start == "one"
+        if cut:  # no path from 0 enters vertex n-1: no Hamilton path
+            adj[:, n - 1] = 0
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+        # each live layer has a column for every live subset and no other
+        _, first, cols = watched_residue(adj, exact._PRIMES[0])
+        if first is not None:
+            assert cols == [c for c in live_counts(adj)[first:] if c]
+
+    @pytest.mark.parametrize("sinks, first", [(3, 10), (4, 8), (5, 7), (6, 5), (7, 4), (8, 4)])
+    def test_switches_at_different_layers(self, sinks, first):
+        # K_16 whose last vertices lead only to 0: a path visits at most one of
+        # them, as its last vertex, so the larger layers go sparse, the more
+        # sinks the earlier; with at least two sinks no path covers n - sinks + 1
+        # of the vertices 1..15, so there is no Hamilton cycle and the DP
+        # stops at layer n - sinks + 1, which has no live subset
+        n = 16
+        adj = Digraph.complete(n).adjacency_matrix()
+        adj[n - sinks:, 1:] = 0
+        live = live_counts(adj)
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert watched_residue(adj, p) == (0, first, live[first:n - sinks])
+            assert reference_hamilton_residue(adj, p) == 0
+
+    def test_dense_layers_stay_full(self):
+        # every layer of K_16 has all of its subsets live
+        adj = Digraph.complete(16).adjacency_matrix()
+        assert watched_residue(adj, exact._PRIMES[0]) == (math.factorial(15) % exact._PRIMES[0],
+                                                          None, [])
+
+    def test_reduction_inside_the_live_layout(self, monkeypatch):
+        # paths from 0 start 0 1 2 3 4 5, then visit 6..15 in any order and
+        # close to 0: 10! Hamilton cycles.  The arcs back into 1..4 lead
+        # nowhere but raise the in-degree bound D to 14, so the layers are
+        # reduced from step 13 on (D^14 >= 2^53), while layer 13, which holds
+        # only the subsets that contain 1..5, is live
+        n = 16
+        adj = np.zeros((n, n), dtype=np.int64)
+        for i in range(5):
+            adj[i, i + 1] = 1
+            adj[i, 1:i] = 1
+        adj[5:] = 1
+        np.fill_diagonal(adj, 0)
+        growth = int(adj[1:].sum(axis=0).max())
+        assert (growth, growth**13 < 2**53 <= growth**14) == (14, True)
+        _, first, cols = watched_residue(adj, exact._PRIMES[0])
+        assert (first, cols) == (3, live_counts(adj)[3:])
+        reduced = []
+        fmod = np.fmod
+        monkeypatch.setattr(np, "fmod", lambda a, *args, **kw: reduced.append(a.shape)
+                            or fmod(a, *args, **kw))
+        for p in exact._PRIMES + SMALL_PRIMES:
+            reduced.clear()
+            assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
+            # step 13 reduces its product over the 45 live subsets of layer 13
+            assert reduced == [(15, 45)]
+        d = Digraph(n, [(u, v) for u, v in zip(*np.nonzero(adj))])
+        assert count_hamilton_cycles(d) == math.factorial(10)
+
+    @pytest.mark.parametrize("idx", [0, 2])
+    def test_peak_memory_within_stated_bound(self, idx):
+        # a hitting-time digraph at n = 20: live from layer 3 on
+        n, k = 20, 19
+        cp = couple(gen_process(n, "loopful", derive_seed(12345, idx)))
+        d = cp.loopless.prefix(hitting_time(cp.loopless))
+        adj = d.adjacency_matrix()
+        np.fill_diagonal(adj, 0)
+        first = watched_residue(adj, exact._PRIMES[0])[1]
+        assert first == 3
+        full = max(math.comb(k, r) for r in range(1, first + 1))
+        ell = max(live_counts(adj)[first - 1:])
+        count_hamilton_cycles(d)  # order the subsets outside the measurement
+        tracemalloc.start()
+        try:
+            count_hamilton_cycles(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bounds in the docstring of count_hamilton_cycles
+        bound = max(17 * k * full + 4 * 2**k, 20 * (k + 1) * ell + 9 * 2**k) + 16 * n**2 + 2**14
+        full_bound = 17 * k * math.comb(k, k // 2) + 4 * 2**k + 16 * n**2 + 2**14
+        assert peak <= bound < full_bound
 
 
 class TestCountInvariants:

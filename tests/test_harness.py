@@ -31,6 +31,19 @@ class TestConfig:
         cfg = ExperimentConfig("pipeline", n=100, trials=3, seed=9)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "5"), ("n", 5.0), ("trials", True), ("p", "0.5"), ("p", False),
+        ("model", None), ("exact_counts", 1), ("pipeline", [])])
+    def test_rejects_values_of_the_wrong_type(self, key, value):
+        with pytest.raises(DomainError, match=f"^{key} must be "):
+            ExperimentConfig.from_dict({"experiment": "expected-count", "n": 5, key: value})
+
+    def test_accepts_ints_for_floats_and_keeps_them(self):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "expected-count", "n": 5, "p": 1, "se_multiplier": 3})
+        assert cfg.to_dict()["p"] == 1 and type(cfg.to_dict()["p"]) is int
+        assert cfg.se_multiplier == 3
+
     @pytest.mark.parametrize("key", ["rotation_sorce", "relabel_retries", "overlap_constant"])
     def test_rejects_unknown_pipeline_keys(self, key):
         # a misspelled key and two removed options: rejected before any trial

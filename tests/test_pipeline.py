@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hamcount import frieze
-from hamcount.digraph import Digraph, couple, gen_process, hitting_time
+from hamcount.digraph import Digraph, couple, gen_process
 from hamcount.frieze import (
     PipelineConfig,
     compute_constants,
