@@ -6,10 +6,13 @@ each step is one BLAS matrix product.  A dense layer has a column for every
 subset of its size; a sparse one, as most layers of a sparse random digraph
 are, only for the live subsets that some path from 0 covers, so the work
 follows the paths that exist.  1-factors (the permanent of the 0/1 adjacency
-matrix) are counted with Glynn's formula over blocks of column subsets.  Both
-kernels compute exactly modulo primes, as many as a proven bound on the
-count needs, and one Chinese remaindering makes the count exact.  Both
-counters refuse to run above a configurable size cap.
+matrix) are counted row by row over the live sets of matched columns, those
+that some partial matching covers, when a bound on that work falls below the
+cost of Glynn's formula, as on sparse random digraphs; dense matrices take
+Glynn's formula over blocks of column subsets.  Every kernel computes
+exactly modulo primes, as many as a proven bound on the count needs, and one
+Chinese remaindering makes the count exact.  Both counters refuse to run
+above a configurable size cap.
 """
 from __future__ import annotations
 
@@ -35,6 +38,10 @@ DEFAULT_CAP = 24
 # sums at most max(2^16, 2^ceil((n-1)/2)) products; a block is reduced once
 # the next pair or the block sum could reach 2^63, and after a reduction both
 # stay below 2^63 for n <= 47, far past any n whose subsets can be listed.
+# In the row programme for the permanent a count is a sum of at most R
+# counts of the previous row, R the entries of the row, so each row raises
+# hi by the factor R; the counts are reduced once the next row could take
+# them to 2^63, and R (p - 1) < 2^63 for R < 2^23.
 _PRIMES = (1099511627689, 1099511627609, 1099511627581)
 
 
@@ -171,8 +178,9 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
         raise ResourceCapError(f"n={n} exceeds the Hamilton-cycle counting cap of {cap}")
     adj = d.adjacency_matrix()
     np.fill_diagonal(adj, 0)
-    # a Hamilton cycle leaves every vertex by one loop-free out-edge
-    bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()))
+    # a Hamilton cycle leaves and enters every vertex by one loop-free edge
+    bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()),
+                math.prod(adj.sum(axis=0).tolist()))
     dp = (adj, *_subsets_by_size(n - 1))  # shared by the residues
     return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
 
@@ -286,12 +294,24 @@ def count_one_factors(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 
 
 def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
-    """Permanent of a square 0/1 matrix, by Glynn's formula.
+    """Permanent of a square 0/1 matrix, by a row-by-row programme over the
+    live sets of matched columns or, for dense matrices, Glynn's formula (see
+    the comment by ``_row_order``).
 
-    The row factors of a block of subsets of the columns 1..n-1 are a
-    low-column term plus a high-column one, read from two tables of
-    2^h and 2^l subsets, with h = ceil((n-1)/2) and l = floor((n-1)/2).
-    Peak working memory is at most 8 n (2^h + 2^l) + 48 max(2^16, 2^h) bytes.
+    Glynn's row factors for a block of subsets of the columns 1..n-1 are a
+    low-column term plus a high-column one, read from two tables of 2^h and
+    2^l subsets, with h = ceil((n-1)/2) and l = floor((n-1)/2); its peak
+    working memory is at most 8 n (2^h + 2^l) + 48 max(2^16, 2^h) bytes.
+    The programme's peak is at most 32 c + 16 (n^2 + s) + 2^14 bytes, with c
+    the most candidate sets of a row and s the most live sets after a row:
+    four int64 arrays over the candidates while they are sorted (the sets,
+    their counts, the sort order and a sorted copy), the live sets and their
+    counts, the matrix and a few kB of small arrays and interpreter objects.
+    It runs only when its candidates number less than 2^(n-1) in all, so
+    s <= c < 2^(n-1) and the peak stays below 48 * 2^(n-1) bytes and a few
+    kB, 384 MiB at n = 24; on the n = 24 m* digraph that
+    ``scripts/check_exact_frontier.py`` checks at seed 1, c = 2,784 and
+    s = 464.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -302,17 +322,133 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
     if not ((m == 0) | (m == 1)).all():
         raise DomainError("permanent needs a 0/1 matrix")
     a = m.astype(np.int64)
-    bound = min(math.factorial(n), math.prod(a.sum(axis=1).tolist()))
+    # a 1-factor picks one entry in each row and one in each column
+    bound = min(math.factorial(n), math.prod(a.sum(axis=1).tolist()),
+                math.prod(a.sum(axis=0).tolist()))
     return _from_residues(bound, lambda p: _permanent_residue(a, p))
 
 
 def _permanent_residue(a: np.ndarray, p: int) -> int:
+    """per(a) mod p, by the row programme on the rows of ``a`` in the order
+    of ``_row_order`` if that bounds its work below 2^(n-1) candidates, else
+    by Glynn's formula."""
+    n = a.shape[0]
+    if n == 0:
+        return 1
+    order, work = _row_order(a)
+    if work < 1 << (n - 1):
+        return _row_dp_residue(a[order], p)
+    return _glynn_residue(a, p)
+
+
+# The row programme matches rows 0, 1, .. in turn, each to a column that no
+# earlier row took, and holds after row i the count of partial matchings
+# onto each live set S of i+1 columns.  A column whose last nonzero row is
+# past is closed: every live S holds it, as no later row can take it.  So S
+# lies between the closed and the touched columns (those of some row so
+# far), and with f free columns (touched, not closed) and g = i+1 - |closed|
+# there are at most B_i = C(f, g) live sets, 0 if g < 0.  Row i+1, with R
+# nonzero entries, grows each into at most R candidates, so the programme
+# forms at most W = sum over rows of R_(i+1) B_i candidates.  Glynn's formula
+# forms n row factors for each of its 2^(n-1) sign vectors.  A candidate
+# costs fewer than n row factors: on J_n at one BLAS thread, 1.4 of them at
+# n = 8, 2.6 at n = 12 and 6.5 (23 against 3.6 ns) at n = 18, and below
+# n = 8 either kernel takes a fraction of a millisecond.  So the
+# programme runs only when W < 2^(n-1), where it costs less than Glynn's
+# formula; every dense matrix stays with Glynn (W of J_n is about n 2^n).
+# The rows are taken greedily, each time the one that leaves the fewest
+# live sets by C(f, g), the lowest index among equals; as no row has more
+# live sets than candidates, W counts at most R_(i+1) B_i with B_i the lesser
+# of C(f, g) and the candidates of row i.  On the first 300 n = 18 m*
+# digraphs of seed 12345, W has a median of 1,146 and reaches 2^17 on 7,
+# which stay with Glynn's formula.
+
+
+def _row_order(a: np.ndarray) -> tuple[list[int], int]:
+    """The greedy row order of the comment above and the bound W on the
+    candidates of the row programme in that order."""
+    n = a.shape[0]
+    rows = (a @ np.left_shift(1, np.arange(n, dtype=np.int64))).tolist()
+    left = a.sum(axis=0).tolist()  # rows not yet taken with an entry in each column
+    once = sum(1 << c for c in range(n) if left[c] == 1)  # a single row left
+    rest = list(range(n))
+    order = []
+    touched = closed = 0
+    live = 1  # B of the rows so far
+    work = 0
+    for size in range(1, n + 1):
+        best = None
+        for r in rest:
+            shut = (closed | (rows[r] & once)).bit_count()
+            need = size - shut
+            free = (touched | rows[r]).bit_count() - shut
+            bound = math.comb(free, need) if need >= 0 else 0
+            if best is None or bound < best[0]:
+                best = (bound, r)
+        bound, r = best
+        work += live * rows[r].bit_count()
+        live = min(bound, live * rows[r].bit_count())
+        order.append(r)
+        rest.remove(r)
+        touched |= rows[r]
+        closed |= rows[r] & once
+        for c in range(n):
+            if rows[r] >> c & 1:
+                left[c] -= 1
+                if left[c] == 1:
+                    once |= 1 << c
+    return order, work
+
+
+def _row_dp_residue(a: np.ndarray, p: int) -> int:
+    """per(a) mod p by the row programme (see the comment by ``_row_order``)
+    on the rows of ``a`` in their order.  The live sets are int64 bitmasks
+    held in increasing order, each with its count."""
+    n = a.shape[0]
+    nz = a != 0
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    # the last row with an entry in each column; n - 1 for an empty column,
+    # which then no set of n columns holds, so the count is 0
+    last = n - 1 - np.argmax(nz[::-1], axis=0)
+    closing = np.zeros(n, dtype=np.int64)
+    np.add.at(closing, last, bits)
+    closed = np.cumsum(closing).tolist()  # the columns closed after each row
+    sums = nz.sum(axis=1).tolist() + [1]
+    sets = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    hi = 1  # no count exceeds hi (see the comment by _PRIMES)
+    for i in range(n):
+        # each column of the row gives an increasing run of candidates
+        grown = bits[nz[i]][:, None] | sets
+        keep = grown != sets
+        keep &= (grown & closed[i]) == closed[i]
+        grown = grown[keep]
+        if len(grown) == 0:
+            return 0
+        counts = np.broadcast_to(counts, keep.shape)[keep]
+        del keep
+        order = np.argsort(grown, kind="stable")
+        grown = grown[order]
+        counts = counts[order]
+        del order
+        first = np.empty(len(grown), dtype=bool)
+        first[0] = True
+        np.not_equal(grown[1:], grown[:-1], out=first[1:])
+        sets = grown[first]
+        counts = np.add.reduceat(counts, np.flatnonzero(first))
+        del grown, first
+        hi *= sums[i]
+        if hi * sums[i + 1] >= 1 << 63:
+            np.fmod(counts, p, out=counts)
+            hi = p - 1
+    return int(counts[0]) % p
+
+
+def _glynn_residue(a: np.ndarray, p: int) -> int:
     """per(a) mod p = 2^-(n-1) times the sum over subsets S of the columns
     1..n-1 of (-1)^|S| times the product over rows i of R_i - 2 a_i(S), where
     R_i is the sum of row i and a_i(S) its sum over S."""
     n = a.shape[0]
-    if n == 0:
-        return 1
     low_n = n // 2  # ceil((n - 1) / 2) of the columns 1..n-1
     low = _subset_sums(-2 * a[:, 1:low_n + 1])
     low += a.sum(axis=1)[:, None]
@@ -329,7 +465,8 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
         prod = np.ones((len(high_sign[block]), low.shape[2]), dtype=np.int64)
         hi = 1  # no |entry| exceeds hi (see the comment by _PRIMES)
         for i, pair, after in zip(range(0, n, 2), bounds, bounds[1:]):
-            prod *= np.multiply.reduce(low[i:i + 2] + high[i:i + 2, block])
+            for row in low[i:i + 2] + high[i:i + 2, block]:
+                prod *= row
             hi *= pair
             if hi * after >= 1 << 63:
                 prod %= p

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamcount import exact
@@ -80,6 +80,44 @@ def random_matrix(n: int, density: float, loops: bool, seed: int) -> np.ndarray:
     if not loops:
         np.fill_diagonal(a, 0)
     return a
+
+
+def spy_kernels(monkeypatch, *names: str) -> list[tuple[str, int]]:
+    """Wrap the residue kernels of ``exact`` with these names; the returned
+    list records (name, p) for each call, in call order."""
+    calls = []
+    for name in names:
+        kernel = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda a, p, name=name, kernel=kernel:
+                            calls.append((name, p)) or kernel(a, p))
+    return calls
+
+
+def reference_permanent(a: np.ndarray) -> int:
+    """per(a) for n <= 24, rebuilt from the reference residues modulo the
+    first two moduli, whose product passes 24!."""
+    p, q = exact._PRIMES[:2]
+    rp, rq = reference_permanent_residue(a, p), reference_permanent_residue(a, q)
+    return rp + p * ((rq - rp) * pow(p, -1, q) % q)
+
+
+def row_dp_sizes(a: np.ndarray) -> list[tuple[int, int]]:
+    """For each row of the permanent's row programme on the rows of ``a`` in
+    their order, up to the first that leaves no live set, the number of its
+    candidate sets and of the live sets after it, from the sets themselves."""
+    n = a.shape[0]
+    last = [max((i for i in range(n) if a[i, c]), default=n - 1) for c in range(n)]
+    live, out = {0}, []
+    for i in range(n):
+        cols = np.flatnonzero(a[i]).tolist()
+        closed = sum(1 << c for c in range(n) if last[c] <= i)
+        candidates = len(live) * len(cols)
+        live = {s | 1 << c for s in live for c in cols
+                if not s >> c & 1 and (s | 1 << c) & closed == closed}
+        out.append((candidates, len(live)))
+        if not live:
+            break
+    return out
 
 
 class TestOneFactor:
@@ -224,24 +262,28 @@ class TestResidues:
             assert (p % np.arange(2, math.isqrt(p) + 1) != 0).all()
         # primes so small that counts at n <= 9 need two to four residues
         monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
-        used = []
-        for name in ("_hamilton_residue", "_permanent_residue"):
-            kernel = getattr(exact, name)
-            monkeypatch.setattr(
-                exact, name, lambda a, p, kernel=kernel: used.append(p) or kernel(a, p))
+        used = spy_kernels(monkeypatch, "_hamilton_residue", "_permanent_residue",
+                           "_row_dp_residue", "_glynn_residue")
         rng = np.random.default_rng(3)
         residues = set()
+        kernels = set()
         for n in range(5, 10):
             for density in (0.5, 0.8):
                 d = random_digraph(rng, n, density, allow_loops=False)
                 used.clear()
                 assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
+                assert {name for name, _ in used} == {"_hamilton_residue"}
                 residues.add(len(used))
                 d = random_digraph(rng, n, density, allow_loops=True)
                 used.clear()
                 assert count_one_factors(d) == brute_force_factor_count(d)
-                residues.add(len(used))
+                # each residue of the permanent runs one of its two kernels
+                outer = [p for name, p in used if name == "_permanent_residue"]
+                assert [p for name, p in used if name != "_permanent_residue"] == outer
+                kernels.update(name for name, _ in used if name != "_permanent_residue")
+                residues.add(len(outer))
         assert {2, 3, 4} <= residues
+        assert kernels == {"_row_dp_residue", "_glynn_residue"}
         # 10! exceeds 31 * 37 * 41 * 43: no wrapped value, an error
         with pytest.raises(ResourceCapError):
             permanent(np.ones((10, 10), dtype=int))
@@ -336,6 +378,130 @@ class TestKernelsAgainstReference:
                 assert permanent(a) == brute_force_factor_count(d)
                 for p in exact._PRIMES + SMALL_PRIMES:
                     assert exact._permanent_residue(a, p) == reference_permanent_residue(a, p)
+
+
+class TestCountBounds:
+    """The proven bounds on a count, which set how many residues it needs."""
+
+    def test_empty_column_needs_no_residue(self, monkeypatch):
+        calls = spy_kernels(monkeypatch, "_hamilton_residue", "_permanent_residue")
+        a = np.ones((6, 6), dtype=np.int64)
+        a[:, 2] = 0  # every row sum is 5, the column sum 0
+        assert permanent(a) == 0
+        # every out-degree is 4 or 5, the in-degree of vertex 2 is 0
+        d = Digraph(6, [(u, v) for u in range(6) for v in range(6) if u != v and v != 2])
+        assert count_hamilton_cycles(d) == 0
+        assert calls == []
+
+    def test_column_and_in_degree_products_save_a_residue(self, monkeypatch):
+        monkeypatch.setattr(exact, "_PRIMES", SMALL_PRIMES)
+        calls = spy_kernels(monkeypatch, "_hamilton_residue", "_permanent_residue")
+        # the identity with a full column 0: the row sums multiply to 2^8,
+        # which needs two moduli, the column sums to 9 < 31, which needs one
+        a = np.eye(9, dtype=np.int64)
+        a[:, 0] = 1
+        assert permanent(a) == 1
+        assert calls == [("_permanent_residue", 31)]
+        # the cycle 0 -> 1 -> .. -> 8 -> 0 with arcs back to 0 from 1..7: the
+        # out-degrees multiply to 2^7, the in-degrees to 8, and the in-degree
+        # 1 of each of 1..8 leaves the cycle alone
+        d = Digraph(9, [(v, (v + 1) % 9) for v in range(9)] + [(v, 0) for v in range(1, 8)])
+        calls.clear()
+        assert count_hamilton_cycles(d) == 1
+        assert calls == [("_hamilton_residue", 31)]
+
+
+class TestRowProgramme:
+    """The permanent over live sets of matched columns, and its choice
+    against Glynn's formula."""
+
+    @given(st.integers(1, 20), st.floats(0.05, 1.0),
+           st.sampled_from(["none", "row", "column", "both"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(20, 1.0, "none", 0)  # Glynn's formula
+    @example(20, 0.3, "none", 1)  # the programme, per = 87,102,670
+    @example(20, 0.3, "none", 2)  # Glynn's formula, just past the switch
+    @example(20, 0.5, "both", 7)
+    @example(1, 1.0, "none", 0)
+    def test_against_reference(self, n, density, empty, seed):
+        a = random_matrix(n, density, True, seed)
+        if empty in ("row", "both"):
+            a[seed % n] = 0
+        if empty in ("column", "both"):
+            a[:, seed // n % n] = 0
+        want = reference_permanent(a)
+        order, work = exact._row_order(a)
+        assert sorted(order) == list(range(n))
+        dp = work < 1 << (n - 1)  # the choice of _permanent_residue
+        if work <= 1 << 16:  # W bounds the candidates of the programme
+            assert sum(cand for cand, _ in row_dp_sizes(a[order])) <= work
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert exact._permanent_residue(a, p) == want % p
+            # the kernel not chosen, too, where it is cheap
+            if dp and n <= 16:
+                assert exact._glynn_residue(a, p) == want % p
+            if not dp and work <= 1 << 16:
+                assert exact._row_dp_residue(a[order], p) == want % p
+
+    def test_dense_takes_glynn_and_m_star_the_programme(self, monkeypatch):
+        calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
+        for n in range(1, 19):
+            calls.clear()
+            assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
+            assert {name for name, _ in calls} == {"_glynn_residue"}, n
+        # the first 40 instances of the exact_large benchmark workload
+        for idx in range(40):
+            cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
+            d = cp.loopless.prefix(hitting_time(cp.loopless))
+            calls.clear()
+            count_one_factors(d)
+            assert {name for name, _ in calls} == {"_row_dp_residue"}, idx
+
+    def test_crt_at_n_24(self, monkeypatch):
+        # per(J_8 + J_8 + J_8) = 8!^3 passes 2^40 and its bound, the product
+        # 8^24 of the row sums, passes one modulus: two residues, each by the
+        # programme, and one Chinese remaindering at n = 24
+        a = np.kron(np.eye(3, dtype=np.int64), np.ones((8, 8), dtype=np.int64))
+        calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
+        assert permanent(a) == math.factorial(8) ** 3 > max(exact._PRIMES)
+        assert calls == [("_row_dp_residue", p) for p in exact._PRIMES[:2]]
+
+    def test_reduction_gate(self, monkeypatch):
+        # J_10 + J_10 with a few more ones above the diagonal blocks: the
+        # permanent stays 10!^2, the row sums multiply past 10^20 > 2^63, so
+        # the counts are reduced once the next row could reach 2^63
+        a = np.kron(np.eye(2, dtype=np.int64), np.ones((10, 10), dtype=np.int64))
+        a[:10, 10:] = np.random.default_rng(0).random((10, 10)) < 0.1
+        order, work = exact._row_order(a)
+        assert work < 1 << 19
+        reduced = []
+        fmod = np.fmod
+        monkeypatch.setattr(np, "fmod", lambda x, *args, **kw: reduced.append(len(x))
+                            or fmod(x, *args, **kw))
+        for p in exact._PRIMES + SMALL_PRIMES:
+            reduced.clear()
+            assert exact._permanent_residue(a, p) == math.factorial(10) ** 2 % p
+            assert reduced
+        assert permanent(a) == math.factorial(10) ** 2
+
+    def test_peak_memory_within_stated_bound(self):
+        # the n = 24 m* digraph that scripts/check_exact_frontier.py checks
+        n = 24
+        seq = gen_process(n, "loopful", 1)
+        a = seq.prefix(hitting_time(seq)).adjacency_matrix().astype(np.int64)
+        order, work = exact._row_order(a)
+        assert work < 1 << (n - 1)
+        sizes = row_dp_sizes(a[order])
+        c, s = max(cand for cand, _ in sizes), max(live for _, live in sizes)
+        assert (c, s) == (2784, 464)  # as in the docstring of permanent
+        tracemalloc.start()
+        try:
+            assert permanent(a) == 1183
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bound in the docstring of permanent
+        assert peak <= 32 * c + 16 * (n * n + s) + 2**14
 
 
 class TestLiveLayout:
