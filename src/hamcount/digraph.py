@@ -36,10 +36,14 @@ class Digraph:
     The edges are held once, as a sorted, duplicate-free int64 array of codes
     u*n + v (``codes``), given either so or as an iterable of (u, v) pairs.
     Duplicates, out-of-range vertices and loops in a loopless digraph raise
-    ``DomainError`` in both forms.  The out- and in-neighbour rows are sorted
-    tuples cut from the codes at build time (matching and rotation order
-    depend on them); edge lists, edge sets, degrees and the adjacency matrix
-    are derived on demand.
+    ``DomainError`` in both forms, at build time.  The out- and in-neighbour
+    rows are sorted tuples (matching and rotation order depend on them), each
+    cut from the codes on its first query -- ``has_edge``, the neighbour and
+    degree accessors, ``audit`` -- so a digraph whose rows are never read
+    costs only its code array.  The rows are a function of the codes alone:
+    concurrent first queries may each cut them, but they cut equal rows.
+    Edge lists, edge sets, degrees and the adjacency matrix are derived on
+    demand.
     """
 
     __slots__ = ("n", "allow_loops", "_codes", "_out", "_in")
@@ -58,9 +62,19 @@ class Digraph:
             raise DomainError(f"loop ({u},{u}) in a loopless digraph")
         codes.flags.writeable = False
         self._codes = codes
-        tails, heads = np.divmod(codes, n)
-        self._out = _rows(heads, np.bincount(tails, minlength=n))
-        self._in = _rows(np.sort(heads * n + tails) % n, np.bincount(heads, minlength=n))
+
+    def __getattr__(self, name: str):
+        # Reached only while a row slot is still unset, so once cut the rows
+        # cost a plain slot read on every query.
+        if name not in ("_out", "_in"):
+            raise AttributeError(f"'Digraph' object has no attribute {name!r}")
+        n = self.n
+        tails, heads = np.divmod(self._codes, n)
+        if name == "_out":
+            self._out = rows = _rows(heads, np.bincount(tails, minlength=n))
+        else:
+            self._in = rows = _rows(np.sort(heads * n + tails) % n, np.bincount(heads, minlength=n))
+        return rows
 
     # -- queries ------------------------------------------------------------
 
@@ -119,7 +133,7 @@ class Digraph:
                    allow_loops: Optional[bool] = None) -> "Digraph":
         """New digraph with ``extra`` (pairs or codes) unioned in."""
         loops = self.allow_loops if allow_loops is None else allow_loops
-        return Digraph(self.n, np.union1d(self._codes, _encode(self.n, extra)), allow_loops=loops)
+        return Digraph(self.n, sorted_union(self._codes, _encode(self.n, extra)), allow_loops=loops)
 
     @classmethod
     def complete(cls, n: int, allow_loops: bool = False) -> "Digraph":
@@ -157,6 +171,21 @@ def _encode(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray
         u, v = uv[bad.argmax()].tolist()
         raise DomainError(f"edge ({u},{v}) out of range for n={n}")
     return np.sort(uv[:, 0] * n + uv[:, 1])
+
+
+def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted, duplicate-free union of two int64 arrays.
+
+    When both are sorted and duplicate-free, as edge-code arrays are, the
+    stable sort of their concatenation is a linear merge of two runs and a
+    code present in both lands twice in a row, so dropping adjacent repeats
+    finishes the job.  (``np.union1d`` runs numpy's general unique pass over
+    the concatenation instead, hash-based in numpy 2.x.)
+    """
+    merged = np.sort(np.concatenate([a, b]), kind="stable")
+    keep = np.ones(merged.size, dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    return merged[keep]
 
 
 def _rows(heads: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -456,24 +485,25 @@ def _first_positions(keys: np.ndarray, n: int, offset: int, absent: int) -> np.n
 def hitting_time(seq: EdgeSequence) -> int:
     """Least m such that prefix(m) has all in- and out-degrees >= 1.
 
-    The process is scanned in windows: each is what is already materialised
-    past the last one, at most ``_DRAW_BLOCK`` codes, and one more draw step
-    is taken only when nothing unscanned is left.  Per vertex the scan keeps
-    the first position where it appears as a source and as a target, and it
-    stops at the first window that covers every vertex.  So work is linear in
-    the scanned prefix, and a lazy process draws only the blocks the answer
-    needs.
+    The process is scanned in windows of what is already materialised past
+    the last one: the first at most n codes, each next one at most twice as
+    long, up to ``_DRAW_BLOCK``.  One more draw step is taken only when
+    nothing unscanned is left.  Per vertex the scan keeps the first position
+    where it appears as a source and as a target, and it stops at the first
+    window that covers every vertex.  So the scan stops at most
+    max(answer + n, ``_DRAW_BLOCK``) codes past the answer, at O(n) cost per
+    window, and a lazy process draws only the blocks the answer needs.
     """
     if seq._hitting is not None:
         return seq._hitting
     n, absent = seq.n, seq.universe_size
     first_out = np.full(n, absent, dtype=np.int64)
     first_in = first_out.copy()
-    start = 0
+    start, width = 0, min(n, _DRAW_BLOCK)
     while True:
         if start == seq.materialized:
             seq.ensure(start + 1)
-        u, v = np.divmod(seq._codes[start:start + _DRAW_BLOCK], n)
+        u, v = np.divmod(seq._codes[start:start + width], n)
         np.minimum(first_out, _first_positions(u, n, start, absent), out=first_out)
         np.minimum(first_in, _first_positions(v, n, start, absent), out=first_in)
         worst = int(max(first_out.max(), first_in.max()))
@@ -481,6 +511,7 @@ def hitting_time(seq: EdgeSequence) -> int:
             seq._hitting = worst + 1
             return worst + 1
         start += u.size
+        width = min(2 * width, _DRAW_BLOCK)
 
 
 def min_degrees(d: Digraph) -> tuple[int, int]:

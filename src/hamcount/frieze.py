@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .digraph import CoupledProcess, Digraph, hitting_time, loop_mask
+from .digraph import CoupledProcess, Digraph, hitting_time, loop_mask, sorted_union
 from .errors import DomainError, MergeFailureError, PreconditionError
 from .exact import OneFactor
 from .matching import hopcroft_karp
@@ -235,7 +235,8 @@ def _path_array(path: Sequence[int], n: int) -> np.ndarray:
         raise DomainError("empty path")
     if verts.min() < 0 or verts.max() >= n:
         raise DomainError("path vertex out of range")
-    if np.unique(verts).size != verts.size:
+    ranked = np.sort(verts)
+    if (ranked[1:] == ranked[:-1]).any():
         raise DomainError("path vertices must be distinct")
     return verts
 
@@ -306,6 +307,12 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
     ``_default_budget(n)`` rotations deep; edges in ``forbidden`` are never
     added.  Returns (cycle on exactly the path's vertex set, rotations used),
     or None if the budget is exhausted.
+
+    A queued path is only its parent and the rotation (i, j) that makes it;
+    its int64 vertex array is built when the path is expanded, and an
+    expanded path stays alive while its children are queued.  So the peak is
+    about 8n bytes per expanded path (for a path on n vertices), however
+    many paths are queued.
     """
     verts = _path_array(path, d.n)
     v0, ell = int(verts[0]), verts.size - 1
@@ -320,10 +327,11 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
     pos = np.full(d.n, -1, dtype=np.int64)
     index = np.arange(verts.size)
     seen_ends = {int(verts[-1])}
-    frontier = [verts]
+    frontier = [(verts, ell, ell + 1)]  # the identity rotation
     for depth in range(1, _default_budget(d.n) + 1):
-        nxt: list[np.ndarray] = []
-        for p in frontier:
+        nxt: list[tuple[np.ndarray, int, int]] = []
+        for parent, pi, pj in frontier:
+            p = _rotated(parent, pi, pj)
             pos[p] = index
             vl = int(p[-1])
             cands: list[tuple[int, int]] = []
@@ -346,7 +354,7 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
                 if closes(end):
                     return _rotated(p, i, j).tolist(), depth
                 seen_ends.add(end)
-                nxt.append(_rotated(p, i, j))
+                nxt.append((p, i, j))
         if not nxt:
             return None
         frontier = nxt
@@ -608,7 +616,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # Last-resort factor source: the whole loopless prefix at its hitting
     # time (degrees >= 1 by definition) plus the exposed loops.
     exposed = cp.loopful.codes(m_star_l)
-    full_eligible = np.union1d(target.codes, exposed[loop_mask(exposed, n)])
+    full_eligible = sorted_union(target.codes, exposed[loop_mask(exposed, n)])
     # At m* the star tier often has the early tier's edges; a tier equal to
     # the one before it would only repeat that tier's Hopcroft-Karp run.
     sources = (("early", early_eligible), ("star", eligible), ("full", full_eligible))
@@ -786,26 +794,37 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
 
 def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: frozenset,
                 seed: int) -> Optional[tuple[list[int], int]]:
-    """Unravel ``cyc`` into ``main`` via a connecting pool edge, then close."""
-    main_pos = {v: i for i, v in enumerate(main)}
-    cyc_pos = {v: i for i, v in enumerate(cyc)}
-    candidates: list[tuple[int, int]] = []
-    for a in cyc:
-        for b in rot_d.out_neighbors(a):
-            if b in main_pos and (a, b) not in forbidden:
-                candidates.append((a, b))
-    for a in main:
-        for b in rot_d.out_neighbors(a):
-            if b in cyc_pos and (a, b) not in forbidden:
-                candidates.append((a, b))
-    if not candidates:
+    """Unravel ``cyc`` into ``main`` via a connecting pool edge, then close.
+
+    The candidates are the pool edges from ``cyc`` to ``main`` with tails in
+    ``cyc`` order, then those from ``main`` to ``cyc`` with tails in ``main``
+    order, heads ascending per tail; the shuffle that picks among them
+    depends on that order.
+    """
+    n = rot_d.n
+    # side[v]: 0 on cyc, 1 on main, -1 elsewhere; pos[v]: v's index on its cycle.
+    side = np.full(n, -1, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
+    for label, cycle in enumerate((cyc, main)):
+        verts = np.asarray(cycle, dtype=np.int64)
+        side[verts] = label
+        pos[verts] = np.arange(verts.size)
+    tails, heads = np.divmod(rot_d.codes, n)
+    cross = side[heads] == 1 - side[tails]  # never true off the two cycles
+    candidates, tails = rot_d.codes[cross], tails[cross]
+    # The codes are sorted by (tail, head), so a stable sort by tail rank
+    # keeps each tail's heads ascending.
+    candidates = candidates[np.argsort(side[tails] * n + pos[tails], kind="stable")]
+    if forbidden:
+        candidates = candidates[~np.isin(candidates, [u * n + v for u, v in forbidden])]
+    if not candidates.size:
         return None
+    # Shuffling an array draws exactly what shuffling a list of the same length draws.
     make_generator(seed).shuffle(candidates)
-    for k, (a, b) in enumerate(candidates[:MERGE_RETRY_CAP]):
-        if a in cyc_pos:
-            ca, cb, apos, bpos = cyc, main, cyc_pos[a], main_pos[b]
-        else:
-            ca, cb, apos, bpos = main, cyc, main_pos[a], cyc_pos[b]
+    for k, code in enumerate(candidates[:MERGE_RETRY_CAP].tolist()):
+        a, b = divmod(code, n)
+        ca, cb = (cyc, main) if side[a] == 0 else (main, cyc)
+        apos, bpos = int(pos[a]), int(pos[b])
         path = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
         got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
         if got is not None:

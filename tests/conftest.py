@@ -1,10 +1,15 @@
 import itertools
+from collections import Counter
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from hamcount.digraph import Digraph
 from hamcount.exact import _subset_sums
+from hamcount.frieze import (MERGE_RETRY_CAP, _default_budget, _path_array, _rotated,
+                             close_path)
+from hamcount.rng import derive_seed, make_generator
 
 
 def brute_force_hamilton_count(d: Digraph) -> int:
@@ -70,6 +75,88 @@ def reference_permanent_residue(a: np.ndarray, p: int) -> int:
             prod %= p
         total += int(high_sign[block] @ (prod @ low_sign))
     return (-total if n % 2 else total) % p
+
+
+def eager_close_path(path, d: Digraph, forbidden: frozenset, rng: np.random.Generator,
+                     counts: Optional[Counter] = None):
+    """Reference for ``frieze.close_path``: the same breadth-first rotation
+    search, building every queued child's vertex array when it is queued.
+    ``counts`` receives the paths expanded and the arrays built."""
+    counts = Counter() if counts is None else counts
+    verts = _path_array(path, d.n)
+    v0, ell = int(verts[0]), verts.size - 1
+
+    def closes(end: int) -> bool:
+        return d.has_edge(end, v0) and (end, v0) not in forbidden
+
+    if closes(int(verts[-1])):
+        return verts.tolist(), 0
+    pos = np.full(d.n, -1, dtype=np.int64)
+    index = np.arange(verts.size)
+    seen_ends = {int(verts[-1])}
+    frontier = [verts]
+    for depth in range(1, _default_budget(d.n) + 1):
+        nxt: list[np.ndarray] = []
+        for p in frontier:
+            counts["expanded"] += 1
+            pos[p] = index
+            vl = int(p[-1])
+            cands: list[tuple[int, int]] = []
+            for u in d.out_neighbors(vl):
+                pu = int(pos[u])
+                if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
+                    continue
+                i = pu - 1
+                vi = int(p[i])
+                for w in d.out_neighbors(vi):
+                    j = int(pos[w])
+                    if j >= i + 2 and (vi, w) not in forbidden:
+                        cands.append((i, j))
+            if len(cands) > 1:
+                rng.shuffle(cands)
+            for i, j in cands:
+                end = int(p[j - 1])
+                if end in seen_ends:
+                    continue
+                counts["built"] += 1
+                if closes(end):
+                    return _rotated(p, i, j).tolist(), depth
+                seen_ends.add(end)
+                nxt.append(_rotated(p, i, j))
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
+def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: frozenset, seed: int):
+    """Reference for ``frieze._merge_into``: candidates listed by a Python
+    loop over each cycle's out-neighbour rows, with dict positions."""
+    main_pos = {v: i for i, v in enumerate(main)}
+    cyc_pos = {v: i for i, v in enumerate(cyc)}
+    candidates: list[tuple[int, int]] = []
+    for a in cyc:
+        for b in rot_d.out_neighbors(a):
+            if b in main_pos and (a, b) not in forbidden:
+                candidates.append((a, b))
+    for a in main:
+        for b in rot_d.out_neighbors(a):
+            if b in cyc_pos and (a, b) not in forbidden:
+                candidates.append((a, b))
+    if not candidates:
+        return None
+    make_generator(seed).shuffle(candidates)
+    for k, (a, b) in enumerate(candidates[:MERGE_RETRY_CAP]):
+        if a in cyc_pos:
+            ca, cb, apos, bpos = cyc, main, cyc_pos[a], main_pos[b]
+        else:
+            ca, cb, apos, bpos = main, cyc, main_pos[a], cyc_pos[b]
+        path = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
+        got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
+        if got is not None:
+            cycle, used = got
+            return cycle, k * _default_budget(rot_d.n) + used + 1
+    return None
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float, allow_loops: bool) -> Digraph:

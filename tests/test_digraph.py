@@ -23,9 +23,11 @@ from hamcount.digraph import (
     loop_mask,
     min_degrees,
     read_edge_list,
+    sorted_union,
     write_edge_list,
 )
 from hamcount.errors import DomainError, FormatError
+from hamcount.exact import count_hamilton_cycles, count_one_factors
 
 
 def _sha256_codes(codes) -> str:
@@ -139,6 +141,84 @@ class TestEdgeForms:
         assert d.with_edges(extra) == want
         assert d.with_edges(_codes(n, extra)) == want
         assert d.with_edges(extra, allow_loops=True).allow_loops
+
+
+def _rows_cut(d: Digraph) -> tuple[bool, bool]:
+    """Whether the out- and in-rows are cut, read from their slots directly
+    so that the check itself cuts nothing."""
+    def cut(name: str) -> bool:
+        try:
+            Digraph.__dict__[name].__get__(d, Digraph)
+        except AttributeError:
+            return False
+        return True
+    return cut("_out"), cut("_in")
+
+
+# first query -> (out-rows cut, in-rows cut) after it
+_FIRST_QUERIES = {
+    "has_edge": (lambda d: d.has_edge(0, d.n - 1), (True, False)),
+    "out_neighbors": (lambda d: d.out_neighbors(d.n - 1), (True, False)),
+    "out_degree": (lambda d: d.out_degree(0), (True, False)),
+    "in_neighbors": (lambda d: d.in_neighbors(0), (False, True)),
+    "in_degree": (lambda d: d.in_degree(d.n - 1), (False, True)),
+    "audit": (lambda d: d.audit(), (True, True)),
+}
+
+
+class TestLazyRows:
+    """The neighbour rows are cut on first query, to what an eager cut gives."""
+
+    def test_builds_leave_rows_uncut(self):
+        built = [
+            Digraph(5, [(0, 1), (1, 2), (4, 0)]),
+            Digraph(5, np.array([7, 1, 13], dtype=np.int64)),
+            Digraph.complete(6, allow_loops=True),
+            Digraph(5, [(0, 1)]).with_edges([(1, 0), (0, 1)]),
+            gen_process(9, "loopful", 3).prefix(40),
+            gen_process(3000, "loopless", 1).prefix(5000),
+            gen_binomial(8, 0.5, False, 1),
+            gen_binomial(3000, 1e-5, False, 5),
+        ]
+        counted = gen_binomial(9, 0.6, False, 2)
+        assert count_hamilton_cycles(counted) > 0 and count_one_factors(counted) > 0
+        for d in built + [counted]:
+            assert _rows_cut(d) == (False, False)
+
+    @given(_edge_lists(), st.sampled_from(sorted(_FIRST_QUERIES)))
+    @settings(max_examples=150, deadline=None)
+    def test_first_query_cuts_the_eager_rows(self, case, query):
+        n, loops, edges = case
+        d = Digraph(n, _codes(n, edges), allow_loops=loops)
+        ask, cut_after = _FIRST_QUERIES[query]
+        ask(d)
+        assert _rows_cut(d) == cut_after
+        for v in range(n):
+            assert d.out_neighbors(v) == tuple(sorted(w for u, w in edges if u == v))
+            assert d.in_neighbors(v) == tuple(sorted(u for u, w in edges if w == v))
+        assert _rows_cut(d) == (True, True)
+        assert d.audit()
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            Digraph(3, [(0, 1)]).no_such_attribute
+
+
+class TestSortedUnion:
+    _codes = st.lists(st.integers(-2**40, 2**40), unique=True, max_size=60)
+
+    @given(_codes, _codes, st.lists(st.booleans(), max_size=60))
+    @example([], [], [])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_union1d(self, a, own, share):
+        # b holds its own codes and the codes of a picked by share
+        shared = [x for x, pick in zip(a, share) if pick]
+        a = np.array(sorted(a), dtype=np.int64)
+        b = np.array(sorted(set(shared) | set(own)), dtype=np.int64)
+        for x, y in ((a, b), (b, a), (a, a[:0]), (a[:0], b)):
+            got = sorted_union(x, y)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.union1d(x, y))
 
 
 class TestGenBinomial:
@@ -422,6 +502,12 @@ class TestHittingTime:
         codes = seq.codes(m)
         return covered(codes) and not covered(codes[:-1])
 
+    # (loopful, loopless) codes materialised once both hitting times are
+    # known, recorded when every scan window was a full block; smaller
+    # windows must draw exactly the same blocks
+    MATERIALIZED = {0: (130985, 130970), 1: (130996, 130985), 2: (130975, 130966),
+                    3: (130999, 130990), 4: (131006, 130994)}
+
     @pytest.mark.parametrize("loopless_first", [True, False])
     def test_coupled_pins_and_draws(self, loopless_first):
         for seed, (want_less, want_ful) in self.PINNED.items():
@@ -434,8 +520,27 @@ class TestHittingTime:
             assert 92_000 <= min(m_less, m_ful) and max(m_less, m_ful) <= 107_000
             # two blocks of about 65.5k distinct codes cover m* in either order
             assert cp.loopful.materialized <= 2 * _DRAW_BLOCK
+            assert (cp.loopful.materialized, cp.loopless.materialized) == self.MATERIALIZED[seed]
             assert self.least_covering_prefix(cp.loopless, m_less)
             assert self.least_covering_prefix(cp.loopful, m_ful)
+
+    @staticmethod
+    def oracle(pairs, n):
+        """Least m whose first m pairs give every vertex an out- and an in-edge."""
+        outs, ins = set(), set()
+        for m, (u, v) in enumerate(pairs, start=1):
+            outs.add(u)
+            ins.add(v)
+            if len(outs) == len(ins) == n:
+                return m
+        raise AssertionError("the full universe covers every vertex")
+
+    @given(st.integers(2, 300), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_python_oracle_on_shuffled_processes(self, n, loopful, seed):
+        seq = gen_process(n, "loopful" if loopful else "loopless", seed)
+        assert seq.materialized == seq.universe_size  # fully shuffled up front
+        assert hitting_time(seq) == self.oracle(seq.full_order(), n)
 
     def test_independent_of_materialisation(self):
         for seed, (want_less, want_ful) in list(self.PINNED.items())[:2]:

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcount.digraph import Digraph, couple, gen_process, hitting_time
+from hamcount import frieze
+from hamcount.digraph import Digraph, couple, gen_binomial, gen_process, hitting_time
 from hamcount.errors import DomainError, MergeFailureError, PreconditionError
 from hamcount.exact import OneFactor
 from hamcount.rng import make_generator
 from hamcount.frieze import (
     VirtualEdgeSet,
     _early_edges,
+    _merge_into,
     build_star_digraph,
     close_path,
     compress,
@@ -27,7 +29,8 @@ from hamcount.frieze import (
     rotate,
 )
 
-from conftest import brute_force_factor_count, random_digraph
+from conftest import (brute_force_factor_count, eager_close_path, random_digraph,
+                      reference_merge_into)
 
 
 class TestConstants:
@@ -365,6 +368,87 @@ class TestClosePath:
             got = close_path(verts, d, frozenset(), make_generator(seed))
             if got is not None:
                 assert sorted(got[0]) == sorted(verts)
+
+
+@st.composite
+def _rotation_cases(draw):
+    """(digraph, path, forbidden, seed): a sparse digraph on 20-300 vertices
+    with mean out-degree c ln n, a path on a random subset of at least three
+    vertices, and either no forbidden pairs or about a tenth of the edges."""
+    n = draw(st.integers(20, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    c = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    d = gen_binomial(n, c * math.log(n) / n, False, seed)
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(n)[: draw(st.integers(3, n))].tolist()
+    forbidden = frozenset()
+    if draw(st.booleans()):
+        u, v = np.divmod(d.codes[rng.random(d.edge_count) < 0.1], n)
+        forbidden = frozenset(zip(u.tolist(), v.tolist()))
+    return d, path, forbidden, seed
+
+
+class TestLazyRotations:
+    """close_path builds a rotated path only when it expands or returns it."""
+
+    @given(_rotation_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_eager_search(self, case):
+        d, path, forbidden, seed = case
+        lazy_rng, eager_rng = make_generator(seed), make_generator(seed)
+        assert close_path(path, d, forbidden, lazy_rng) == eager_close_path(path, d, forbidden, eager_rng)
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+
+    def test_one_array_per_expanded_path(self, monkeypatch):
+        calls = Counter()
+        real = frieze._rotated
+
+        def spy(verts, i, j):
+            calls["rotated"] += 1
+            return real(verts, i, j)
+
+        monkeypatch.setattr(frieze, "_rotated", spy)
+        eager_surplus = 0
+        for n in (60, 150, 300):
+            for seed in range(6):
+                d = gen_binomial(n, 1.5 * math.log(n) / n, False, seed)
+                path = np.random.default_rng(seed).permutation(n).tolist()
+                counts = Counter()
+                want = eager_close_path(path, d, frozenset(), make_generator(seed), counts)
+                calls.clear()
+                assert close_path(path, d, frozenset(), make_generator(seed)) == want
+                assert calls["rotated"] <= counts["expanded"] + 1
+                eager_surplus = max(eager_surplus, counts["built"] - counts["expanded"] - 1)
+        # the eager search builds more arrays than this bound allows, so a
+        # close_path that built its children when queuing them would fail here
+        assert eager_surplus > 0
+
+
+@st.composite
+def _merge_cases(draw):
+    """(main, cyc, digraph, forbidden, seed): two disjoint vertex sequences of
+    a random order of 20-300 vertices, which may leave vertices on neither."""
+    n = draw(st.integers(20, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = gen_binomial(n, draw(st.sampled_from([1.0, 2.0, 4.0])) * math.log(n) / n, False, seed)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n).tolist()
+    a = draw(st.integers(2, n - 2))
+    b = draw(st.integers(a + 1, n))
+    forbidden = frozenset()
+    if draw(st.booleans()):
+        u, v = np.divmod(d.codes[rng.random(d.edge_count) < 0.2], n)
+        forbidden = frozenset(zip(u.tolist(), v.tolist()))
+    return order[:a], order[a:b], d, forbidden, seed
+
+
+class TestMergeInto:
+    @given(_merge_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dict_candidates(self, case):
+        main, cyc, d, forbidden, seed = case
+        assert _merge_into(main, cyc, d, forbidden, seed) == reference_merge_into(
+            main, cyc, d, forbidden, seed)
 
 
 class TestVirtualEdgeSet:
