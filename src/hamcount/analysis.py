@@ -479,15 +479,22 @@ def permutation_cycle_stats(n: int, trials: int, seed: int = 0) -> PermutationSt
 
 
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """Number of cycles per row: count vertices that are their cycle's minimum."""
+    """Number of cycles per row: count vertices that are their cycle's minimum.
+
+    The pointer doubling runs one row at a time, so its working set of a few
+    n-element arrays stays in cache; over a whole batch it would not.
+    """
     b, n = perms.shape
-    power = perms
-    mins = np.minimum(np.tile(np.arange(n), (b, 1)), perms)
+    idx = np.arange(n)
     steps = max(1, math.ceil(math.log2(max(n, 2))))
-    for _ in range(steps):
-        mins = np.minimum(mins, np.take_along_axis(mins, power, axis=1))
-        power = np.take_along_axis(power, power, axis=1)
-    return (mins == np.arange(n)).sum(axis=1)
+    counts = np.empty(b, dtype=np.int64)
+    for r, power in enumerate(perms):
+        mins = np.minimum(idx, power)
+        for _ in range(steps):
+            mins = np.minimum(mins, mins[power])
+            power = power[power]
+        counts[r] = np.count_nonzero(mins == idx)
+    return counts
 
 
 def fixed_point_reference(n: int, k_max: Optional[int] = None) -> list[Fraction]:

@@ -28,6 +28,9 @@ from .rng import make_generator
 # that hitting-time runs at n = 10^4 never touch all ~10^8 pairs.
 _FULL_SHUFFLE_MAX = 1 << 22
 _DRAW_BLOCK = 1 << 16
+# Most codes the small level of the lazy-draw mirror holds before it is folded
+# into the large one (see _fresh_in_order).
+_DELTA_MAX = 1 << 18
 
 
 class Digraph:
@@ -75,6 +78,11 @@ class Digraph:
         else:
             self._in = rows = _rows(np.sort(heads * n + tails) % n, np.bincount(heads, minlength=n))
         return rows
+
+    def __reduce__(self):
+        # Pickles and copies carry the codes alone.  The default state reads
+        # every slot through getattr, which would cut both rows on the way.
+        return type(self), (self.n, self._codes, self.allow_loops)
 
     # -- queries ------------------------------------------------------------
 
@@ -182,10 +190,11 @@ def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     finishes the job.  (``np.union1d`` runs numpy's general unique pass over
     the concatenation instead, hash-based in numpy 2.x.)
     """
-    merged = np.sort(np.concatenate([a, b]), kind="stable")
+    merged = np.concatenate([a, b])
+    merged.sort(kind="stable")
     keep = np.ones(merged.size, dtype=bool)
     keep[1:] = merged[1:] != merged[:-1]
-    return merged[keep]
+    return merged if keep.all() else merged[keep]
 
 
 def _rows(heads: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -218,17 +227,24 @@ def _loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def _fresh_in_order(block: np.ndarray, seen_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of ``block`` absent from ``seen_sorted``, and the merged mirror.
+def _fresh_in_order(block: np.ndarray, base: np.ndarray,
+                    delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of ``block`` absent from the mirror ``base`` + ``delta``, and the
+    updated mirror ``(base, delta)``.
 
-    The first array keeps each new code once, in order of first appearance in
-    the block; the second is ``seen_sorted`` with those codes merged in, still
-    sorted.  Cost: one stable sort of the block, one binary search of the
-    block's distinct codes against the mirror, and a linear merge, so
-    O(B log B + B log S + S) for a block of B codes and a mirror of S.  (One
-    stable sort of the mirror and the distinct codes together is also a
-    single merge, and about twice as fast while S is near B, but it makes
-    more passes over S and was slower for a 3*10^6-code prefix.)
+    The mirror holds every code seen so far in two sorted, disjoint,
+    duplicate-free int64 arrays: a large ``base`` that the block is searched
+    against and a small ``delta`` that it is merged into (the two levels of a
+    log-structured merge tree).  The first array returned keeps each new code
+    once, in order of first appearance in the block.  The new codes join
+    ``delta``; once it holds more than ``_DELTA_MAX`` codes it is folded into
+    ``base``.  Per block of B codes: one sort of the block, one binary search
+    of its distinct codes in ``base`` (skipped while ``base`` is empty) and
+    one linear merge into ``delta``, so O(B log B + B log S_base + _DELTA_MAX),
+    plus a linear fold of all S codes once per ``_DELTA_MAX`` new codes,
+    O(S B / _DELTA_MAX) amortised.  Peak memory past the inputs: about 4B
+    int64 for the block sort, ``delta`` + B for the merge, and S int64 plus S
+    bools for a fold.
     """
     index_bits = max(1, (block.size - 1).bit_length())
     if block.size and int(block.max()) < 1 << (63 - index_bits):
@@ -241,21 +257,31 @@ def _fresh_in_order(block: np.ndarray, seen_sorted: np.ndarray) -> tuple[np.ndar
         ranked = block[order]
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]  # stable: a run starts at its earliest index
-    distinct, where = ranked[first], order[first]
-    slot = np.searchsorted(seen_sorted, distinct)
-    hit = slot < seen_sorted.size
-    hit[hit] = seen_sorted[slot[hit]] == distinct[hit]
-    new = ~hit
+    rest, where = ranked[first], order[first]
+    if base.size:
+        # A slot past the end holds a code above base[-1], so base[-1] serves
+        # there: one gather, no masked indexing.
+        slot = np.searchsorted(base, rest)
+        np.minimum(slot, base.size - 1, out=slot)
+        miss = base[slot] != rest
+        rest, where = rest[miss], where[miss]
+    # A stable sort of two sorted runs is one linear merge; a code already in
+    # delta lands twice in a row, its copy from rest second.
+    merged = np.concatenate([delta, rest])
+    merged.sort(kind="stable")
+    again = merged[1:] == merged[:-1]
+    if again.any():
+        # The repeats are the codes of rest already in delta; one search of
+        # them in rest marks them.
+        new = np.ones(rest.size, dtype=bool)
+        new[np.searchsorted(rest, merged[1:][again])] = False
+        where = where[new]
+        merged = merged[np.concatenate([[True], ~again])]
     keep = np.zeros(block.size, dtype=bool)
-    keep[where[new]] = True
-    # Each new code lands at its search slot shifted by the new codes before it.
-    merged = np.empty(seen_sorted.size + int(new.sum()), dtype=np.int64)
-    dest = slot[new] + np.arange(merged.size - seen_sorted.size)
-    old = np.ones(merged.size, dtype=bool)
-    old[dest] = False
-    merged[dest] = distinct[new]
-    merged[old] = seen_sorted
-    return block[keep], merged
+    keep[where] = True
+    if merged.size > _DELTA_MAX:
+        base, merged = sorted_union(base, merged), np.empty(0, dtype=np.int64)
+    return block[keep], base, merged
 
 
 def _random_block(rng: np.random.Generator, n: int, loopful: bool) -> np.ndarray:
@@ -277,6 +303,14 @@ class EdgeSequence:
     requests; a loop-deleted shadow takes its parent's already drawn codes
     first and asks for one more block only when none are left.  Materialisation is internally locked, so
     a constructed sequence may be shared across threads.
+
+    Lazy draws deduplicate against a two-level mirror of the S codes drawn so
+    far (see ``_fresh_in_order``): ``_base`` and ``_delta`` are sorted,
+    disjoint and duplicate-free, their union is the set of ``_codes``, and
+    ``_delta`` holds at most ``_DELTA_MAX`` codes.  The mirror costs 8 bytes
+    per code beside the codes' own 8, and a draw step peaks at about three
+    int64 copies of S (the codes, the mirror, and either a folded base or
+    the grown code array).  The mirror is freed once the tail is shuffled in.
     """
 
     def __init__(self, n: int, loopful: bool, *, _codes: Optional[np.ndarray] = None,
@@ -288,8 +322,9 @@ class EdgeSequence:
         self.loopful = bool(loopful)
         self.universe_size = n * n if loopful else n * (n - 1)
         self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
-        # Sorted mirror of _codes for the dedup in _draw_block, built on demand.
-        self._sorted = np.empty(0, dtype=np.int64)
+        # Two-level sorted mirror of _codes for the dedup in _draw_block
+        # (invariants above), built on demand.
+        self._base = self._delta = np.empty(0, dtype=np.int64)
         self._rng = _rng
         self._parent = _parent
         self._parent_scanned = 0
@@ -346,9 +381,10 @@ class EdgeSequence:
 
     def _draw_block(self) -> None:
         assert self._rng is not None
-        if self._sorted.size != self._codes.size:
-            self._sorted = np.sort(self._codes)
-        fresh, self._sorted = _fresh_in_order(_random_block(self._rng, self.n, self.loopful), self._sorted)
+        if self._base.size + self._delta.size != self._codes.size:
+            self._base, self._delta = np.sort(self._codes), np.empty(0, dtype=np.int64)
+        fresh, self._base, self._delta = _fresh_in_order(
+            _random_block(self._rng, self.n, self.loopful), self._base, self._delta)
         self._codes = np.concatenate([self._codes, fresh])
 
     def _finish_with_shuffle(self) -> None:
@@ -363,7 +399,7 @@ class EdgeSequence:
         # result is the sorted leftovers without numpy's costly unique pass.
         rest = np.setdiff1d(all_codes, have, assume_unique=True)
         self._codes = np.concatenate([have, self._rng.permutation(rest)])
-        self._sorted = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
+        self._base = self._delta = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
     def _extend_from_parent(self) -> None:
         # One step takes at most a block of the parent's unscanned codes; the

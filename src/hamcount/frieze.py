@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .digraph import CoupledProcess, Digraph, hitting_time, loop_mask, sorted_union
+from .digraph import CoupledProcess, Digraph, _rows, hitting_time, loop_mask, sorted_union
 from .errors import DomainError, MergeFailureError, PreconditionError
 from .exact import OneFactor
 from .matching import hopcroft_karp
@@ -127,6 +127,17 @@ def find_one_factor(d: Digraph, seed: int = 0) -> Optional[OneFactor]:
     if size < d.n:
         return None
     return OneFactor(match_left)
+
+
+def _relabeled_out_rows(d: Digraph, sigma: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Out-rows of ``d`` with every head v renamed sigma[v], each row sorted.
+
+    One sort of the codes tail*n + sigma[head] orders every row at once, so
+    ``d``'s own rows are never cut.
+    """
+    n = d.n
+    tails, heads = np.divmod(d.codes, n)
+    return _rows(np.sort(tails * n + sigma[heads]) % n, np.bincount(tails, minlength=n))
 
 
 def is_good_factor(f: OneFactor, c: Constants) -> bool:
@@ -635,8 +646,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
         # The matcher is positional, so the relabeled lists must be
         # re-sorted: that is what makes a fresh sigma reach a genuinely
         # different factor rather than replaying the same execution.
-        relabeled = [sorted(int(sigma[w]) for w in tier.out_neighbors(u)) for u in range(n)]
-        size, match_left, _ = hopcroft_karp(n, n, relabeled)
+        size, match_left, _ = hopcroft_karp(n, n, _relabeled_out_rows(tier, sigma))
         if size < n:
             return None
         return OneFactor(np.argsort(sigma)[match_left].tolist())  # undo the relabeling

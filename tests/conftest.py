@@ -159,6 +159,54 @@ def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: froze
     return None
 
 
+def reference_fresh_in_order(block: np.ndarray, seen_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``digraph._fresh_in_order``: one sorted mirror of every
+    code seen, binary-searched and rebuilt by a masked merge for each block.
+    Returns the block's unseen codes in order of first appearance and the
+    merged mirror."""
+    index_bits = max(1, (block.size - 1).bit_length())
+    if block.size and int(block.max()) < 1 << (63 - index_bits):
+        packed = np.sort((block << index_bits) | np.arange(block.size))
+        ranked, order = packed >> index_bits, packed & ((1 << index_bits) - 1)
+    else:
+        order = np.argsort(block, kind="stable")
+        ranked = block[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    distinct, where = ranked[first], order[first]
+    slot = np.searchsorted(seen_sorted, distinct)
+    hit = slot < seen_sorted.size
+    hit[hit] = seen_sorted[slot[hit]] == distinct[hit]
+    new = ~hit
+    keep = np.zeros(block.size, dtype=bool)
+    keep[where[new]] = True
+    # Each new code lands at its search slot shifted by the new codes before it.
+    merged = np.empty(seen_sorted.size + int(new.sum()), dtype=np.int64)
+    dest = slot[new] + np.arange(merged.size - seen_sorted.size)
+    old = np.ones(merged.size, dtype=bool)
+    old[dest] = False
+    merged[dest] = distinct[new]
+    merged[old] = seen_sorted
+    return block[keep], merged
+
+
+class ReferenceDraws:
+    """Reference for ``EdgeSequence``'s lazy-draw bookkeeping: the drawn codes
+    and a single sorted mirror of them, rebuilt when its size disagrees."""
+
+    def __init__(self):
+        self.codes = np.empty(0, dtype=np.int64)
+        self.sorted = np.empty(0, dtype=np.int64)
+
+    def draw(self, block: np.ndarray) -> np.ndarray:
+        """Append the unseen codes of ``block`` and return them."""
+        if self.sorted.size != self.codes.size:
+            self.sorted = np.sort(self.codes)
+        fresh, self.sorted = reference_fresh_in_order(block, self.sorted)
+        self.codes = np.concatenate([self.codes, fresh])
+        return fresh
+
+
 def random_digraph(rng: np.random.Generator, n: int, p: float, allow_loops: bool) -> Digraph:
     edges = [
         (u, v)

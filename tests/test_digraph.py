@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import io
 import math
+import pickle
 import sys
 import threading
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hamcount import digraph
 from hamcount.digraph import (
+    _DELTA_MAX,
     _DRAW_BLOCK,
     _FULL_SHUFFLE_MAX,
     CoupledProcess,
@@ -28,6 +32,8 @@ from hamcount.digraph import (
 )
 from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
+
+from conftest import ReferenceDraws
 
 
 def _sha256_codes(codes) -> str:
@@ -199,6 +205,21 @@ class TestLazyRows:
         assert _rows_cut(d) == (True, True)
         assert d.audit()
 
+    @pytest.mark.parametrize("clone", [
+        lambda d: pickle.loads(pickle.dumps(d)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_carry_codes_alone(self, clone):
+        d = gen_process(40, "loopless", 2).prefix(300)
+        twin = clone(d)
+        assert _rows_cut(d) == _rows_cut(twin) == (False, False)
+        assert twin == d and twin is not d and not twin.codes.flags.writeable
+        for v in range(d.n):
+            assert twin.out_neighbors(v) == d.out_neighbors(v)
+            assert twin.in_neighbors(v) == d.in_neighbors(v)
+        assert _rows_cut(d) == (True, True) and _rows_cut(clone(d)) == (False, False)
+
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             Digraph(3, [(0, 1)]).no_such_attribute
@@ -321,6 +342,16 @@ class TestFreshInOrder:
         fresh = list(dict.fromkeys(c for c in block if c not in seen_set))
         return fresh, sorted(seen_set | set(fresh))
 
+    @staticmethod
+    def both_levels(block, seen):
+        """(fresh, merged mirror) with the seen codes held in base, then in
+        delta."""
+        block, seen = np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64)
+        for base, delta in ((seen, seen[:0]), (seen[:0], seen)):
+            fresh, base, delta = _fresh_in_order(block, base, delta)
+            assert base.dtype == delta.dtype == np.int64
+            yield fresh, np.sort(np.concatenate([base, delta]))
+
     @pytest.mark.parametrize("block, seen", [
         ([5, 3, 5, 9, 3, 1, 9, 9], []),            # in-block repeats, empty mirror
         ([4, 2, 4, 2], [2, 4, 7]),                 # fully seen block
@@ -330,11 +361,11 @@ class TestFreshInOrder:
         ([2**62, 5, 2**62, 7, 5], [7, 2**61]),      # too wide to pack: stable argsort
     ])
     def test_cases(self, block, seen):
-        fresh, merged = _fresh_in_order(np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64))
-        want_fresh, want_merged = self.reference(block, seen)
-        assert fresh.tolist() == want_fresh
-        assert merged.tolist() == want_merged
-        assert fresh.dtype == merged.dtype == np.int64
+        for fresh, merged in self.both_levels(block, seen):
+            want_fresh, want_merged = self.reference(block, seen)
+            assert fresh.tolist() == want_fresh
+            assert merged.tolist() == want_merged
+            assert fresh.dtype == merged.dtype == np.int64
 
     @given(st.lists(st.integers(0, 40), max_size=60), st.sets(st.integers(0, 40)),
            st.sampled_from([0, 2**61]))
@@ -347,10 +378,43 @@ class TestFreshInOrder:
     def test_matches_set_reference(self, block, seen, offset):
         block = [offset + c for c in block]
         seen = sorted(offset + c for c in seen)
-        fresh, merged = _fresh_in_order(np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64))
-        want_fresh, want_merged = self.reference(block, seen)
-        assert fresh.tolist() == want_fresh
-        assert merged.tolist() == want_merged
+        for fresh, merged in self.both_levels(block, seen):
+            want_fresh, want_merged = self.reference(block, seen)
+            assert fresh.tolist() == want_fresh
+            assert merged.tolist() == want_merged
+
+
+def _strictly_increasing(a: np.ndarray) -> bool:
+    return bool((a[1:] > a[:-1]).all())
+
+
+class TestTwoLevelMirror:
+    """EdgeSequence's base/delta mirror against the single sorted mirror."""
+
+    @given(st.lists(st.lists(st.integers(0, 300), max_size=80), min_size=1, max_size=12),
+           st.sampled_from([0, 2**61]), st.integers(8, 64))
+    @example(blocks=[list(range(0, 50)), list(range(40, 100)) * 2, [7, 99, 300, 7], []],
+             offset=0, delta_max=8)                          # folds, repeats in delta and in base
+    @example(blocks=[[5] * 9, list(range(30)), [29, 0, 31]], offset=2**61, delta_max=8)  # wide
+    @settings(max_examples=150, deadline=None)
+    def test_matches_single_mirror(self, blocks, offset, delta_max):
+        blocks = [np.array(b, dtype=np.int64) + offset for b in blocks]
+        supply = iter(blocks)
+        seq = EdgeSequence(1 << 31, True, _rng=np.random.default_rng(0))
+        oracle = ReferenceDraws()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_DELTA_MAX", delta_max)
+            mp.setattr(digraph, "_random_block", lambda rng, n, loopful: next(supply))
+            for block in blocks:
+                before = seq.materialized
+                seq._draw_block()
+                assert seq._codes[before:].tolist() == oracle.draw(block).tolist()
+                assert seq.materialized == oracle.codes.size
+                base, delta = seq._base, seq._delta
+                assert delta.size <= delta_max
+                assert _strictly_increasing(base) and _strictly_increasing(delta)
+                assert np.intersect1d(base, delta).size == 0
+                assert sorted_union(base, delta).tolist() == np.sort(oracle.codes).tolist()
 
 
 # sha256 of codes(300_000) of the loopful process at n = 10^4 and of its
@@ -377,6 +441,15 @@ class TestStreamPins:
             assert _sha256_codes(gen_process(10_000, "loopful", seed).codes(300_000)) == loopful
             cp = couple(gen_process(10_000, "loopful", seed))
             assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
+
+    def test_loopful_prefix_across_folds(self):
+        # recorded with the single sorted mirror; 2*10^6 codes at n = 2049
+        # fold delta into base several times
+        assert 2049 ** 2 > _FULL_SHUFFLE_MAX and 2_000_000 > 4 * _DELTA_MAX
+        seq = gen_process(2049, "loopful", 3)
+        assert (_sha256_codes(seq.codes(2_000_000))
+                == "714ea0cc0e772a54a758452e43a9d563e16a7bb175d5b1d3425fbc911c464a8c")
+        assert seq._base.size > 3 * _DELTA_MAX
 
     def test_loopless_lazy(self):
         assert 3000 * 2999 > _FULL_SHUFFLE_MAX

@@ -16,6 +16,7 @@ from hamcount.frieze import (
     VirtualEdgeSet,
     _early_edges,
     _merge_into,
+    _relabeled_out_rows,
     build_star_digraph,
     close_path,
     compress,
@@ -170,6 +171,23 @@ class TestFindOneFactor:
     def test_deterministic_per_seed(self):
         d = Digraph.complete(9, allow_loops=True)
         assert find_one_factor(d, seed=5) == find_one_factor(d, seed=5)
+
+
+class TestRelabeledOutRows:
+    """The rows ``find_hamilton`` hands to Hopcroft-Karp for a relabeling."""
+
+    @given(st.integers(1, 12), st.booleans(), st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorted_oracle(self, n, loops, data, identity):
+        pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        d = Digraph(n, edges, allow_loops=loops)
+        sigma = (np.arange(n) if identity
+                 else np.array(data.draw(st.permutations(range(n))), dtype=np.int64))
+        want = [sorted(int(sigma[w]) for w in d.out_neighbors(u)) for u in range(n)]
+        got = _relabeled_out_rows(Digraph(n, d.codes, allow_loops=loops), sigma)
+        assert [list(row) for row in got] == want
+        assert all(type(w) is int for row in got for w in row)
 
 
 class TestGoodFactor:
