@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -101,15 +103,18 @@ def exact_binomial_two_sided(n: int, p, eps) -> Fraction:
 
 
 def _pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:
-    if p == 0:
-        return Fraction(sum(1 for k in ks if k == 0))
-    if p == 1:
-        return Fraction(sum(1 for k in ks if k == n))
-    q = 1 - p
-    total = Fraction(0)
-    for k in ks:
-        total += math.comb(n, k) * p ** k * q ** (n - k)
-    return total
+    """Sum of Pr(X = k) over ``ks`` (each in [0, n]) for X ~ Bin(n, p).
+
+    With p = a/b in lowest terms every term is C(n, k) a^k (b - a)^(n - k)
+    over the common denominator b^n, so the sum is one integer sum and one
+    ``Fraction`` reduction, instead of a gcd on every partial sum.  The
+    powers come from running products; p = 0 and p = 1 need no branch,
+    since 0^0 = 1.
+    """
+    a, b = p.numerator, p.denominator
+    up = list(accumulate(repeat(a, n), mul, initial=1))
+    down = list(accumulate(repeat(b - a, n), mul, initial=1))
+    return Fraction(sum(math.comb(n, k) * up[k] * down[n - k] for k in ks), b ** n)
 
 
 # -- permanent lower bounds ------------------------------------------------------

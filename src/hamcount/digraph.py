@@ -21,11 +21,12 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .rng import make_generator
+from .rng import make_generator, permutation_prefix
 
-# Universes at most this size are materialised with one Fisher-Yates shuffle;
-# larger ones are sampled lazily without replacement in fixed-size blocks so
-# that hitting-time runs at n = 10^4 never touch all ~10^8 pairs.
+# Universes at most this size are materialised as prefixes of one seeded
+# Fisher-Yates shuffle (``permutation_prefix``); larger ones are sampled
+# lazily without replacement in fixed-size blocks so that hitting-time runs
+# at n = 10^4 never touch all ~10^8 pairs.
 _FULL_SHUFFLE_MAX = 1 << 22
 _DRAW_BLOCK = 1 << 16
 # Most codes the small level of the lazy-draw mirror holds before it is folded
@@ -295,14 +296,26 @@ class EdgeSequence:
     """A uniformly random ordering of all admissible ordered pairs.
 
     ``prefix(m)`` realises the uniform m-edge digraph.  The full order is a
-    permutation of the pair universe; for large universes only the prefix
-    actually requested is materialised (uniformity is preserved: the distinct
-    values of an i.i.d. uniform stream, in order of first appearance, form a
-    uniform permutation prefix).  Lazy draws come in fixed blocks of
-    ``_DRAW_BLOCK`` codes, so the order depends on the seed alone, not on the
-    requests; a loop-deleted shadow takes its parent's already drawn codes
-    first and asks for one more block only when none are left.  Materialisation is internally locked, so
-    a constructed sequence may be shared across threads.
+    permutation of the pair universe, and only a prefix of it is
+    materialised, in one of two ways fixed by the universe size:
+
+    - Up to ``_FULL_SHUFFLE_MAX`` pairs, the order is
+      ``make_generator(seed).permutation(universe)``, as if shuffled whole.
+      ``generate`` materialises its first ``_DRAW_BLOCK`` codes with
+      ``permutation_prefix`` (all of them when that is at least half the
+      universe), and a request past them recomputes the prefix at
+      max(m, twice the codes held).  At n = 2000 that peaks near 21 MB
+      (a 16 MB table of least swap steps, freed on return) and holds 0.5 MB
+      of codes, where the whole shuffle held 32 MB.
+    - Larger universes are drawn lazily (uniformity is preserved: the
+      distinct values of an i.i.d. uniform stream, in order of first
+      appearance, form a uniform permutation prefix).  Lazy draws come in
+      fixed blocks of ``_DRAW_BLOCK`` codes.
+
+    Either way the order depends on the seed alone, not on the requests; a
+    loop-deleted shadow takes its parent's already materialised codes first
+    and asks for more only when none are left.  Materialisation is internally
+    locked, so a constructed sequence may be shared across threads.
 
     Lazy draws deduplicate against a two-level mirror of the S codes drawn so
     far (see ``_fresh_in_order``): ``_base`` and ``_delta`` are sorted,
@@ -326,6 +339,7 @@ class EdgeSequence:
         # (invariants above), built on demand.
         self._base = self._delta = np.empty(0, dtype=np.int64)
         self._rng = _rng
+        self._seed: Optional[int] = None  # set for a prefix of a seeded shuffle
         self._parent = _parent
         self._parent_scanned = 0
         self._lock = threading.Lock()
@@ -335,13 +349,12 @@ class EdgeSequence:
 
     @classmethod
     def generate(cls, n: int, loopful: bool, seed: int) -> "EdgeSequence":
-        rng = make_generator(seed)
-        seq = cls(n, loopful, _rng=rng)
+        seq = cls(n, loopful)
         if seq.universe_size <= _FULL_SHUFFLE_MAX:
-            perm = rng.permutation(seq.universe_size).astype(np.int64, copy=False)
-            if not loopful:
-                perm = _loopless_index_to_code(perm, n)
-            seq._codes = perm
+            seq._seed = seed
+            seq._shuffle_prefix(min(seq.universe_size, _DRAW_BLOCK))
+        else:
+            seq._rng = make_generator(seed)
         return seq
 
     @classmethod
@@ -371,6 +384,8 @@ class EdgeSequence:
             while self._codes.size < m:
                 if self._parent is not None:
                     self._extend_from_parent()
+                elif self._seed is not None:
+                    self._shuffle_prefix(max(m, 2 * self._codes.size))
                 elif self._codes.size < self.universe_size // 2:
                     # Consumption from the rng depends only on how much is
                     # already materialised, never on the request, so any
@@ -378,6 +393,13 @@ class EdgeSequence:
                     self._draw_block()
                 else:
                     self._finish_with_shuffle()
+
+    def _shuffle_prefix(self, k: int) -> None:
+        # The first k codes of the seeded shuffle; all of them once 2k
+        # reaches the universe.
+        assert self._seed is not None
+        codes = permutation_prefix(self._seed, self.universe_size, k).astype(np.int64, copy=False)
+        self._codes = codes if self.loopful else _loopless_index_to_code(codes, self.n)
 
     def _draw_block(self) -> None:
         assert self._rng is not None

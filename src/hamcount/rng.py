@@ -1,14 +1,25 @@
-"""Seed plumbing.
+"""Seed plumbing, and an exact lazy prefix of numpy's shuffle.
 
 All randomness in the package flows through numpy's PCG64 generator seeded
 from a ``SeedSequence``.  PCG64 has a published, stable bit stream, so runs
 are reproducible across platforms and numpy versions.  Parallel trials get
 independent streams by spawning with ``spawn_key=(trial_index, ...)`` from
 the master seed -- never by arithmetic on the seed itself.
+
+This is the one module that knows how numpy turns that stream into a
+shuffle (``permutation_prefix``); the rest of the package only asks for
+generators.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+# 64-bit outputs drawn from PCG64 per refill of the decode buffer.
+_STREAM_WORDS = 1 << 17
+# Most masked values the decoder settles at once.
+_DECODE_CHUNK = 1 << 16
 
 
 def seed_sequence(master: int, *path: int) -> np.random.SeedSequence:
@@ -23,3 +34,155 @@ def make_generator(master: int, *path: int) -> np.random.Generator:
 def derive_seed(master: int, *path: int) -> int:
     """A plain integer seed derived from (master, path), for sub-components."""
     return int(seed_sequence(master, *path).generate_state(1, np.uint64)[0])
+
+
+def permutation_prefix(master: int, size: int, k: int) -> np.ndarray:
+    """Exactly ``make_generator(master).permutation(size)[:k]``, without
+    shuffling all ``size`` entries; the whole permutation once 2k >= size.
+
+    ``Generator.permutation(N)`` shuffles ``arange(N)`` by Fisher-Yates
+    (Durstenfeld 1964): for i = N-1, ..., 1 it swaps a[i] with a[j_i], where
+    j_i comes from masked rejection on PCG64's uint32 stream (the low half,
+    then the high half, of each 64-bit output).  Steps i < k touch positions
+    below k only, so the prefix takes three steps:
+
+    1. decode j_i for i = N-1, ..., k (``_swap_draws``) and keep, per
+       position p, least[p] = the least step i >= k with j_i = p;
+    2. follow, for each q < k, the chain q -> least[q] -> least[least[q]]
+       -> ... to its end, which is the entry at q after the steps i >= k.
+       The last of those steps to swap with p is i = least[p], and it moves
+       into p what position i held: i itself, unless an earlier step
+       swapped with i, the last of which is least[i] (> i, as j_i = p);
+    3. let numpy's own ``shuffle`` finish that k-array, with a generator
+       positioned right after the decoded draws (``_resumed``).
+
+    Time is O(N) in vectorised passes.  Peak memory is the 4N-byte int32
+    table of least steps, O(``_STREAM_WORDS``) of decode buffers and the
+    8k-byte result; all but the result are freed on return.  Sizes above
+    2^30 raise ``ValueError`` on the lazy path.
+    """
+    size, k = int(size), int(k)
+    if k < 0:
+        raise ValueError(f"prefix length must be non-negative, got {k}")
+    if 2 * k >= size:
+        return make_generator(master).permutation(size)
+    if size > 1 << 30:
+        raise ValueError(f"permutation_prefix supports sizes up to 2^30, got {size}")
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    # least[p] = least step i >= k with j_i = p, or size if there is none.
+    least = np.full(size, size, dtype=np.int32)
+    descending = -np.arange(_DECODE_CHUNK, dtype=np.int32)
+    consumed = _swap_draws(
+        make_generator(master).bit_generator, size, k,
+        lambda top, chosen: np.minimum.at(least, chosen, descending[:chosen.size] + top))
+    head = np.arange(k, dtype=np.int64)
+    live = np.arange(k)  # chains whose end may still move
+    while live.size:
+        step = least[head[live]]
+        moved = step < size
+        live = live[moved]
+        head[live] = step[moved]
+    del least
+    _resumed(master, consumed).shuffle(head)
+    return head
+
+
+def _resumed(master: int, consumed: int) -> np.random.Generator:
+    """The generator of ``master`` after ``consumed`` uint32 draws.  An odd
+    count ends on the low half of an output, whose high half numpy holds
+    back for the next uint32 draw."""
+    rng = make_generator(master)
+    bitgen = rng.bit_generator
+    bitgen.advance(consumed // 2)
+    if consumed % 2:
+        high = int(bitgen.random_raw()) >> 32
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, high
+        bitgen.state = state
+    return rng
+
+
+def _refill(bitgen, stream: np.ndarray, pos: int) -> np.ndarray:
+    """``stream[pos:]`` followed by the next ``_STREAM_WORDS`` outputs of
+    ``bitgen`` as numpy's uint32 draws see them: the low half, then the high
+    half, of each."""
+    rest = stream.size - pos
+    out = np.empty(rest + 2 * _STREAM_WORDS, dtype=np.uint32)
+    out[:rest] = stream[pos:]
+    raw = bitgen.random_raw(_STREAM_WORDS)
+    halves = out[rest:].reshape(-1, 2)
+    np.copyto(halves[:, 0], raw, casting="unsafe")  # keeps the low 32 bits
+    np.right_shift(raw, np.uint64(32), out=halves[:, 1], casting="unsafe")
+    return out
+
+
+def _swap_draws(bitgen, size: int, k: int,
+                sink: Callable[[int, np.ndarray], object]) -> int:
+    """Decode the swap targets j_i of ``permutation(size)`` for i = size-1,
+    ..., k from ``bitgen`` (size <= 2^30).
+
+    Each decoded run goes to ``sink(top, chosen)``, with chosen[t] =
+    j_{top - t} as int32, in decreasing order of i.  Returns the number of
+    uint32 values read.  The draws are settled per band of steps that share
+    one mask 2^bitlen(i) - 1, one chunk of the band's masked values at a
+    time (``_accepted``).
+    """
+    offsets = np.arange(_DECODE_CHUNK, dtype=np.int32)
+    stream = np.empty(0, dtype=np.uint32)
+    pos = 0  # index into stream of the next unread value
+    read = 0  # values drawn before stream[0]
+    top = size - 1
+    while top >= k:
+        low = max(k, 1 << (top.bit_length() - 1))
+        mask = (1 << top.bit_length()) - 1
+        # Short chunks where the band's range is short, so that the
+        # undecided values (about chunk^2 / (2 * range) of them) stay few.
+        width = max(64, min(_DECODE_CHUNK, (mask + 1) >> 5))
+        while top >= low:
+            if stream.size - pos < width:
+                read += pos
+                stream, pos = _refill(bitgen, stream, pos), 0
+            values = (stream[pos:pos + width] & mask).view(np.int32)
+            accept = _accepted(values, top, offsets[:width])
+            chosen = np.compress(accept, values)
+            if chosen.size > top - low:
+                # The band ends inside the chunk: the values after its last
+                # step are read against the next mask.
+                chosen = chosen[:top - low + 1]
+                pos += int(np.flatnonzero(accept)[top - low]) + 1
+            else:
+                pos += width
+            sink(top, chosen)
+            top -= chosen.size
+    return read + pos
+
+
+def _accepted(values: np.ndarray, top: int, offsets: np.ndarray) -> np.ndarray:
+    """Which values a rejection loop accepts, when it tests them in order
+    against a bound that starts at ``top`` and falls by one at each
+    acceptance; ``offsets`` is ``arange(values.size)`` as int32.
+
+    A value w at offset t is surely accepted if w <= top - t (at most t
+    acceptances precede it) and surely rejected if w > top.  Each undecided
+    value is accepted iff w + a <= top - b, with a the sure acceptances
+    before it and b the undecided ones accepted before it: the same problem
+    on the subsequence of undecided values shifted by a.  The first value of
+    every level is decided, so the loop ends.
+    """
+    # over = w + t - top - 1 is negative where w is surely accepted and lies
+    # in [0, t) where it is undecided, so one unsigned compare finds those.
+    over = values - np.int32(top + 1)
+    over += offsets
+    accept = over < 0
+    open_ = np.flatnonzero(over.view(np.uint32) < offsets.view(np.uint32))
+    if not open_.size:
+        return accept
+    shifted = values[open_] + np.searchsorted(np.flatnonzero(accept), open_)
+    while open_.size:
+        sure = shifted + offsets[:open_.size] <= top
+        accept[open_[sure]] = True
+        undecided = (shifted <= top) & ~sure
+        shifted = (shifted + np.cumsum(sure) - sure)[undecided]
+        open_ = open_[undecided]
+    return accept

@@ -1,6 +1,8 @@
 import itertools
+import math
 from collections import Counter
-from typing import Optional
+from fractions import Fraction
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
@@ -205,6 +207,20 @@ class ReferenceDraws:
         fresh, self.sorted = reference_fresh_in_order(block, self.sorted)
         self.codes = np.concatenate([self.codes, fresh])
         return fresh
+
+
+def reference_pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:
+    """Reference for ``analysis._pmf_sum``: the sum of Pr(X = k) over ``ks``
+    for X ~ Bin(n, p), one ``Fraction`` term at a time."""
+    if p == 0:
+        return Fraction(sum(1 for k in ks if k == 0))
+    if p == 1:
+        return Fraction(sum(1 for k in ks if k == n))
+    q = 1 - p
+    total = Fraction(0)
+    for k in ks:
+        total += math.comb(n, k) * p ** k * q ** (n - k)
+    return total
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float, allow_loops: bool) -> Digraph:

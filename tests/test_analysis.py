@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hamcount import analysis
 from hamcount.analysis import (
     _pair_counts,
+    _pmf_sum,
     chernoff_two_sided,
     chernoff_upper,
     edge_discrepancy_check,
@@ -28,7 +29,7 @@ from hamcount.digraph import Digraph, couple, gen_binomial, gen_process
 from hamcount.errors import DomainError
 from hamcount.exact import OneFactor, count_one_factors
 
-from conftest import random_digraph
+from conftest import random_digraph, reference_pmf_sum
 
 
 def circulant(n, r, shift=1):
@@ -105,6 +106,17 @@ class TestExactTails:
 
     def test_two_sided_total(self):
         assert exact_binomial_two_sided(10, Fraction(1, 2), 0) == 1
+
+    @given(st.integers(0, 200),
+           st.one_of(st.fractions(0, 1, max_denominator=10**6),
+                     st.floats(0, 1, allow_subnormal=False).map(Fraction),
+                     st.sampled_from([Fraction(0), Fraction(1)])),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pmf_sum_matches_termwise_fractions(self, n, p, data):
+        ks = data.draw(st.lists(st.integers(0, n), unique=True))
+        for subset in (ks, range(n // 3, n + 1)):
+            assert _pmf_sum(n, p, subset) == reference_pmf_sum(n, p, subset)
 
 
 class TestPermanentBounds:

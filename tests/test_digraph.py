@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,8 +477,79 @@ class TestStreamPins:
         d = gen_binomial(n, 0.9, False, 3)
         codes = d.codes
         assert 0.89 * n * (n - 1) < codes.size < 0.91 * n * (n - 1)
-        assert np.unique(codes).size == codes.size
+        assert (codes[1:] > codes[:-1]).all()  # sorted and free of repeats
         assert not loop_mask(codes, n).any()
+
+
+class TestShufflePrefix:
+    """Universes of at most ``_FULL_SHUFFLE_MAX`` pairs materialise exact
+    prefixes of one seeded shuffle; the digests were recorded when
+    ``generate`` still shuffled the whole universe."""
+
+    LOOPFUL_7 = "ec181308610a3d1c8a11b0ca6e8a3d2017bfa5fa3a6c83ffebb5f03d949f01a2"
+    # (loopless m*, loopful m*, loopless codes(2^16)) of couple(gen_process(2000,
+    # "loopful", 7))
+    COUPLED_7 = (15055, 15059, "bd215d9f91b39a54e818365d18e81f36c8bc7380eab37798fe0b73c271013055")
+
+    def test_pins(self):
+        assert 2 * _DRAW_BLOCK < 2000 * 2000 <= _FULL_SHUFFLE_MAX
+        seq = gen_process(2000, "loopful", 7)
+        assert seq.materialized == _DRAW_BLOCK  # one prefix, not the universe
+        assert _sha256_codes(seq.codes(2**16)) == self.LOOPFUL_7
+        assert seq.materialized == _DRAW_BLOCK
+        assert (_sha256_codes(gen_process(2048, "loopless", 3).codes(2**16))
+                == "df3e5454eb1bc71e968a2ea5377560c748585555f370cb4376605a480332edee")
+
+    def test_pins_past_the_first_prefix(self):
+        seq = gen_process(2000, "loopful", 7)
+        assert (_sha256_codes(seq.codes(300_000))
+                == "bbde33fafb745b2be1c536dbcf9e96935f2f10e25f9d98bb86a067017526395d")
+        assert seq.materialized == 300_000
+        assert _sha256_codes(seq.codes(2**16)) == self.LOOPFUL_7
+        order = gen_process(2000, "loopful", 7).full_order()
+        assert (_sha256_codes([u * 2000 + v for u, v in order])
+                == "d2ff9e340fcb76f0b2197c0ddbeb0f6ac17c657510d5ae6599bf2ce67cb0b531")
+
+    def test_shared_across_threads(self):
+        # both sides of one coupled n = 2000 process asked at once for their
+        # hitting times and for prefixes past the first shuffle prefix
+        cp = couple(gen_process(2000, "loopful", 7))
+        results = {}
+
+        def work(i):
+            seq = cp.loopless if i % 2 else cp.loopful
+            results[i] = (hitting_time(seq), _sha256_codes(seq.codes(2**16)),
+                          _sha256_codes(seq.codes(150_000)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        alone = couple(gen_process(2000, "loopful", 7))
+        want = {side: (hitting_time(seq), _sha256_codes(seq.codes(2**16)),
+                       _sha256_codes(seq.codes(150_000)))
+                for side, seq in ((0, alone.loopful), (1, alone.loopless))}
+        m_less, m_ful, shadow = self.COUPLED_7
+        assert want[0][:2] == (m_ful, self.LOOPFUL_7) and want[1][:2] == (m_less, shadow)
+        assert results == {i: want[i % 2] for i in range(6)}
+
+    def test_memory(self):
+        # a whole shuffle of the 4 M pairs peaks at 32.7 MB and holds all of it
+        tracemalloc.start()
+        try:
+            seq = gen_process(2000, "loopful", 7)
+            seq.codes(2**16)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 26e6 and held < 2e6
 
 
 class TestCoupling:
