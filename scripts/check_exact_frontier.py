@@ -5,6 +5,11 @@
     PYTHONPATH=src python scripts/check_exact_frontier.py --seed 1   # 297,613 factors
 
 The checks, each printed with its time:
+- HC of the first 2,000 digraphs of the expected-count experiment at n = 8
+  (D(8, 0.6), master seed 20260801, as in the ``exact_small`` benchmark
+  workload), each against its 1-factors with a single cycle and no loop,
+  enumerated in full; the line gives the median time of one count, which
+  takes the table step of the Hamilton-cycle programme;
 - HC(K_n) = (n-1)! for the complete loop-free digraph K_n, n = 2..24;
 - per(J_n) = n! for the all-ones n x n matrix J_n, n = 0..24;
 - at n = 22 and at n = 24, the loopful random edge process of the seed
@@ -16,12 +21,13 @@ From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  per(J_n)
 is counted by Glynn's formula and per(m*) by the row programme over live
 column sets, so both permanent kernels are checked.  The last line gives the
-peak resident memory.  Exit code 0 when every check holds, 1 otherwise.  At
-the default seeds (n = 22: m* = 87, 4,062 factors, 358 Hamilton cycles;
-n = 24: m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 10–25 s and
-0.6 GB on a 2-core host, so it is kept out of the test suite; there per(m*)
-takes 1–4 ms (0.3 and 1.1 s by Glynn's formula), and enumerating the
-factors of seed 1 at n = 22 adds about 50 s.
+peak resident memory.  Exit code 0 when every check holds, the n = 8 line
+included, 1 otherwise.  At the default seeds (n = 22: m* = 87, 4,062
+factors, 358 Hamilton cycles; n = 24: m* = 95, 1,183 factors, 21 Hamilton
+cycles) a run takes 10–25 s and 0.6 GB on a 2-core host, so it is kept out
+of the test suite; there per(m*) takes 1–4 ms (0.3 and 1.1 s by Glynn's
+formula), and enumerating the factors of seed 1 at n = 22 adds about 50 s.
+The n = 8 line takes a few seconds, most of them in the enumeration.
 """
 import argparse
 import math
@@ -31,7 +37,7 @@ import time
 
 import numpy as np
 
-from hamcount.digraph import Digraph, gen_process, hitting_time
+from hamcount.digraph import Digraph, gen_binomial, gen_process, hitting_time
 from hamcount.exact import (
     DEFAULT_CAP,
     count_hamilton_cycles,
@@ -39,8 +45,11 @@ from hamcount.exact import (
     enumerate_one_factors,
     permanent,
 )
+from hamcount.rng import derive_seed
 
 FACTOR_LIMIT = 10**6
+SMALL_TRIALS = 2000
+SMALL_SEED = 20260801
 
 
 def check(label: str, got: int, want: int) -> bool:
@@ -76,12 +85,28 @@ def check_process(n: int, seed: int) -> bool:
     return ok
 
 
+def check_small() -> bool:
+    """HC of the first ``SMALL_TRIALS`` D(8, 0.6) digraphs of the seed
+    ``SMALL_SEED``, each against its 1-factors; prints the median time of a
+    count."""
+    agree = 0
+    times = []
+    for i in range(SMALL_TRIALS):
+        d = gen_binomial(8, 0.6, False, derive_seed(SMALL_SEED, i))
+        hc, t = timed(count_hamilton_cycles, d)
+        times.append(t)
+        factors = enumerate_one_factors(d, math.factorial(8))
+        agree += hc == sum(1 for f in factors if f.num_cycles == 1 and f.num_loops == 0)
+    micros = 1e6 * float(np.median(times))
+    return check(f"HC(D(8, 0.6)) agree ({micros:.1f} us)", agree, SMALL_TRIALS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=4, help="seed of the n = 22 process")
     parser.add_argument("--seed24", type=int, default=1, help="seed of the n = 24 process")
     args = parser.parse_args(argv)
-    ok = True
+    ok = check_small()
     for n in range(DEFAULT_CAP + 1):
         if n >= 2:
             hc, t = timed(count_hamilton_cycles, Digraph.complete(n))

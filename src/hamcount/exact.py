@@ -2,17 +2,18 @@
 
 Hamilton cycles are counted with a subset dynamic programme anchored at
 vertex 0, layered by subset size, whose layers are float64 arrays so that
-each step is one BLAS matrix product.  A dense layer has a column for every
-subset of its size; a sparse one, as most layers of a sparse random digraph
-are, only for the live subsets that some path from 0 covers, so the work
-follows the paths that exist.  1-factors (the permanent of the 0/1 adjacency
-matrix) are counted row by row over the live sets of matched columns, those
-that some partial matching covers, when a bound on that work falls below the
-cost of Glynn's formula, as on sparse random digraphs; dense matrices take
-Glynn's formula over blocks of column subsets.  Every kernel computes
-exactly modulo primes, as many as a proven bound on the count needs, and one
-Chinese remaindering makes the count exact.  Both counters refuse to run
-above a configurable size cap.
+each step is one BLAS matrix product.  Up to n = 11 the next layer is one
+gather from that product through a table cached per n.  Past that, a dense
+layer has a column for every subset of its size; a sparse one, as most
+layers of a sparse random digraph are, only for the live subsets that some
+path from 0 covers, so the work follows the paths that exist.  1-factors
+(the permanent of the 0/1 adjacency matrix) are counted row by row over the
+live sets of matched columns, those that some partial matching covers, when
+a bound on that work falls below the cost of Glynn's formula, as on sparse
+random digraphs; dense matrices take Glynn's formula over blocks of column
+subsets.  Every kernel computes exactly modulo primes, as many as a proven
+bound on the count needs, and one Chinese remaindering makes the count
+exact.  Both counters refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
@@ -33,11 +34,15 @@ DEFAULT_CAP = 24
 # entry hi to at most D * hi, D (>= 1) the most in-edges from 1..n-1 at any
 # vertex, so every BLAS partial sum is an integer of at most D * hi; the
 # layer is reduced (hi = p - 1) once D * hi could reach 2^53, and
-# D (p - 1) < 2^53 for D < 2^13.  In Glynn's formula |R_i - 2 a_i(S)| <= R_i,
-# so rows i and i+1 raise |prod| by at most R_i R_(i+1) <= n^2, and a block
-# sums at most max(2^16, 2^ceil((n-1)/2)) products; a block is reduced once
-# the next pair or the block sum could reach 2^63, and after a reduction both
-# stay below 2^63 for n <= 47, far past any n whose subsets can be listed.
+# D (p - 1) < 2^53 for D < 2^13.  The table step, for n <= 11, never
+# reduces: its entries and partial sums count paths from 0 through a set of
+# s <= 9 vertices, at most s! of them, then one more edge, and its last sum
+# counts Hamilton cycles, at most 10! < 2^53.  In Glynn's formula
+# |R_i - 2 a_i(S)| <= R_i, so rows i and i+1 raise |prod| by at most
+# R_i R_(i+1) <= n^2, and a block sums at most max(2^16, 2^ceil((n-1)/2))
+# products; a block is reduced once the next pair or the block sum could
+# reach 2^63, and after a reduction both stay below 2^63 for n <= 47, far
+# past any n whose subsets can be listed.
 # In the row programme for the permanent a count is a sum of at most R
 # counts of the previous row, R the entries of the row, so each row raises
 # hi by the factor R; the counts are reduced once the next row could take
@@ -169,9 +174,15 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     the indices, values and grown subsets of the nonzero entries (at most
     (k + 1) l / 2 of them), and a 2^k bool and a 2^k int32 table over the
     subsets; on the sparse hitting-time digraphs l is a small fraction of c.
-    The peak is the larger of the two.  Ordering the subsets briefly takes
-    13 * 2^k bytes; the 4 * 2^k bytes of the ordered subsets of the last n
-    stay cached between calls, so that this happens once per n.
+    The peak is the larger of the two.  For n <= 11, which takes the table
+    step, add (7 k + 8) c + 4 k 2^k bytes: a step holds a layer's product
+    with a row of zeros appended, the intp copy of its int32 table that the
+    gather makes and the next layer, 8 (3 k + 1) c in all, and the tables,
+    at most 4 k 2^k bytes, stay cached; their build holds no more than a
+    step.  Ordering the subsets briefly takes
+    13 * 2^k bytes; the 4 * 2^k bytes of the ordered subsets of the last n,
+    and its tables, stay cached between calls, so that this happens once per
+    n.
     """
     n = d.n
     if n > cap:
@@ -185,41 +196,76 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
 
 
+# The DP takes one of three steps from a layer to the next.  For n <= 11,
+# where no layer has 2^8 subsets (C(10, 5) = 252), the table step gathers
+# each layer from the product of the last through a table cached per n: one
+# dgemm and one take per layer, and no index arithmetic.  Its tables would
+# take 4 k 2^k bytes, 770 MB at n = 24, so from n = 12 on a layer is held in
+# one of two layouts.  The full layout has a column for every subset of its
+# size and is filled through a membership mask; the live layout has one only
+# for each live subset, one that some path from 0 covers.  The DP moves to
+# the live layout, for good, at the first layer of at least 2^8 subsets whose
+# nonzero (w, S) entries number at most half of its subsets (so at most half
+# of them are live): a live step costs more per column than a full one,
+# which pays off only once the dgemm runs on at most half of the columns.
+# Below 2^8 subsets a layer costs too little to be worth the bookkeeping, so
+# the table step covers exactly the n that never go live; no layer of K_n
+# (every entry nonzero) is live either.
+_LIVE_MIN_SUBSETS = 1 << 8
+
+
 @functools.lru_cache(maxsize=1)
-def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, ...]]]:
     """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
-    within a size, and the end offset of each size in that order.  The last
-    result is cached, so both arrays are read-only."""
+    within a size, the end offset of each size in that order and, when every
+    size has fewer than ``_LIVE_MIN_SUBSETS`` subsets (k <= 10), the gather
+    tables of the table step of ``_hamilton_residue`` (None otherwise).
+    Table r, for r = 1..k-1, is a k x C(k, r+1) int32 array whose entry
+    (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
+    T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
+    (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
+    appended to it.  The tables take 4 k (2^k - k - 1) bytes.  The one cache
+    entry holds the result for the last k, so every array in it is
+    read-only."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
     masks = np.argsort(size, kind="stable").astype(np.int32)
     ends = np.cumsum(np.bincount(size))
     masks.flags.writeable = ends.flags.writeable = False
-    return masks, ends
+    if math.comb(k, k // 2) >= _LIVE_MIN_SUBSETS:
+        return masks, ends, None
+    bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
+    tables = []
+    for r in range(1, k):
+        below = masks[ends[r - 1]:ends[r]]  # increasing, so T - {w} is found by bisection
+        grown = masks[ends[r]:ends[r + 1]]
+        table = np.searchsorted(below, grown & ~bits).astype(np.int32)
+        table += np.arange(0, k * len(below), len(below), dtype=np.int32)[:, None]
+        table[(grown & bits) == 0] = k * len(below)
+        table.flags.writeable = False
+        tables.append(table)
+    return masks, ends, tuple(tables)
 
 
-# A layer of the DP is held in one of two layouts.  The full layout has a
-# column for every subset of its size; the live layout has one only for each
-# live subset, one that some path from 0 covers.  The DP moves to the live
-# layout, for good, at the first layer of at least 2^8 subsets whose nonzero
-# (w, S) entries number at most half of its subsets (so at most half of them
-# are live): a live step costs more per column than a full one, which pays
-# off only once the dgemm runs on at most half of the columns.  Below 2^8
-# subsets a layer costs too little to be worth the bookkeeping, so no digraph
-# with n <= 11 and no layer of K_n (every entry nonzero) is ever live.
-_LIVE_MIN_SUBSETS = 1 << 8
-
-
-def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
+def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray,
+                                Optional[tuple[np.ndarray, ...]]], p: int) -> int:
     """Hamilton cycles mod p, where ``dp`` is the n x n adjacency matrix and
     ``_subsets_by_size(n - 1)``.  Layer r holds, for each r-subset T of the
     vertices 1..k (k = n - 1) in increasing bitmask order and each w in T,
     the number of paths from 0 through exactly T that end at w, in row w-1
-    and the column of T; the rest of the layer is zero.  A full layer has a
-    column for every r-subset, a live one for every live r-subset (see the
-    comment by ``_LIVE_MIN_SUBSETS``)."""
-    adj, masks, ends = dp
+    and the column of T; the rest of the layer is zero.  The table step and a
+    full layer have a column for every r-subset, a live layer one for every
+    live r-subset (see the comment by ``_LIVE_MIN_SUBSETS``)."""
+    adj, masks, ends, tables = dp
     k = adj.shape[0] - 1
     to_inner = adj[1:, 1:].T.astype(np.float64)
+    if tables is not None:  # no reduction (see the comment by _PRIMES)
+        layer = np.diag(adj[0, 1:].astype(np.float64))  # layer 1: the paths 0 -> w
+        for table in tables:
+            out = np.zeros((k + 1, layer.shape[1]))  # the product, then 0s for w not in T
+            np.matmul(to_inner, layer, out=out[:k])
+            del layer
+            layer = out.take(table)
+        return int(adj[1:, 0] @ layer.ravel()) % p  # the one k-subset, if k > 0
     growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:]  # layer 1: the paths 0 -> w

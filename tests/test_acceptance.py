@@ -266,15 +266,16 @@ def _tail_tables(n: int, p: float):
     return frac, big_d, prefix, suffix
 
 
-def _dominates(tb, tail: Fraction) -> bool:
-    """Bound >= exact tail, falling back to log space when the bound's
-    linear value underflows float64 (margin there is many nats)."""
-    if tail == 0:
+def _dominates(tb, num: int, den: int) -> bool:
+    """Bound >= exact tail num/den (den > 0, not reduced), decided by integer
+    cross-multiplication, falling back to log space when the bound's linear
+    value underflows float64 (margin there is many nats)."""
+    if num == 0:
         return True
     if tb.value > 0.0:
-        return Fraction(tb.value) >= tail
-    log_tail = math.log(tail.numerator) - math.log(tail.denominator)
-    return tb.log_value >= log_tail
+        value = Fraction(tb.value)
+        return value.numerator * den >= num * value.denominator
+    return tb.log_value >= math.log(num) - math.log(den)
 
 
 def test_09_chernoff_dominance():
@@ -292,8 +293,8 @@ def test_09_chernoff_dominance():
                 if not tb.valid:
                     continue
                 k0 = math.ceil(a)
-                tail = Fraction(suffix[k0], big_d) if k0 <= n else Fraction(0)
-                assert _dominates(tb, tail), (n, p, a)
+                tail = suffix[k0] if k0 <= n else 0
+                assert _dominates(tb, tail, big_d), (n, p, a)
                 upper_checked += 1
             mean = n * frac
             for eps in [i / 20 for i in range(0, 31)]:
@@ -301,18 +302,18 @@ def test_09_chernoff_dominance():
                 if not tb.valid:
                     continue
                 if eps == 0:
-                    tail = Fraction(1)
+                    tail = big_d
                 else:
                     t1 = mean * (1 - Fraction(eps))
                     t2 = mean * (1 + Fraction(eps))
                     lo = math.floor(t1)
                     hi = math.ceil(t2)
-                    tail = Fraction(0)
+                    tail = 0
                     if lo >= 0:
-                        tail += Fraction(prefix[min(lo, n)], big_d)
+                        tail += prefix[min(lo, n)]
                     if hi <= n:
-                        tail += Fraction(suffix[max(hi, 0)], big_d)
-                assert _dominates(tb, tail), (n, p, eps)
+                        tail += suffix[max(hi, 0)]
+                assert _dominates(tb, tail, big_d), (n, p, eps)
                 two_checked += 1
     elapsed = time.time() - t0
     report("09 chernoff-dominance", True,

@@ -41,7 +41,7 @@ def live_counts(adj: np.ndarray) -> list[int]:
     """For each layer r = 1..k of the DP (k = n - 1), the number of its live
     subsets, those that some path from 0 covers, from exact path counts."""
     k = adj.shape[0] - 1
-    masks, ends = exact._subsets_by_size(k)
+    masks, ends, _ = exact._subsets_by_size(k)
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:].astype(np.int64)
     out = []
@@ -57,14 +57,21 @@ def live_counts(adj: np.ndarray) -> list[int]:
 def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[int]]:
     """``_hamilton_residue`` of ``adj`` mod p, the layer at which it goes live
     (None if it never does), and the number of columns of each live layer it
-    builds after that one.  The layouts are read from the kernel's calls to
-    np.zeros: one per full layer, then the 2^k table that it sets up on going
-    live, then one per later live layer."""
+    builds after that one.  The steps are read from the kernel's calls to
+    np.zeros.  For n <= 11 it must take the table step, with one
+    (k + 1) x C(k, r) product buffer for each layer r = 1..k-1, never live.
+    Otherwise there is one per full layer, then the 2^k table that it sets
+    up on going live, then one per later live layer."""
     k = adj.shape[0] - 1
     dp = (adj, *exact._subsets_by_size(k))
     with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
         residue = exact._hamilton_residue(dp, p)
     shapes = [call.args[0] for call in zeros.call_args_list]
+    if k <= 10:
+        assert dp[3] is not None
+        assert shapes == [(k + 1, math.comb(k, r)) for r in range(1, k)]
+        return residue, None, []
+    assert dp[3] is None
     if 1 << k not in shapes:
         assert shapes == [(k, math.comb(k, r)) for r in range(1, k)]
         return residue, None, []
@@ -189,7 +196,7 @@ class TestHamiltonCount:
         assert [count_hamilton_cycles(d) for d in graphs] == single
 
     def test_peak_memory_within_stated_bound(self):
-        for n in (3, 8, 12, 16, 20):
+        for n in (3, 8, 10, 11, 12, 16, 20):
             k = n - 1
             d = Digraph.complete(n)
             tracemalloc.start()
@@ -198,8 +205,13 @@ class TestHamiltonCount:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the bound in the docstring of count_hamilton_cycles
-            assert peak <= 17 * k * math.comb(k, k // 2) + 4 * 2**k + 16 * n**2 + 2**14, n
+            # the bounds in the docstring of count_hamilton_cycles, with the
+            # table step's term for n <= 11; each n builds its tables here
+            c = math.comb(k, k // 2)
+            bound = 17 * k * c + 4 * 2**k + 16 * n**2 + 2**14
+            if n <= 11:
+                bound += (7 * k + 8) * c + 4 * k * 2**k
+            assert peak <= bound, n
 
 
 class TestFactorCount:
@@ -502,6 +514,47 @@ class TestRowProgramme:
             tracemalloc.stop()
         # the bound in the docstring of permanent
         assert peak <= 32 * c + 16 * (n * n + s) + 2**14
+
+
+class TestTableStep:
+    """The DP for n <= 11: one dgemm and one gather through a cached table
+    per layer."""
+
+    @given(st.integers(2, 11), st.floats(0.05, 1.0), st.sampled_from(["any", "none", "one"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference(self, n, density, start, seed):
+        adj = random_matrix(n, density, False, seed)
+        if start != "any":  # vertex 0 with out-degree 0 or 1
+            adj[0] = 0
+            adj[0, 1 + seed % (n - 1)] = start == "one"
+        # the small primes wrap the counts, which the table step never reduces
+        for p in exact._PRIMES + SMALL_PRIMES:
+            assert watched_residue(adj, p) == (reference_hamilton_residue(adj, p), None, [])
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_tables(self, n):
+        # each entry (w, T) of table r points at (w, T - {w}) in a flat
+        # k x C(k, r) layer, or past its end when w is not in T
+        k = n - 1
+        masks, ends, tables = exact._subsets_by_size(k)
+        assert len(tables) == max(k - 1, 0)
+        assert sum(t.nbytes for t in tables) == 4 * k * (2**k - k - 1)
+        for r, table in enumerate(tables, 1):
+            below = masks[ends[r - 1]:ends[r]].tolist()
+            want = [[w * len(below) + below.index(t & ~(1 << w)) if t >> w & 1
+                     else k * len(below) for t in masks[ends[r]:ends[r + 1]].tolist()]
+                    for w in range(k)]
+            assert table.dtype == np.int32 and table.tolist() == want
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_no_tables_from_n_12(self):
+        assert math.comb(10, 5) < exact._LIVE_MIN_SUBSETS <= math.comb(11, 5)
+        for k in (11, 12):
+            masks, ends, tables = exact._subsets_by_size(k)
+            assert tables is None and len(masks) == 2**k
 
 
 class TestLiveLayout:
