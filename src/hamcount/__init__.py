@@ -10,7 +10,6 @@ from .digraph import (
     gen_binomial,
     gen_process,
     hitting_time,
-    min_degrees,
     read_edge_list,
     write_edge_list,
 )

@@ -29,6 +29,9 @@ from .rng import make_generator, permutation_prefix
 # at n = 10^4 never touch all ~10^8 pairs.
 _FULL_SHUFFLE_MAX = 1 << 22
 _DRAW_BLOCK = 1 << 16
+# Least codes in a hitting-time scan window (see _coverage_scan): below about
+# this many a window costs numpy's per-call overhead, not its codes.
+_MIN_WINDOW = 1 << 7
 # Most codes the small level of the lazy-draw mirror holds before it is folded
 # into the large one (see _fresh_in_order).
 _DELTA_MAX = 1 << 18
@@ -312,10 +315,14 @@ class EdgeSequence:
       appearance, form a uniform permutation prefix).  Lazy draws come in
       fixed blocks of ``_DRAW_BLOCK`` codes.
 
-    Either way the order depends on the seed alone, not on the requests; a
-    loop-deleted shadow takes its parent's already materialised codes first
-    and asks for more only when none are left.  Materialisation is internally
-    locked, so a constructed sequence may be shared across threads.
+    Either way the order depends on the seed alone, not on the requests.  A
+    loop-deleted shadow materialises only what its requests ask for: each
+    step takes as many of its parent's next codes as the request still
+    lacks, minus nothing but the loops among them, and the parent draws
+    only when it holds too few.  The shadow's hitting time is read off the
+    parent's codes (see ``hitting_time``), so it materialises nothing.
+    Materialisation is internally locked, so a constructed sequence may be
+    shared across threads.
 
     Lazy draws deduplicate against a two-level mirror of the S codes drawn so
     far (see ``_fresh_in_order``): ``_base`` and ``_delta`` are sorted,
@@ -343,7 +350,8 @@ class EdgeSequence:
         self._parent = _parent
         self._parent_scanned = 0
         self._lock = threading.Lock()
-        self._hitting: Optional[int] = None
+        # (loops counted, loops deleted) hitting times, kept on a root only
+        self._hitting: Optional[tuple[int, int]] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -383,7 +391,7 @@ class EdgeSequence:
         with self._lock:
             while self._codes.size < m:
                 if self._parent is not None:
-                    self._extend_from_parent()
+                    self._extend_from_parent(m)
                 elif self._seed is not None:
                     self._shuffle_prefix(max(m, 2 * self._codes.size))
                 elif self._codes.size < self.universe_size // 2:
@@ -423,17 +431,18 @@ class EdgeSequence:
         self._codes = np.concatenate([have, self._rng.permutation(rest)])
         self._base = self._delta = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
-    def _extend_from_parent(self) -> None:
-        # One step takes at most a block of the parent's unscanned codes; the
-        # parent takes one more draw step only when none are left.
+    def _extend_from_parent(self, m: int) -> None:
+        # One step takes as many of the parent's unscanned codes as the
+        # request still lacks, so it falls short only by the loops among
+        # them; the parent draws only what those codes need.
         parent = self._parent
         assert parent is not None
         scanned = self._parent_scanned
-        if scanned == parent.materialized:
-            parent.ensure(scanned + 1)
-        chunk = parent._codes[scanned:scanned + _DRAW_BLOCK]
+        end = scanned + m - self._codes.size
+        parent.ensure(end)
+        chunk = parent._codes[scanned:end]
         self._codes = np.concatenate([self._codes, chunk[~loop_mask(chunk, self.n)]])
-        self._parent_scanned = scanned + chunk.size
+        self._parent_scanned = end
 
     # -- access ------------------------------------------------------------
 
@@ -532,50 +541,89 @@ def couple(loopful_seq: EdgeSequence) -> CoupledProcess:
     return CoupledProcess(loopful_seq, EdgeSequence._derived_loopless(loopful_seq))
 
 
-def _first_positions(keys: np.ndarray, n: int, offset: int, absent: int) -> np.ndarray:
-    """first[v] = offset + least i with keys[i] == v, or ``absent`` if v is
-    not in ``keys``."""
-    first = np.full(n, absent, dtype=np.int64)
-    first[keys[::-1]] = np.arange(offset + keys.size - 1, offset - 1, -1)
-    return first
-
-
 def hitting_time(seq: EdgeSequence) -> int:
     """Least m such that prefix(m) has all in- and out-degrees >= 1.
 
-    The process is scanned in windows of what is already materialised past
-    the last one: the first at most n codes, each next one at most twice as
-    long, up to ``_DRAW_BLOCK``.  One more draw step is taken only when
-    nothing unscanned is left.  Per vertex the scan keeps the first position
-    where it appears as a source and as a target, and it stops at the first
-    window that covers every vertex.  So the scan stops at most
-    max(answer + n, ``_DRAW_BLOCK``) codes past the answer, at O(n) cost per
-    window, and a lazy process draws only the blocks the answer needs.
+    A process and its loop-deleted shadow share one root, the loopful
+    parent; any other process is its own root.  One scan of the root's
+    codes (``_coverage_scan``) gives the hitting time with loops counted and
+    with loops deleted, and the root keeps both.  So the second side of a
+    coupled process costs nothing, in either call order, and a shadow's
+    hitting time materialises none of the shadow's codes.
     """
-    if seq._hitting is not None:
-        return seq._hitting
-    n, absent = seq.n, seq.universe_size
-    first_out = np.full(n, absent, dtype=np.int64)
-    first_in = first_out.copy()
-    start, width = 0, min(n, _DRAW_BLOCK)
+    root = seq if seq._parent is None else seq._parent
+    if root._hitting is None:
+        root._hitting = _coverage_scan(root)
+    return root._hitting[seq is not root]
+
+
+def _first_cover(keys: np.ndarray, pos: np.ndarray, size: int, past: int) -> np.ndarray:
+    """first[x] = least p in ``pos`` paired with key x in ``keys``, for keys in
+    [0, size), or ``past`` (at least every p) where x is not in ``keys``."""
+    first = np.full(size, past)
+    np.minimum.at(first, keys, pos)  # order-independent, unlike a plain scatter
+    return first
+
+
+def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
+    """(hitting time with loops counted, hitting time with loops deleted) of
+    ``seq``'s order, from one scan of its codes; equal when it has no loops.
+
+    Key x < n is vertex x as a source and key n + x is x as a target; each
+    side keeps a "not yet seen" flag per key.  Windows of what is already
+    materialised are read in turn, the first of max(n, ``_MIN_WINDOW``)
+    codes and each next one at most twice as long, up to ``_DRAW_BLOCK``; a
+    draw step is taken only when nothing unscanned is left.  A window costs
+    one floor division, gathers of its sources' and targets' keys from the
+    loop-deleted flags (a loop's keys go to the spare key 2n, never unseen)
+    and scatters of the few keys found unseen.  A key unseen with loops
+    counted is unseen with loops deleted too, so those flags are cleared
+    from the same keys plus the loops'.  The window that clears a side's
+    last flag fixes its answer, the latest first position of a key it
+    clears; the loop-deleted one then drops the loops before it.  So the
+    scan ends at most
+    max(answer + max(n, ``_MIN_WINDOW``), ``_DRAW_BLOCK``) codes past the
+    loop-deleted answer, and a lazy process draws only the blocks it needs.
+    """
+    n = seq.n
+    spare = 2 * n
+    unseen = np.ones(spare + 1, dtype=bool)
+    unseen[spare] = False
+    unseen_looped = unseen.copy()  # loops counted
+    with_loops = None
+    loops = 0
+    start, width = 0, min(max(n, _MIN_WINDOW), _DRAW_BLOCK)
     while True:
         if start == seq.materialized:
             seq.ensure(start + 1)
-        u, v = np.divmod(seq._codes[start:start + width], n)
-        np.minimum(first_out, _first_positions(u, n, start, absent), out=first_out)
-        np.minimum(first_in, _first_positions(v, n, start, absent), out=first_in)
-        worst = int(max(first_out.max(), first_in.max()))
-        if worst < absent:
-            seq._hitting = worst + 1
-            return worst + 1
-        start += u.size
+        codes = seq._codes[start:start + width]
+        w = codes.size
+        u = codes // n
+        v = u * n
+        np.subtract(codes, v, out=v)
+        at = np.flatnonzero(u == v)  # positions of the window's loops
+        looped = u[at]
+        v += n
+        u[at] = v[at] = spare
+        out_at, in_at = np.flatnonzero(unseen[u]), np.flatnonzero(unseen[v])
+        fresh = np.concatenate([u[out_at], v[in_at]])
+        pos = np.concatenate([out_at, in_at])
+        if with_loops is None:
+            before = unseen_looped.copy()
+            unseen_looped[fresh] = False
+            unseen_looped[looped] = False
+            unseen_looped[looped + n] = False
+            if not np.count_nonzero(unseen_looped):
+                first = _first_cover(np.concatenate([fresh, looped, looped + n]),
+                                     np.concatenate([pos, at, at]), spare + 1, w)
+                with_loops = start + int(first[before].max()) + 1
+        unseen[fresh] = False
+        if not np.count_nonzero(unseen):
+            last = int(_first_cover(fresh, pos, spare + 1, w)[fresh].max())
+            return with_loops, start + last + 1 - loops - int(np.count_nonzero(at < last))
+        loops += at.size
+        start += w
         width = min(2 * width, _DRAW_BLOCK)
-
-
-def min_degrees(d: Digraph) -> tuple[int, int]:
-    """(min out-degree, min in-degree); a loop counts toward both at its vertex."""
-    outd, ind = d.degrees()
-    return int(outd.min()), int(ind.min())
 
 
 # -- edge-list text format -----------------------------------------------------

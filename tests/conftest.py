@@ -223,6 +223,13 @@ def reference_pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:
     return total
 
 
+def min_degrees(d: Digraph) -> tuple[int, int]:
+    """Oracle for the hitting-time boundary: (min out-degree, min in-degree)
+    of ``d``, a loop counting toward both at its vertex."""
+    outd, ind = d.degrees()
+    return int(outd.min()), int(ind.min())
+
+
 def random_digraph(rng: np.random.Generator, n: int, p: float, allow_loops: bool) -> Digraph:
     edges = [
         (u, v)

@@ -26,7 +26,6 @@ from hamcount.digraph import (
     gen_process,
     hitting_time,
     loop_mask,
-    min_degrees,
     read_edge_list,
     sorted_union,
     write_edge_list,
@@ -34,7 +33,7 @@ from hamcount.digraph import (
 from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
 
-from conftest import ReferenceDraws
+from conftest import ReferenceDraws, min_degrees
 
 
 def _sha256_codes(codes) -> str:
@@ -648,10 +647,11 @@ class TestHittingTime:
         return covered(codes) and not covered(codes[:-1])
 
     # (loopful, loopless) codes materialised once both hitting times are
-    # known, recorded when every scan window was a full block; smaller
-    # windows must draw exactly the same blocks
-    MATERIALIZED = {0: (130985, 130970), 1: (130996, 130985), 2: (130975, 130966),
-                    3: (130999, 130990), 4: (131006, 130994)}
+    # known.  The loopful counts were recorded when every scan window was a
+    # full block; smaller windows must draw exactly the same blocks.  Both
+    # hitting times come from the loopful codes, so the shadow holds none.
+    MATERIALIZED = {0: (130985, 0), 1: (130996, 0), 2: (130975, 0),
+                    3: (130999, 0), 4: (131006, 0)}
 
     @pytest.mark.parametrize("loopless_first", [True, False])
     def test_coupled_pins_and_draws(self, loopless_first):
@@ -687,12 +687,48 @@ class TestHittingTime:
         assert seq.materialized == seq.universe_size  # fully shuffled up front
         assert hitting_time(seq) == self.oracle(seq.full_order(), n)
 
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 300))
+    @example(n=2, seed=5, loopless_first=True, materialised="none", ahead=1)  # loopful m* = 3
+    @settings(max_examples=60, deadline=None)
+    def test_coupled_matches_python_oracle(self, n, seed, loopless_first, materialised, ahead):
+        # the loopful answer on the loopful order, the loopless one on the
+        # same order with its loops deleted
+        cp = couple(gen_process(n, "loopful", seed))
+        order = cp.loopful.full_order()
+        want_ful = self.oracle(order, n)
+        want_less = self.oracle([(u, v) for u, v in order if u != v], n)
+        if materialised != "none":
+            seq = getattr(cp, materialised)
+            seq.codes(min(ahead, seq.universe_size))
+        if loopless_first:
+            m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
+        else:
+            m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
+        assert (m_less, m_ful) == (want_less, want_ful)
+
     def test_independent_of_materialisation(self):
         for seed, (want_less, want_ful) in list(self.PINNED.items())[:2]:
             cp = couple(gen_process(10_000, "loopful", seed))
             cp.loopful.codes(300_000)
             cp.loopless.codes(300_000)
             assert (hitting_time(cp.loopless), hitting_time(cp.loopful)) == (want_less, want_ful)
+
+    @pytest.mark.parametrize("n", [18, 10_000])
+    def test_shadow_stays_unmaterialised(self, n):
+        # both hitting times read the loopful codes alone; a later request
+        # of the shadow takes just the parent codes it lacks, loops aside
+        cp = couple(gen_process(n, "loopful", 0))
+        hitting_time(cp.loopless)
+        hitting_time(cp.loopful)
+        assert cp.loopless.materialized == 0
+        drawn = cp.loopful.materialized
+        cp.audit(200)
+        taken = cp.loopful.codes(cp.loopless._parent_scanned)
+        assert cp.loopless.materialized == 200
+        assert taken.size == 200 + np.count_nonzero(loop_mask(taken, n))
+        assert not loop_mask(taken[-1:], n).any()  # no parent code past the last one needed
+        assert cp.loopful.materialized == drawn
 
     def test_shared_across_threads(self):
         # hitting times and long prefixes requested at once from both sides
