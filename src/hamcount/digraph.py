@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate, chain
+from math import isqrt
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,11 @@ _DRAW_BLOCK = 1 << 16
 # Least codes in a hitting-time scan window (see _coverage_scan): below about
 # this many a window costs numpy's per-call overhead, not its codes.
 _MIN_WINDOW = 1 << 7
+# Most draws in a hitting-time scan window.  A window of 2^16 draws makes
+# 512 kB int64 temporaries, which glibc's malloc maps afresh for each one: at
+# n = 10^4 a coupled trial with such windows took about twice the page faults
+# of one with 2^14-draw windows (620 against 330), and 1.5-1.7 ms more.
+_MAX_WINDOW = 1 << 14
 # Most codes the small level of the lazy-draw mirror holds before it is folded
 # into the large one (see _fresh_in_order).
 _DELTA_MAX = 1 << 18
@@ -231,6 +237,15 @@ def _loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
+def _isin_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Which entries of ``x`` the sorted, non-empty array ``a`` holds."""
+    # A slot past the end holds a code above a[-1], so a[-1] serves there:
+    # one gather, no masked indexing.
+    slot = np.searchsorted(a, x)
+    np.minimum(slot, a.size - 1, out=slot)
+    return a[slot] == x
+
+
 def _fresh_in_order(block: np.ndarray, base: np.ndarray,
                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of ``block`` absent from the mirror ``base`` + ``delta``, and the
@@ -263,11 +278,7 @@ def _fresh_in_order(block: np.ndarray, base: np.ndarray,
     first[1:] = ranked[1:] != ranked[:-1]  # stable: a run starts at its earliest index
     rest, where = ranked[first], order[first]
     if base.size:
-        # A slot past the end holds a code above base[-1], so base[-1] serves
-        # there: one gather, no masked indexing.
-        slot = np.searchsorted(base, rest)
-        np.minimum(slot, base.size - 1, out=slot)
-        miss = base[slot] != rest
+        miss = ~_isin_sorted(base, rest)
         rest, where = rest[miss], where[miss]
     # A stable sort of two sorted runs is one linear merge; a code already in
     # delta lands twice in a row, its copy from rest second.
@@ -313,24 +324,34 @@ class EdgeSequence:
     - Larger universes are drawn lazily (uniformity is preserved: the
       distinct values of an i.i.d. uniform stream, in order of first
       appearance, form a uniform permutation prefix).  Lazy draws come in
-      fixed blocks of ``_DRAW_BLOCK`` codes.
+      fixed blocks of ``_DRAW_BLOCK`` codes, kept as pending draws until a
+      request deduplicates them, in segments sized to what it still lacks.
+      A block is drawn only once the pending draws are used up, and only
+      while fewer than half the universe is materialised (a hitting-time
+      scan, which deduplicates nothing, draws while its codes and pending
+      draws together stay below half); past half, the tail is shuffled in.
 
     Either way the order depends on the seed alone, not on the requests.  A
     loop-deleted shadow materialises only what its requests ask for: each
-    step takes as many of its parent's next codes as the request still
-    lacks, minus nothing but the loops among them, and the parent draws
-    only when it holds too few.  The shadow's hitting time is read off the
-    parent's codes (see ``hitting_time``), so it materialises nothing.
-    Materialisation is internally locked, so a constructed sequence may be
-    shared across threads.
+    step cuts its parent's next codes at the non-loop code that completes
+    the request, and the parent draws only when it holds too few.  The
+    shadow's hitting time is read off the parent's order (see
+    ``hitting_time``), so it materialises nothing.  Materialisation is
+    internally locked, so a constructed sequence may be shared across
+    threads.
 
-    Lazy draws deduplicate against a two-level mirror of the S codes drawn so
-    far (see ``_fresh_in_order``): ``_base`` and ``_delta`` are sorted,
-    disjoint and duplicate-free, their union is the set of ``_codes``, and
-    ``_delta`` holds at most ``_DELTA_MAX`` codes.  The mirror costs 8 bytes
-    per code beside the codes' own 8, and a draw step peaks at about three
-    int64 copies of S (the codes, the mirror, and either a folded base or
-    the grown code array).  The mirror is freed once the tail is shuffled in.
+    The materialised codes are a prefix of a buffer whose capacity doubles,
+    so appending a segment costs O(segment) amortised and ``codes(m)`` is a
+    view.  Lazy draws deduplicate against a two-level mirror of the S codes
+    materialised so far (see ``_fresh_in_order``): ``_base`` and ``_delta``
+    are sorted, disjoint and duplicate-free, their union is the set of
+    ``_codes``, and ``_delta`` holds at most ``_DELTA_MAX`` codes.  The
+    buffer and the mirror cost up to 24 bytes per code, and the pending
+    draws 8 bytes each: at most one block after a request, and after a
+    hitting-time scan the blocks that its answer needs (two at n = 10^4).
+    A segment's deduplication peaks at about four int64 copies of S: the
+    buffer of up to 2S, the mirror, and a folded base or the buffer's
+    grown copy.  The mirror is freed once the tail is shuffled in.
     """
 
     def __init__(self, n: int, loopful: bool, *, _codes: Optional[np.ndarray] = None,
@@ -341,15 +362,19 @@ class EdgeSequence:
         self.n = int(n)
         self.loopful = bool(loopful)
         self.universe_size = n * n if loopful else n * (n - 1)
-        self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
-        # Two-level sorted mirror of _codes for the dedup in _draw_block
-        # (invariants above), built on demand.
+        # _codes is always a prefix of _buf (see _append)
+        self._buf = self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
+        # Two-level sorted mirror of _codes, of a lazy sequence (invariants
+        # above), and its i.i.d. draws not yet deduplicated, in order: the
+        # unused tail of one block, then whole blocks.
         self._base = self._delta = np.empty(0, dtype=np.int64)
+        self._pending: list[np.ndarray] = []
         self._rng = _rng
         self._seed: Optional[int] = None  # set for a prefix of a seeded shuffle
         self._parent = _parent
         self._parent_scanned = 0
-        self._lock = threading.Lock()
+        # reentrant: a hitting-time scan holds it while it materialises
+        self._lock = threading.RLock()
         # (loops counted, loops deleted) hitting times, kept on a root only
         self._hitting: Optional[tuple[int, int]] = None
 
@@ -394,6 +419,15 @@ class EdgeSequence:
                     self._extend_from_parent(m)
                 elif self._seed is not None:
                     self._shuffle_prefix(max(m, 2 * self._codes.size))
+                elif self._pending:
+                    # the draws that yield the lack in expectation, each one
+                    # new with chance about 1 - S/N, and two standard
+                    # deviations more, so that one segment seldom falls short;
+                    # at least a quarter of the codes held, so that a run of
+                    # small requests takes O(log S) segments
+                    held = self._codes.size
+                    want = (m - held) * self.universe_size // (self.universe_size - held)
+                    self._absorb(max(want + 2 * isqrt(want) + 16, held // 4))
                 elif self._codes.size < self.universe_size // 2:
                     # Consumption from the rng depends only on how much is
                     # already materialised, never on the request, so any
@@ -407,20 +441,39 @@ class EdgeSequence:
         # reaches the universe.
         assert self._seed is not None
         codes = permutation_prefix(self._seed, self.universe_size, k).astype(np.int64, copy=False)
-        self._codes = codes if self.loopful else _loopless_index_to_code(codes, self.n)
+        self._buf = self._codes = codes if self.loopful else _loopless_index_to_code(codes, self.n)
+
+    def _append(self, codes: np.ndarray) -> None:
+        held, end = self._codes.size, self._codes.size + codes.size
+        if end > self._buf.size:
+            buf = np.empty(max(end, 2 * self._buf.size), dtype=np.int64)
+            buf[:held] = self._codes
+            self._buf = buf
+        self._buf[held:end] = codes
+        self._codes = self._buf[:end]
 
     def _draw_block(self) -> None:
         assert self._rng is not None
-        if self._base.size + self._delta.size != self._codes.size:
-            self._base, self._delta = np.sort(self._codes), np.empty(0, dtype=np.int64)
-        fresh, self._base, self._delta = _fresh_in_order(
-            _random_block(self._rng, self.n, self.loopful), self._base, self._delta)
-        self._codes = np.concatenate([self._codes, fresh])
+        self._pending.append(_random_block(self._rng, self.n, self.loopful))
+
+    def _absorb(self, count: int) -> None:
+        # Deduplicate the next ``count`` pending draws (all, if fewer) into
+        # the codes.  Blocks are joined only for a segment that crosses one.
+        pending = self._pending
+        if len(pending) > 1 and count > pending[0].size:
+            pending[:] = [np.concatenate(pending)]
+        segment, rest = pending[0][:count], pending[0][count:]
+        if rest.size:
+            pending[0] = rest
+        else:
+            del pending[0]
+        fresh, self._base, self._delta = _fresh_in_order(segment, self._base, self._delta)
+        self._append(fresh)
 
     def _finish_with_shuffle(self) -> None:
         # Past half the universe rejection stalls; finish with a shuffle of
         # the leftovers (the conditional law of a uniform permutation's tail).
-        assert self._rng is not None
+        assert self._rng is not None and not self._pending
         have = self._codes
         all_codes = np.arange(self.universe_size, dtype=np.int64)
         if not self.loopful:
@@ -428,20 +481,26 @@ class EdgeSequence:
         # Both arrays are free of repeats, and all_codes is sorted, so the
         # result is the sorted leftovers without numpy's costly unique pass.
         rest = np.setdiff1d(all_codes, have, assume_unique=True)
-        self._codes = np.concatenate([have, self._rng.permutation(rest)])
+        self._buf = self._codes = np.concatenate([have, self._rng.permutation(rest)])
         self._base = self._delta = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
 
     def _extend_from_parent(self, m: int) -> None:
-        # One step takes as many of the parent's unscanned codes as the
-        # request still lacks, so it falls short only by the loops among
-        # them; the parent draws only what those codes need.
+        # One step cuts a chunk of the lack plus its expected loops (about
+        # one parent code in n) and a margin of two standard deviations at
+        # the non-loop code that completes the request; it falls short, and
+        # another step follows, only when the chunk holds more loops.
         parent = self._parent
         assert parent is not None
-        scanned = self._parent_scanned
-        end = scanned + m - self._codes.size
+        scanned, lack = self._parent_scanned, m - self._codes.size
+        loops = lack // (self.n - 1)
+        end = min(scanned + lack + loops + 2 * isqrt(loops) + 1, parent.universe_size)
         parent.ensure(end)
         chunk = parent._codes[scanned:end]
-        self._codes = np.concatenate([self._codes, chunk[~loop_mask(chunk, self.n)]])
+        keep = np.flatnonzero(~loop_mask(chunk, self.n))
+        if keep.size >= lack:
+            keep = keep[:lack]
+            end = scanned + int(keep[-1]) + 1
+        self._append(chunk[keep])
         self._parent_scanned = end
 
     # -- access ------------------------------------------------------------
@@ -546,14 +605,15 @@ def hitting_time(seq: EdgeSequence) -> int:
 
     A process and its loop-deleted shadow share one root, the loopful
     parent; any other process is its own root.  One scan of the root's
-    codes (``_coverage_scan``) gives the hitting time with loops counted and
+    order (``_coverage_scan``) gives the hitting time with loops counted and
     with loops deleted, and the root keeps both.  So the second side of a
     coupled process costs nothing, in either call order, and a shadow's
     hitting time materialises none of the shadow's codes.
     """
     root = seq if seq._parent is None else seq._parent
-    if root._hitting is None:
-        root._hitting = _coverage_scan(root)
+    with root._lock:
+        if root._hitting is None:
+            root._hitting = _coverage_scan(root)
     return root._hitting[seq is not root]
 
 
@@ -565,38 +625,117 @@ def _first_cover(keys: np.ndarray, pos: np.ndarray, size: int, past: int) -> np.
     return first
 
 
+def _pending_sorted(seq: EdgeSequence, lo: int, hi: int) -> np.ndarray:
+    """The pending draws lo..hi-1 of ``seq`` (0 is the first pending draw),
+    sorted; uint32, half the bytes and sorting time of int64, whenever the
+    universe allows."""
+    out = np.empty(max(hi - lo, 0), dtype=np.uint32 if seq.universe_size <= 1 << 32 else np.int64)
+    at = 0
+    for block in seq._pending:
+        piece = block[max(lo, 0):max(hi, 0)]
+        out[at:at + piece.size] = piece
+        at += piece.size
+        lo -= block.size
+        hi -= block.size
+    out.sort()
+    return out
+
+
+def _repeats(seq: EdgeSequence, cut: int, end: int) -> tuple[int, int, int]:
+    """(repeats before ``cut``, repeats before ``end``, loops among the
+    latter) in ``seq``'s stream, for cut <= end.
+
+    The stream is the materialised codes, then the pending draws.  A draw
+    repeats when its code came earlier: in the codes (the mirror) or in an
+    earlier pending draw.  A count needs no positions, only the codes on
+    either side of the cut: the draws before it are sorted once, and those
+    from it to ``end``, few when the two answers lie close, are sorted and
+    looked up in them.
+    """
+    held = seq._codes.size
+    if end <= held:  # no pending draw before end: a process that is not lazy
+        return 0, 0, 0
+    cut, end = max(cut - held, 0), end - held
+    seen = [level for level in (seq._base, seq._delta) if level.size]
+    again = []
+    for draws in (_pending_sorted(seq, 0, cut), _pending_sorted(seq, cut, end)):
+        repeat = np.zeros(draws.size, dtype=bool)
+        repeat[1:] = draws[1:] == draws[:-1]
+        for level in seen:
+            repeat |= _isin_sorted(level, draws)
+        again.append(draws[repeat])
+        if draws.size:
+            seen.append(draws)
+    before = again[0].size
+    again = np.concatenate(again)
+    return before, again.size, int(np.count_nonzero(loop_mask(again, seq.n)))
+
+
 def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
     """(hitting time with loops counted, hitting time with loops deleted) of
-    ``seq``'s order, from one scan of its codes; equal when it has no loops.
+    ``seq``'s order, from one scan of its stream; equal when it has no loops.
+
+    The stream is the materialised codes, then the pending draws of a lazy
+    sequence, which may repeat a code.  A repeat never adds coverage, so the
+    draw that completes it is a first appearance, and an answer is its
+    position + 1 less the repeats before it (loops deleted: less the loops
+    and the non-loop repeats).  ``_repeats`` counts those once the answers'
+    positions are known, so the scan deduplicates nothing: the lazy
+    sequence's codes stay as they were, and a later request deduplicates
+    only the draws it needs.
 
     Key x < n is vertex x as a source and key n + x is x as a target; each
-    side keeps a "not yet seen" flag per key.  Windows of what is already
-    materialised are read in turn, the first of max(n, ``_MIN_WINDOW``)
-    codes and each next one at most twice as long, up to ``_DRAW_BLOCK``; a
-    draw step is taken only when nothing unscanned is left.  A window costs
-    one floor division, gathers of its sources' and targets' keys from the
-    loop-deleted flags (a loop's keys go to the spare key 2n, never unseen)
-    and scatters of the few keys found unseen.  A key unseen with loops
-    counted is unseen with loops deleted too, so those flags are cleared
-    from the same keys plus the loops'.  The window that clears a side's
-    last flag fixes its answer, the latest first position of a key it
-    clears; the loop-deleted one then drops the loops before it.  So the
-    scan ends at most
-    max(answer + max(n, ``_MIN_WINDOW``), ``_DRAW_BLOCK``) codes past the
-    loop-deleted answer, and a lazy process draws only the blocks it needs.
+    side keeps a "not yet seen" flag per key.  Windows of the stream are
+    read in turn, the first of max(n, ``_MIN_WINDOW``) draws and each next
+    one at most twice as long, up to ``_MAX_WINDOW``; a window ends where
+    the codes or a pending block end.  Once nothing unscanned is left, a
+    lazy sequence draws one more block into its pending draws while fewer
+    than half its universe is drawn or materialised.  Past that it
+    deduplicates its pending draws (the positions found so far move down by
+    the repeats before them) and asks ``ensure`` for one more code, which
+    draws or shuffles in the tail as it would without the scan; any other
+    sequence just asks ``ensure``.  So a lazy sequence draws exactly the
+    blocks that it would draw to materialise its hitting time.  A window
+    costs one floor division, gathers of its sources' and targets' keys
+    from the loop-deleted flags (a loop's keys go to the spare key 2n,
+    never unseen) and scatters of the few keys found unseen.  A key unseen
+    with loops counted is unseen with loops deleted too, so those flags are
+    cleared from the same keys plus the loops'.  The window that clears a
+    side's last flag fixes its answer, the latest first position of a key
+    it clears.  The caller holds the sequence's lock.
     """
     n = seq.n
     spare = 2 * n
     unseen = np.ones(spare + 1, dtype=bool)
     unseen[spare] = False
     unseen_looped = unseen.copy()  # loops counted
-    with_loops = None
-    loops = 0
-    start, width = 0, min(max(n, _MIN_WINDOW), _DRAW_BLOCK)
+    with_loops = None  # stream position of the loops-counted answer, once fixed
+    loops = 0  # loop draws before start
+    start, width = 0, min(max(n, _MIN_WINDOW), _MAX_WINDOW)
     while True:
-        if start == seq.materialized:
-            seq.ensure(start + 1)
-        codes = seq._codes[start:start + width]
+        skip = start - seq._codes.size
+        if skip < 0:
+            codes = seq._codes[start:start + width]
+        else:
+            for block in seq._pending:
+                if skip < block.size:
+                    codes = block[skip:skip + width]
+                    break
+                skip -= block.size
+            else:  # nothing unscanned is left
+                if seq._rng is not None and start < seq.universe_size // 2:
+                    seq._draw_block()
+                    continue
+                if seq._pending:
+                    early, repeats, loop_repeats = _repeats(
+                        seq, start if with_loops is None else with_loops, start)
+                    seq._absorb(start - seq._codes.size)
+                    if with_loops is not None:
+                        with_loops -= early
+                    loops -= loop_repeats
+                    start -= repeats
+                seq.ensure(start + 1)
+                continue
         w = codes.size
         u = codes // n
         v = u * n
@@ -616,14 +755,17 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
             if not np.count_nonzero(unseen_looped):
                 first = _first_cover(np.concatenate([fresh, looped, looped + n]),
                                      np.concatenate([pos, at, at]), spare + 1, w)
-                with_loops = start + int(first[before].max()) + 1
+                with_loops = start + int(first[before].max())
         unseen[fresh] = False
         if not np.count_nonzero(unseen):
             last = int(_first_cover(fresh, pos, spare + 1, w)[fresh].max())
-            return with_loops, start + last + 1 - loops - int(np.count_nonzero(at < last))
+            loops += int(np.count_nonzero(at < last))
+            last += start
+            early, repeats, loop_repeats = _repeats(seq, with_loops, last)
+            return with_loops + 1 - early, last + 1 - loops - (repeats - loop_repeats)
         loops += at.size
         start += w
-        width = min(2 * width, _DRAW_BLOCK)
+        width = min(2 * width, _MAX_WINDOW)
 
 
 # -- edge-list text format -----------------------------------------------------

@@ -175,11 +175,11 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     (k + 1) l / 2 of them), and a 2^k bool and a 2^k int32 table over the
     subsets; on the sparse hitting-time digraphs l is a small fraction of c.
     The peak is the larger of the two.  For n <= 11, which takes the table
-    step, add (7 k + 8) c + 4 k 2^k bytes: a step holds a layer's product
-    with a row of zeros appended, the intp copy of its int32 table that the
-    gather makes and the next layer, 8 (3 k + 1) c in all, and the tables,
-    at most 4 k 2^k bytes, stay cached; their build holds no more than a
-    step.  Ordering the subsets briefly takes
+    step, add (7 k + 16) c + 8 k 2^k bytes: a step allocates a layer's
+    product, with a row of zeros appended, while the layer and the last
+    step's product are still held, 8 (3 k + 2) c in all, and the intp
+    tables, at most 8 k 2^k bytes, stay cached; their build holds no more
+    than a step.  Ordering the subsets briefly takes
     13 * 2^k bytes; the 4 * 2^k bytes of the ordered subsets of the last n,
     and its tables, stay cached between calls, so that this happens once per
     n.
@@ -201,7 +201,7 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 # where no layer has 2^8 subsets (C(10, 5) = 252), the table step gathers
 # each layer from the product of the last through a table cached per n: one
 # dgemm and one take per layer, and no index arithmetic.  Its tables would
-# take 4 k 2^k bytes, 770 MB at n = 24, so from n = 12 on a layer is held in
+# take 8 k 2^k bytes, 1.5 GB at n = 24, so from n = 12 on a layer is held in
 # one of two layouts.  The full layout has a column for every subset of its
 # size and is filled through a membership mask; the live layout has one only
 # for each live subset, one that some path from 0 covers.  The DP moves to
@@ -221,13 +221,13 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     within a size, the end offset of each size in that order and, when every
     size has fewer than ``_LIVE_MIN_SUBSETS`` subsets (k <= 10), the gather
     tables of the table step of ``_hamilton_residue`` (None otherwise).
-    Table r, for r = 1..k-1, is a k x C(k, r+1) int32 array whose entry
+    Table r, for r = 1..k-1, is a k x C(k, r+1) intp array whose entry
     (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
     T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
     (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
-    appended to it.  The tables take 4 k (2^k - k - 1) bytes.  The one cache
-    entry holds the result for the last k, so every array in it is
-    read-only."""
+    appended to it.  The tables are intp, which ``take`` uses without a
+    converted copy, and take 8 k (2^k - k - 1) bytes.  The one cache entry
+    holds the result for the last k, so every array in it is read-only."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
     masks = np.argsort(size, kind="stable").astype(np.int32)
     ends = np.cumsum(np.bincount(size))
@@ -239,8 +239,8 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     for r in range(1, k):
         below = masks[ends[r - 1]:ends[r]]  # increasing, so T - {w} is found by bisection
         grown = masks[ends[r]:ends[r + 1]]
-        table = np.searchsorted(below, grown & ~bits).astype(np.int32)
-        table += np.arange(0, k * len(below), len(below), dtype=np.int32)[:, None]
+        table = np.searchsorted(below, grown & ~bits)
+        table += np.arange(0, k * len(below), len(below))[:, None]
         table[(grown & bits) == 0] = k * len(below)
         table.flags.writeable = False
         tables.append(table)

@@ -243,3 +243,56 @@ def random_digraph(rng: np.random.Generator, n: int, p: float, allow_loops: bool
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+def _reference_first_cover(keys: np.ndarray, pos: np.ndarray, size: int, past: int) -> np.ndarray:
+    first = np.full(size, past)
+    np.minimum.at(first, keys, pos)
+    return first
+
+
+def reference_coverage_scan(seq) -> tuple[int, int]:
+    """Reference for ``digraph._coverage_scan``: (hitting time with loops
+    counted, hitting time with loops deleted) from a scan of the
+    materialised codes alone, in windows that double from max(n, 2^7) codes
+    up to 2^16, each asked of ``ensure`` when nothing is left.  A lazy
+    ``seq`` is deduplicated past its loop-deleted hitting time."""
+    n = seq.n
+    spare = 2 * n
+    unseen = np.ones(spare + 1, dtype=bool)
+    unseen[spare] = False
+    unseen_looped = unseen.copy()
+    with_loops = None
+    loops = 0
+    start, width = 0, min(max(n, 1 << 7), 1 << 16)
+    while True:
+        if start == seq.materialized:
+            seq.ensure(min(start + width, seq.universe_size))
+        codes = seq.codes(seq.materialized)[start:start + width]
+        w = codes.size
+        u = codes // n
+        v = u * n
+        np.subtract(codes, v, out=v)
+        at = np.flatnonzero(u == v)
+        looped = u[at]
+        v += n
+        u[at] = v[at] = spare
+        out_at, in_at = np.flatnonzero(unseen[u]), np.flatnonzero(unseen[v])
+        fresh = np.concatenate([u[out_at], v[in_at]])
+        pos = np.concatenate([out_at, in_at])
+        if with_loops is None:
+            before = unseen_looped.copy()
+            unseen_looped[fresh] = False
+            unseen_looped[looped] = False
+            unseen_looped[looped + n] = False
+            if not np.count_nonzero(unseen_looped):
+                first = _reference_first_cover(np.concatenate([fresh, looped, looped + n]),
+                                               np.concatenate([pos, at, at]), spare + 1, w)
+                with_loops = start + int(first[before].max()) + 1
+        unseen[fresh] = False
+        if not np.count_nonzero(unseen):
+            last = int(_reference_first_cover(fresh, pos, spare + 1, w)[fresh].max())
+            return with_loops, start + last + 1 - loops - int(np.count_nonzero(at < last))
+        loops += at.size
+        start += w
+        width = min(2 * width, 1 << 16)

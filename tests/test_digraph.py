@@ -33,7 +33,7 @@ from hamcount.digraph import (
 from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
 
-from conftest import ReferenceDraws, min_degrees
+from conftest import ReferenceDraws, min_degrees, reference_coverage_scan
 
 
 def _sha256_codes(codes) -> str:
@@ -408,6 +408,7 @@ class TestTwoLevelMirror:
             for block in blocks:
                 before = seq.materialized
                 seq._draw_block()
+                seq._absorb(block.size)
                 assert seq._codes[before:].tolist() == oracle.draw(block).tolist()
                 assert seq.materialized == oracle.codes.size
                 base, delta = seq._base, seq._delta
@@ -646,12 +647,12 @@ class TestHittingTime:
         codes = seq.codes(m)
         return covered(codes) and not covered(codes[:-1])
 
-    # (loopful, loopless) codes materialised once both hitting times are
-    # known.  The loopful counts were recorded when every scan window was a
-    # full block; smaller windows must draw exactly the same blocks.  Both
-    # hitting times come from the loopful codes, so the shadow holds none.
-    MATERIALIZED = {0: (130985, 0), 1: (130996, 0), 2: (130975, 0),
-                    3: (130999, 0), 4: (131006, 0)}
+    # (loopful codes materialised, pending loopful draws) once both hitting
+    # times are known, for every seed of PINNED.  When the scan deduplicated
+    # what it read, the loopful side held 130985, 130996, 130975, 130999 and
+    # 131006 codes: the distinct codes of the same two blocks.  The scan reads
+    # the raw draws, so neither side materialises a code.
+    MATERIALIZED = (0, 2 * _DRAW_BLOCK)
 
     @pytest.mark.parametrize("loopless_first", [True, False])
     def test_coupled_pins_and_draws(self, loopless_first):
@@ -664,8 +665,9 @@ class TestHittingTime:
             assert (m_less, m_ful) == (want_less, want_ful)
             assert 92_000 <= min(m_less, m_ful) and max(m_less, m_ful) <= 107_000
             # two blocks of about 65.5k distinct codes cover m* in either order
-            assert cp.loopful.materialized <= 2 * _DRAW_BLOCK
-            assert (cp.loopful.materialized, cp.loopless.materialized) == self.MATERIALIZED[seed]
+            assert cp.loopless.materialized == 0
+            pending = sum(block.size for block in cp.loopful._pending)
+            assert (cp.loopful.materialized, pending) == self.MATERIALIZED
             assert self.least_covering_prefix(cp.loopless, m_less)
             assert self.least_covering_prefix(cp.loopful, m_ful)
 
@@ -716,19 +718,34 @@ class TestHittingTime:
 
     @pytest.mark.parametrize("n", [18, 10_000])
     def test_shadow_stays_unmaterialised(self, n):
-        # both hitting times read the loopful codes alone; a later request
-        # of the shadow takes just the parent codes it lacks, loops aside
+        # both hitting times read the loopful order alone; a later request
+        # of the shadow takes just the parent codes it lacks, loops aside,
+        # and the parent deduplicates a few hundred of its pending draws
         cp = couple(gen_process(n, "loopful", 0))
         hitting_time(cp.loopless)
         hitting_time(cp.loopful)
         assert cp.loopless.materialized == 0
-        drawn = cp.loopful.materialized
-        cp.audit(200)
+        held = cp.loopful.materialized
+
+        def no_draws(*args):
+            raise AssertionError("a block was drawn")
+
+        steps = []
+        extend = EdgeSequence._extend_from_parent
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_random_block", no_draws)
+            mp.setattr(EdgeSequence, "_extend_from_parent",
+                       lambda seq, m: (steps.append(m), extend(seq, m)))
+            cp.audit(200)
+        assert steps == [200]  # one step: the chunk held the loops among its codes
         taken = cp.loopful.codes(cp.loopless._parent_scanned)
         assert cp.loopless.materialized == 200
         assert taken.size == 200 + np.count_nonzero(loop_mask(taken, n))
         assert not loop_mask(taken[-1:], n).any()  # no parent code past the last one needed
-        assert cp.loopful.materialized == drawn
+        if n == 18:  # the whole shuffle, from the start
+            assert cp.loopful.materialized == held == n * n
+        else:
+            assert held == 0 and 200 <= cp.loopful.materialized < 1000
 
     def test_shared_across_threads(self):
         # hitting times and long prefixes requested at once from both sides
@@ -761,6 +778,119 @@ class TestHittingTime:
             hitting_time(cp.loopful)
             assert _sha256_codes(cp.loopful.codes(300_000)) == loopful
             assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
+
+
+class TestPendingDraws:
+    """A lazy process keeps its draws pending until a request deduplicates
+    them, and a hitting-time scan reads them raw; neither may change the
+    order, whatever the requests and whichever comes first."""
+
+    @pytest.mark.parametrize("pattern", range(3))
+    def test_request_patterns_match_one_call(self, pattern):
+        seed = 0
+        loopful, shadow = LOOPFUL_PINS[seed]
+        whole = gen_process(10_000, "loopful", seed).codes(300_000)
+        rng = np.random.default_rng(pattern)
+        sizes = [1, 7, 200, _DRAW_BLOCK - 3, _DRAW_BLOCK + 3, 2 * _DRAW_BLOCK + 1,
+                 *rng.integers(1, 300_000, size=4).tolist()]
+        sizes = [*rng.permutation(sizes).tolist(), 300_000]
+        cp = couple(gen_process(10_000, "loopful", seed))
+        if pattern == 2:
+            hitting_time(cp.loopful)
+        for m in sizes:
+            assert np.array_equal(cp.loopful.codes(m), whole[:m])
+            cp.loopless.codes(m)
+        assert _sha256_codes(cp.loopful.codes(300_000)) == loopful
+        assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
+
+    def test_codes_are_views_of_a_doubling_buffer(self):
+        lazy = gen_process(10_000, "loopful", 0)
+        shadow = couple(gen_process(18, "loopful", 0)).loopless
+        for seq, sizes in ((lazy, range(1, 50_001, 499)), (shadow, range(1, 307))):
+            buffers, taken = set(), []
+            for m in sizes:
+                taken.append(seq.codes(m))
+                assert np.shares_memory(taken[-1], seq._buf)
+                buffers.add(id(seq._buf))
+            # an append copies the codes only when the capacity doubles
+            assert len(buffers) <= max(sizes).bit_length() + 1
+            whole = seq.codes(max(sizes))
+            assert all(np.array_equal(t, whole[:t.size]) for t in taken)
+
+    @pytest.fixture(scope="class")
+    def scanned(self):
+        # the earlier scan of the materialised codes, on a process of its own
+        cp = couple(gen_process(10_000, "loopful", 0))
+        want_ful, want_less = reference_coverage_scan(cp.loopful)
+        assert (want_less, want_ful) == TestHittingTime.PINNED[0]
+        return want_ful, want_less
+
+    @pytest.mark.parametrize("m", [0, 1, 200, 70_000, 131_072])
+    @pytest.mark.parametrize("side", ["loopful", "loopless"])
+    @pytest.mark.parametrize("loopless_first", [True, False])
+    def test_hitting_time_after_prefix(self, scanned, m, side, loopless_first):
+        cp = couple(gen_process(10_000, "loopful", 0))
+        want = getattr(cp, side).codes(m).copy()
+        if loopless_first:
+            m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
+        else:
+            m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
+        assert (m_ful, m_less) == scanned
+        assert np.array_equal(getattr(cp, side).codes(m), want)
+        assert TestHittingTime.least_covering_prefix(cp.loopful, m_ful)
+        assert TestHittingTime.least_covering_prefix(cp.loopless, m_less)
+
+    def test_wide_universe(self):
+        # n^2 > 2^32, so the repeats are counted on int64 draws, not uint32
+        n = 70_000
+        assert n * n > 1 << 32
+        cp = couple(gen_process(n, "loopful", 1))
+        want = reference_coverage_scan(gen_process(n, "loopful", 1))
+        assert (hitting_time(cp.loopful), hitting_time(cp.loopless)) == want
+
+    @pytest.mark.parametrize("m", [2500, 4000, 64 * 64])
+    def test_past_half_the_universe(self, m):
+        # n = 64 drawn lazily: one block of 2^16 draws covers the 4096 codes
+        # at once, and asked past half of them a process gives the same
+        # codes whether or not its hitting time came first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 1 << 10)
+            plain = couple(gen_process(64, "loopful", 5))
+            scanned = couple(gen_process(64, "loopful", 5))
+            assert plain.loopful._rng is not None
+            want = (TestHittingTime.oracle(plain.loopful.full_order(), 64),
+                    TestHittingTime.oracle(plain.loopless.full_order(), 64))
+            assert (hitting_time(scanned.loopful), hitting_time(scanned.loopless)) == want
+            for side in ("loopful", "loopless"):
+                seq = getattr(scanned, side)
+                k = min(m, seq.universe_size)
+                assert np.array_equal(seq.codes(k), getattr(plain, side).codes(k))
+
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 64]),
+           st.booleans(), st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 150))
+    @example(n=2, seed=0, block=1, loopless_first=False, materialised="none", ahead=1)
+    @example(n=5, seed=3, block=3, loopless_first=True, materialised="loopful", ahead=4)
+    @settings(max_examples=80, deadline=None)
+    def test_small_blocks_match_python_oracle(self, n, seed, block, loopless_first,
+                                              materialised, ahead):
+        # tiny blocks: a scan crosses half the universe, deduplicates what it
+        # read and goes on into the shuffled tail, with codes materialised
+        # before it or not
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
+            mp.setattr(digraph, "_DRAW_BLOCK", block)
+            order = gen_process(n, "loopful", seed).full_order()
+            cp = couple(gen_process(n, "loopful", seed))
+            if materialised != "none":
+                seq = getattr(cp, materialised)
+                seq.codes(min(ahead, seq.universe_size))
+            if loopless_first:
+                m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
+            else:
+                m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
+            assert m_ful == TestHittingTime.oracle(order, n)
+            assert m_less == TestHittingTime.oracle([(u, v) for u, v in order if u != v], n)
+            assert cp.loopful.full_order() == order
 
 
 class TestMinDegrees:
