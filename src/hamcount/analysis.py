@@ -91,17 +91,6 @@ def exact_binomial_upper_tail(n: int, p, a) -> Fraction:
     return _pmf_sum(n, p, range(k0, n + 1))
 
 
-def exact_binomial_two_sided(n: int, p, eps) -> Fraction:
-    """Pr(|X - EX| >= eps EX) for X ~ Bin(n, p), exact (n <= 1000)."""
-    if n > EXACT_TAIL_MAX_N:
-        raise DomainError(f"exact tails are rational-arithmetic only up to n={EXACT_TAIL_MAX_N}")
-    p = Fraction(p)
-    mean = n * p
-    margin = Fraction(eps) * mean
-    ks = [k for k in range(n + 1) if abs(k - mean) >= margin]
-    return _pmf_sum(n, p, ks)
-
-
 def _pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:
     """Sum of Pr(X = k) over ``ks`` (each in [0, n]) for X ~ Bin(n, p).
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate, chain
-from math import isqrt
-from typing import IO, Iterable, Optional, Sequence
+from math import isqrt, log1p
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -38,9 +38,6 @@ _MIN_WINDOW = 1 << 7
 # n = 10^4 a coupled trial with such windows took about twice the page faults
 # of one with 2^14-draw windows (620 against 330), and 1.5-1.7 ms more.
 _MAX_WINDOW = 1 << 14
-# Most codes the small level of the lazy-draw mirror holds before it is folded
-# into the large one (see _fresh_in_order).
-_DELTA_MAX = 1 << 18
 
 
 class Digraph:
@@ -246,57 +243,42 @@ def _isin_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a[slot] == x
 
 
-def _fresh_in_order(block: np.ndarray, base: np.ndarray,
-                    delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of ``block`` absent from the mirror ``base`` + ``delta``, and the
-    updated mirror ``(base, delta)``.
+def _fresh_in_order(block: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of ``block`` absent from ``seen``, each once, in order of first
+    appearance in the block, and the sorted union of ``seen`` and the block.
 
-    The mirror holds every code seen so far in two sorted, disjoint,
-    duplicate-free int64 arrays: a large ``base`` that the block is searched
-    against and a small ``delta`` that it is merged into (the two levels of a
-    log-structured merge tree).  The first array returned keeps each new code
-    once, in order of first appearance in the block.  The new codes join
-    ``delta``; once it holds more than ``_DELTA_MAX`` codes it is folded into
-    ``base``.  Per block of B codes: one sort of the block, one binary search
-    of its distinct codes in ``base`` (skipped while ``base`` is empty) and
-    one linear merge into ``delta``, so O(B log B + B log S_base + _DELTA_MAX),
-    plus a linear fold of all S codes once per ``_DELTA_MAX`` new codes,
-    O(S B / _DELTA_MAX) amortised.  Peak memory past the inputs: about 4B
-    int64 for the block sort, ``delta`` + B for the merge, and S int64 plus S
-    bools for a fold.
+    ``seen`` holds every code seen so far, sorted and duplicate-free (int64).
+    For a block of L codes over S seen: one sort of the block (its codes
+    packed with their indices into one int64 key, or a stable argsort when
+    the codes are too wide to pack), one binary search of its distinct codes
+    in ``seen`` (none while ``seen`` is empty) and one linear merge of the new
+    ones into it, so O(L log L + L log S + S).  Peak memory past the inputs:
+    about 4L int64 for the block sort and 1.5(S + L) int64 for the merge.
     """
     index_bits = max(1, (block.size - 1).bit_length())
     if block.size and int(block.max()) < 1 << (63 - index_bits):
         # (code, index) packed into one int64: a plain sort of the packed keys
         # gives the stable order, several times faster than argsort(kind="stable").
-        packed = np.sort((block << index_bits) | np.arange(block.size))
-        ranked, order = packed >> index_bits, packed & ((1 << index_bits) - 1)
+        # In place, so that the sort holds two int64 copies of the block.
+        order = block << index_bits
+        order |= np.arange(block.size)
+        order.sort()
+        ranked = order >> index_bits
+        order &= (1 << index_bits) - 1
     else:
         order = np.argsort(block, kind="stable")
         ranked = block[order]
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]  # stable: a run starts at its earliest index
-    rest, where = ranked[first], order[first]
-    if base.size:
-        miss = ~_isin_sorted(base, rest)
-        rest, where = rest[miss], where[miss]
-    # A stable sort of two sorted runs is one linear merge; a code already in
-    # delta lands twice in a row, its copy from rest second.
-    merged = np.concatenate([delta, rest])
-    merged.sort(kind="stable")
-    again = merged[1:] == merged[:-1]
-    if again.any():
-        # The repeats are the codes of rest already in delta; one search of
-        # them in rest marks them.
-        new = np.ones(rest.size, dtype=bool)
-        new[np.searchsorted(rest, merged[1:][again])] = False
-        where = where[new]
-        merged = merged[np.concatenate([[True], ~again])]
+    new, where = ranked[first], order[first]
+    del ranked, order, first  # the sort's copies go before the search and merge allocate
+    if seen.size:
+        miss = ~_isin_sorted(seen, new)
+        new, where = new[miss], where[miss]
     keep = np.zeros(block.size, dtype=bool)
     keep[where] = True
-    if merged.size > _DELTA_MAX:
-        base, merged = sorted_union(base, merged), np.empty(0, dtype=np.int64)
-    return block[keep], base, merged
+    del where
+    return block[keep], sorted_union(seen, new)
 
 
 def _random_block(rng: np.random.Generator, n: int, loopful: bool) -> np.ndarray:
@@ -325,11 +307,12 @@ class EdgeSequence:
       distinct values of an i.i.d. uniform stream, in order of first
       appearance, form a uniform permutation prefix).  Lazy draws come in
       fixed blocks of ``_DRAW_BLOCK`` codes, kept as pending draws until a
-      request deduplicates them, in segments sized to what it still lacks.
-      A block is drawn only once the pending draws are used up, and only
-      while fewer than half the universe is materialised (a hitting-time
-      scan, which deduplicates nothing, draws while its codes and pending
-      draws together stay below half); past half, the tail is shuffled in.
+      request deduplicates them.  A request sizes a segment to what it
+      still lacks, draws blocks until the pending draws cover it, and
+      deduplicates the segment at once.  A block is drawn only while the
+      codes and the pending draws together are fewer than half the universe
+      (``_draw_below_half``), so never one that deduplicating first would
+      not draw; past half, the tail is shuffled in.
 
     Either way the order depends on the seed alone, not on the requests.  A
     loop-deleted shadow materialises only what its requests ask for: each
@@ -342,16 +325,15 @@ class EdgeSequence:
 
     The materialised codes are a prefix of a buffer whose capacity doubles,
     so appending a segment costs O(segment) amortised and ``codes(m)`` is a
-    view.  Lazy draws deduplicate against a two-level mirror of the S codes
-    materialised so far (see ``_fresh_in_order``): ``_base`` and ``_delta``
-    are sorted, disjoint and duplicate-free, their union is the set of
-    ``_codes``, and ``_delta`` holds at most ``_DELTA_MAX`` codes.  The
-    buffer and the mirror cost up to 24 bytes per code, and the pending
-    draws 8 bytes each: at most one block after a request, and after a
-    hitting-time scan the blocks that its answer needs (two at n = 10^4).
-    A segment's deduplication peaks at about four int64 copies of S: the
-    buffer of up to 2S, the mirror, and a folded base or the buffer's
-    grown copy.  The mirror is freed once the tail is shuffled in.
+    view.  Lazy draws deduplicate against ``_seen``, the S codes
+    materialised so far, sorted (see ``_fresh_in_order``).  The buffer and
+    ``_seen`` cost up to 24 bytes per code, and the pending draws 8 bytes
+    each: less than one block after a request, and after a hitting-time
+    scan the blocks that its answer needs (two at n = 10^4).  A segment of L
+    draws over S held codes peaks at about 8(7S + 6L) bytes: the buffer
+    (capacity up to 2S) and its doubled copy, ``_seen`` and the merged copy
+    that replaces it, and the segment with its sort, about 5L at once.
+    ``_seen`` is freed once the tail is shuffled in.
     """
 
     def __init__(self, n: int, loopful: bool, *, _codes: Optional[np.ndarray] = None,
@@ -364,10 +346,10 @@ class EdgeSequence:
         self.universe_size = n * n if loopful else n * (n - 1)
         # _codes is always a prefix of _buf (see _append)
         self._buf = self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
-        # Two-level sorted mirror of _codes, of a lazy sequence (invariants
-        # above), and its i.i.d. draws not yet deduplicated, in order: the
-        # unused tail of one block, then whole blocks.
-        self._base = self._delta = np.empty(0, dtype=np.int64)
+        # The codes of a lazy sequence, sorted, and its i.i.d. draws not yet
+        # deduplicated, in order: the unused tail of one block, then whole
+        # blocks.
+        self._seen = np.empty(0, dtype=np.int64)
         self._pending: list[np.ndarray] = []
         self._rng = _rng
         self._seed: Optional[int] = None  # set for a prefix of a seeded shuffle
@@ -391,14 +373,6 @@ class EdgeSequence:
         return seq
 
     @classmethod
-    def from_order(cls, n: int, loopful: bool, order: Sequence[tuple[int, int]]) -> "EdgeSequence":
-        """Explicit order (must be a permutation of the full universe)."""
-        Digraph(n, order, allow_loops=loopful)  # raises on repeated or inadmissible pairs
-        if len(order) != (n * n if loopful else n * (n - 1)):
-            raise DomainError("order is not a permutation of the pair universe")
-        return cls(n, loopful, _codes=np.array([u * n + v for u, v in order], dtype=np.int64))
-
-    @classmethod
     def _derived_loopless(cls, parent: "EdgeSequence") -> "EdgeSequence":
         return cls(parent.n, False, _parent=parent)
 
@@ -419,22 +393,24 @@ class EdgeSequence:
                     self._extend_from_parent(m)
                 elif self._seed is not None:
                     self._shuffle_prefix(max(m, 2 * self._codes.size))
-                elif self._pending:
-                    # the draws that yield the lack in expectation, each one
-                    # new with chance about 1 - S/N, and two standard
-                    # deviations more, so that one segment seldom falls short;
-                    # at least a quarter of the codes held, so that a run of
-                    # small requests takes O(log S) segments
-                    held = self._codes.size
-                    want = (m - held) * self.universe_size // (self.universe_size - held)
-                    self._absorb(max(want + 2 * isqrt(want) + 16, held // 4))
-                elif self._codes.size < self.universe_size // 2:
-                    # Consumption from the rng depends only on how much is
-                    # already materialised, never on the request, so any
-                    # request pattern yields the same order for one seed.
-                    self._draw_block()
                 else:
-                    self._finish_with_shuffle()
+                    # A segment of the draws that take the codes from S to m
+                    # in expectation, N ln((N - S)/(N - m)) (a draw is new
+                    # with chance (N - k)/N while k codes are held), and two
+                    # standard deviations more, so that one segment seldom
+                    # falls short; at least half the codes held, so that a
+                    # run of small requests takes O(log S) segments.
+                    # Its blocks are drawn first and deduplicated at once:
+                    # one merge into _seen per segment, not per block.
+                    held, universe = self._codes.size, self.universe_size
+                    want = int(universe * log1p((m - held) / max(universe - m, 1)))
+                    segment = max(want + 2 * isqrt(want) + 16, held // 2)
+                    while self._pending_size() < segment and self._draw_below_half():
+                        pass
+                    if self._pending:
+                        self._absorb(segment)
+                    else:
+                        self._finish_with_shuffle()
 
     def _shuffle_prefix(self, k: int) -> None:
         # The first k codes of the seeded shuffle; all of them once 2k
@@ -452,22 +428,36 @@ class EdgeSequence:
         self._buf[held:end] = codes
         self._codes = self._buf[:end]
 
-    def _draw_block(self) -> None:
-        assert self._rng is not None
+    def _pending_size(self) -> int:
+        return sum(block.size for block in self._pending)
+
+    def _draw_below_half(self) -> bool:
+        """Draw one more block into the pending draws of a lazy sequence while
+        its codes and pending draws are fewer than half the universe; whether
+        it drew.  The distinct draws are fewer still, so the block is one that
+        deduplicating every pending draw first would also draw: the rng is
+        consumed alike whatever the requests and scans, and any request
+        pattern yields the same order for one seed."""
+        if self._rng is None or self._codes.size + self._pending_size() >= self.universe_size // 2:
+            return False
         self._pending.append(_random_block(self._rng, self.n, self.loopful))
+        return True
 
     def _absorb(self, count: int) -> None:
-        # Deduplicate the next ``count`` pending draws (all, if fewer) into
-        # the codes.  Blocks are joined only for a segment that crosses one.
-        pending = self._pending
-        if len(pending) > 1 and count > pending[0].size:
-            pending[:] = [np.concatenate(pending)]
-        segment, rest = pending[0][:count], pending[0][count:]
-        if rest.size:
-            pending[0] = rest
-        else:
-            del pending[0]
-        fresh, self._base, self._delta = _fresh_in_order(segment, self._base, self._delta)
+        # Deduplicate the next ``count`` > 0 pending draws (all, if fewer)
+        # into the codes.  Blocks are joined only for a segment that crosses
+        # one, and an unused tail stays a view of its own block, not of the
+        # joined segment.
+        pending, pieces = self._pending, []
+        while pending and count > 0:
+            block = pending.pop(0)
+            pieces.append(block[:count])
+            if count < block.size:
+                pending.insert(0, block[count:])
+            count -= block.size
+        segment = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        del pieces  # the joined blocks go before the segment is sorted
+        fresh, self._seen = _fresh_in_order(segment, self._seen)
         self._append(fresh)
 
     def _finish_with_shuffle(self) -> None:
@@ -482,7 +472,7 @@ class EdgeSequence:
         # result is the sorted leftovers without numpy's costly unique pass.
         rest = np.setdiff1d(all_codes, have, assume_unique=True)
         self._buf = self._codes = np.concatenate([have, self._rng.permutation(rest)])
-        self._base = self._delta = np.empty(0, dtype=np.int64)  # no draws follow; free the mirror
+        self._seen = np.empty(0, dtype=np.int64)  # no draws follow
 
     def _extend_from_parent(self, m: int) -> None:
         # One step cuts a chunk of the lack plus its expected loops (about
@@ -525,9 +515,6 @@ class EdgeSequence:
         straight from their codes; m must lie in [0, universe size]."""
         return Digraph(self.n, self.codes(m), allow_loops=self.loopful)
 
-    def full_order(self) -> list[tuple[int, int]]:
-        return self.pairs(self.universe_size)
-
     def __len__(self) -> int:
         return self.universe_size
 
@@ -554,12 +541,6 @@ class CoupledProcess:
         if np.setdiff1d(ful[~loop_mask(ful, self.n)], self.loopless.codes(m),
                         assume_unique=True).size:
             raise AssertionError(f"coupling invariant violated at m={m}")
-        return True
-
-    def audit_all(self, up_to: Optional[int] = None) -> bool:
-        limit = self.loopless.universe_size if up_to is None else up_to
-        for m in range(limit + 1):
-            self.audit(m)
         return True
 
 
@@ -646,17 +627,18 @@ def _repeats(seq: EdgeSequence, cut: int, end: int) -> tuple[int, int, int]:
     latter) in ``seq``'s stream, for cut <= end.
 
     The stream is the materialised codes, then the pending draws.  A draw
-    repeats when its code came earlier: in the codes (the mirror) or in an
-    earlier pending draw.  A count needs no positions, only the codes on
-    either side of the cut: the draws before it are sorted once, and those
-    from it to ``end``, few when the two answers lie close, are sorted and
-    looked up in them.
+    repeats when its code came earlier: in the codes (searched in their
+    sorted copy ``_seen``) or in an earlier pending draw.  A count needs no
+    positions, only the codes on either side of the cut: the draws before
+    it are sorted once and searched in ``_seen``, and those from it to
+    ``end``, few when the two answers lie close, are sorted and searched in
+    ``_seen`` and in the draws before the cut.
     """
     held = seq._codes.size
     if end <= held:  # no pending draw before end: a process that is not lazy
         return 0, 0, 0
     cut, end = max(cut - held, 0), end - held
-    seen = [level for level in (seq._base, seq._delta) if level.size]
+    seen = [seq._seen] if seq._seen.size else []
     again = []
     for draws in (_pending_sorted(seq, 0, cut), _pending_sorted(seq, cut, end)):
         repeat = np.zeros(draws.size, dtype=bool)
@@ -689,20 +671,21 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
     read in turn, the first of max(n, ``_MIN_WINDOW``) draws and each next
     one at most twice as long, up to ``_MAX_WINDOW``; a window ends where
     the codes or a pending block end.  Once nothing unscanned is left, a
-    lazy sequence draws one more block into its pending draws while fewer
-    than half its universe is drawn or materialised.  Past that it
-    deduplicates its pending draws (the positions found so far move down by
-    the repeats before them) and asks ``ensure`` for one more code, which
-    draws or shuffles in the tail as it would without the scan; any other
-    sequence just asks ``ensure``.  So a lazy sequence draws exactly the
-    blocks that it would draw to materialise its hitting time.  A window
-    costs one floor division, gathers of its sources' and targets' keys
-    from the loop-deleted flags (a loop's keys go to the spare key 2n,
-    never unseen) and scatters of the few keys found unseen.  A key unseen
-    with loops counted is unseen with loops deleted too, so those flags are
-    cleared from the same keys plus the loops'.  The window that clears a
-    side's last flag fixes its answer, the latest first position of a key
-    it clears.  The caller holds the sequence's lock.
+    lazy sequence draws one more block by the rule a request draws by
+    (``_draw_below_half``: codes and pending draws fewer than half the
+    universe).  Past that it deduplicates its pending draws in one segment
+    (the positions found so far move down by the repeats before them) and
+    asks ``ensure`` for one more code, which draws or shuffles in the tail
+    as it would without the scan; any other sequence just asks ``ensure``.
+    So a lazy sequence draws exactly the blocks that it would draw to
+    materialise its hitting time.  A window costs one floor division,
+    gathers of its sources' and targets' keys from the loop-deleted flags
+    (a loop's keys go to the spare key 2n, never unseen) and scatters of
+    the few keys found unseen.  A key unseen with loops counted is unseen
+    with loops deleted too, so those flags are cleared from the same keys
+    plus the loops'.  The window that clears a side's last flag fixes its
+    answer, the latest first position of a key it clears.  The caller
+    holds the sequence's lock.
     """
     n = seq.n
     spare = 2 * n
@@ -723,8 +706,7 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
                     break
                 skip -= block.size
             else:  # nothing unscanned is left
-                if seq._rng is not None and start < seq.universe_size // 2:
-                    seq._draw_block()
+                if seq._draw_below_half():
                     continue
                 if seq._pending:
                     early, repeats, loop_repeats = _repeats(

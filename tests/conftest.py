@@ -7,7 +7,9 @@ from typing import Iterable, Optional
 import numpy as np
 import pytest
 
-from hamcount.digraph import Digraph
+from hamcount.analysis import _pmf_sum
+from hamcount.digraph import CoupledProcess, Digraph, EdgeSequence
+from hamcount.errors import DomainError
 from hamcount.exact import _subset_sums
 from hamcount.frieze import (MERGE_RETRY_CAP, _default_budget, _path_array, _rotated,
                              close_path)
@@ -207,6 +209,52 @@ class ReferenceDraws:
         fresh, self.sorted = reference_fresh_in_order(block, self.sorted)
         self.codes = np.concatenate([self.codes, fresh])
         return fresh
+
+
+def sequence_from_order(n: int, loopful: bool, order) -> EdgeSequence:
+    """An edge process with an explicit order, which must be a permutation
+    of the full pair universe; raises ``DomainError`` otherwise."""
+    Digraph(n, order, allow_loops=loopful)  # raises on repeated or inadmissible pairs
+    if len(order) != (n * n if loopful else n * (n - 1)):
+        raise DomainError("order is not a permutation of the pair universe")
+    return EdgeSequence(n, loopful, _codes=np.array([u * n + v for u, v in order], dtype=np.int64))
+
+
+def audit_every_prefix(cp: CoupledProcess) -> bool:
+    """``cp.audit(m)`` for every m up to the loopless universe; raises at the
+    first m whose coupling invariant fails."""
+    for m in range(cp.loopless.universe_size + 1):
+        cp.audit(m)
+    return True
+
+
+def reference_lazy_order(n: int, loopful: bool, seed: int, block: int) -> list[int]:
+    """Reference for the whole order of a lazy ``EdgeSequence`` drawn in
+    blocks of ``block`` codes: draw a block with ``rng.integers``, keep each
+    code's first appearance, and repeat while fewer than half the universe's
+    codes are held; then append ``rng.permutation`` of the sorted leftovers.
+    One code at a time, in plain Python."""
+    universe = n * n if loopful else n * (n - 1)
+    rng = make_generator(seed)
+    order, held = [], set()
+    while len(order) < universe // 2:
+        for q in rng.integers(0, universe, size=block, dtype=np.int64).tolist():
+            if not loopful:  # compact index u*(n-1) + r: v skips the diagonal
+                u, r = divmod(q, n - 1)
+                q = u * n + r + (r >= u)
+            if q not in held:
+                held.add(q)
+                order.append(q)
+    rest = sorted(c for c in range(n * n) if c not in held and (loopful or c % (n + 1)))
+    return order + rng.permutation(np.array(rest, dtype=np.int64)).tolist()
+
+
+def reference_binomial_two_sided(n: int, p, eps) -> Fraction:
+    """Pr(|X - EX| >= eps EX) for X ~ Bin(n, p), exact."""
+    p = Fraction(p)
+    mean = n * p
+    margin = Fraction(eps) * mean
+    return _pmf_sum(n, p, [k for k in range(n + 1) if abs(k - mean) >= margin])
 
 
 def reference_pmf_sum(n: int, p: Fraction, ks: Iterable[int]) -> Fraction:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from hamcount import digraph
 from hamcount.digraph import (
-    _DELTA_MAX,
     _DRAW_BLOCK,
     _FULL_SHUFFLE_MAX,
     CoupledProcess,
@@ -33,7 +32,8 @@ from hamcount.digraph import (
 from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
 
-from conftest import ReferenceDraws, min_degrees, reference_coverage_scan
+from conftest import (ReferenceDraws, audit_every_prefix, min_degrees, reference_coverage_scan,
+                      reference_lazy_order, sequence_from_order)
 
 
 def _sha256_codes(codes) -> str:
@@ -274,7 +274,7 @@ class TestGenBinomial:
 class TestEdgeProcess:
     def test_universe_size_and_permutation(self):
         seq = gen_process(3, "loopful", 7)
-        order = seq.full_order()
+        order = seq.pairs(len(seq))
         assert len(order) == 9
         assert len(set(order)) == 9
         for v in range(3):
@@ -282,12 +282,13 @@ class TestEdgeProcess:
 
     def test_small_universe(self):
         seq = gen_process(2, "loopless", 3)
-        assert sorted(seq.full_order()) == [(0, 1), (1, 0)]
+        assert sorted(seq.pairs(len(seq))) == [(0, 1), (1, 0)]
         assert seq.prefix(2).edge_count == 2
 
     def test_determinism(self):
-        assert gen_process(4, "loopless", 1).full_order() == gen_process(4, "loopless", 1).full_order()
-        assert gen_process(4, "loopless", 1).full_order() != gen_process(4, "loopless", 2).full_order()
+        a, b, c = (gen_process(4, "loopless", seed) for seed in (1, 1, 2))
+        assert a.pairs(12) == b.pairs(12)
+        assert a.pairs(12) != c.pairs(12)
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
@@ -330,8 +331,8 @@ class TestEdgeProcess:
 
     def test_from_order_validates(self):
         with pytest.raises(DomainError):
-            EdgeSequence.from_order(2, False, [(0, 1), (0, 1)])
-        seq = EdgeSequence.from_order(2, False, [(1, 0), (0, 1)])
+            sequence_from_order(2, False, [(0, 1), (0, 1)])
+        seq = sequence_from_order(2, False, [(1, 0), (0, 1)])
         assert seq.pair(0) == (1, 0)
 
 
@@ -343,17 +344,14 @@ class TestFreshInOrder:
         return fresh, sorted(seen_set | set(fresh))
 
     @staticmethod
-    def both_levels(block, seen):
-        """(fresh, merged mirror) with the seen codes held in base, then in
-        delta."""
-        block, seen = np.array(block, dtype=np.int64), np.array(seen, dtype=np.int64)
-        for base, delta in ((seen, seen[:0]), (seen[:0], seen)):
-            fresh, base, delta = _fresh_in_order(block, base, delta)
-            assert base.dtype == delta.dtype == np.int64
-            yield fresh, np.sort(np.concatenate([base, delta]))
+    def fresh_and_merged(block, seen):
+        fresh, merged = _fresh_in_order(np.array(block, dtype=np.int64),
+                                        np.array(seen, dtype=np.int64))
+        assert fresh.dtype == merged.dtype == np.int64
+        return fresh.tolist(), merged.tolist()
 
     @pytest.mark.parametrize("block, seen", [
-        ([5, 3, 5, 9, 3, 1, 9, 9], []),            # in-block repeats, empty mirror
+        ([5, 3, 5, 9, 3, 1, 9, 9], []),            # in-block repeats, nothing seen
         ([4, 2, 4, 2], [2, 4, 7]),                 # fully seen block
         ([8, 1, 6, 1, 0, 12, 6, 3], [1, 3, 5, 12]),  # partial overlap
         ([20, 0, 20, 10], [5, 15]),                # new codes before, between and after
@@ -361,15 +359,11 @@ class TestFreshInOrder:
         ([2**62, 5, 2**62, 7, 5], [7, 2**61]),      # too wide to pack: stable argsort
     ])
     def test_cases(self, block, seen):
-        for fresh, merged in self.both_levels(block, seen):
-            want_fresh, want_merged = self.reference(block, seen)
-            assert fresh.tolist() == want_fresh
-            assert merged.tolist() == want_merged
-            assert fresh.dtype == merged.dtype == np.int64
+        assert self.fresh_and_merged(block, seen) == self.reference(block, seen)
 
     @given(st.lists(st.integers(0, 40), max_size=60), st.sets(st.integers(0, 40)),
            st.sampled_from([0, 2**61]))
-    @example(block=[], seen=set(), offset=0)                      # empty block, empty mirror
+    @example(block=[], seen=set(), offset=0)                      # empty block, nothing seen
     @example(block=[7, 3, 7, 40, 3], seen={3, 7, 40}, offset=0)   # every code already seen
     @example(block=[9] * 12, seen=set(), offset=0)                # one repeated code
     @example(block=[9] * 12, seen={9}, offset=2**61)              # ... already seen, wide
@@ -378,44 +372,40 @@ class TestFreshInOrder:
     def test_matches_set_reference(self, block, seen, offset):
         block = [offset + c for c in block]
         seen = sorted(offset + c for c in seen)
-        for fresh, merged in self.both_levels(block, seen):
-            want_fresh, want_merged = self.reference(block, seen)
-            assert fresh.tolist() == want_fresh
-            assert merged.tolist() == want_merged
+        assert self.fresh_and_merged(block, seen) == self.reference(block, seen)
 
 
 def _strictly_increasing(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-class TestTwoLevelMirror:
-    """EdgeSequence's base/delta mirror against the single sorted mirror."""
+class TestSeenCodes:
+    """A lazy EdgeSequence's sorted codes ``_seen`` against the plain
+    bookkeeping of ``ReferenceDraws``, segment by segment."""
 
     @given(st.lists(st.lists(st.integers(0, 300), max_size=80), min_size=1, max_size=12),
-           st.sampled_from([0, 2**61]), st.integers(8, 64))
+           st.sampled_from([0, 2**61]))
     @example(blocks=[list(range(0, 50)), list(range(40, 100)) * 2, [7, 99, 300, 7], []],
-             offset=0, delta_max=8)                          # folds, repeats in delta and in base
-    @example(blocks=[[5] * 9, list(range(30)), [29, 0, 31]], offset=2**61, delta_max=8)  # wide
+             offset=0)                                       # repeats within and across blocks
+    @example(blocks=[[5] * 9, list(range(30)), [29, 0, 31]], offset=2**61)  # wide
     @settings(max_examples=150, deadline=None)
-    def test_matches_single_mirror(self, blocks, offset, delta_max):
+    def test_matches_reference_draws(self, blocks, offset):
         blocks = [np.array(b, dtype=np.int64) + offset for b in blocks]
         supply = iter(blocks)
         seq = EdgeSequence(1 << 31, True, _rng=np.random.default_rng(0))
         oracle = ReferenceDraws()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(digraph, "_DELTA_MAX", delta_max)
             mp.setattr(digraph, "_random_block", lambda rng, n, loopful: next(supply))
             for block in blocks:
                 before = seq.materialized
-                seq._draw_block()
-                seq._absorb(block.size)
+                assert seq._draw_below_half()
+                if block.size:
+                    seq._absorb(block.size)
+                assert seq._pending_size() == 0
                 assert seq._codes[before:].tolist() == oracle.draw(block).tolist()
                 assert seq.materialized == oracle.codes.size
-                base, delta = seq._base, seq._delta
-                assert delta.size <= delta_max
-                assert _strictly_increasing(base) and _strictly_increasing(delta)
-                assert np.intersect1d(base, delta).size == 0
-                assert sorted_union(base, delta).tolist() == np.sort(oracle.codes).tolist()
+                assert _strictly_increasing(seq._seen)
+                assert seq._seen.tolist() == np.sort(oracle.codes).tolist()
 
 
 # sha256 of codes(300_000) of the loopful process at n = 10^4 and of its
@@ -443,14 +433,13 @@ class TestStreamPins:
             cp = couple(gen_process(10_000, "loopful", seed))
             assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
 
-    def test_loopful_prefix_across_folds(self):
-        # recorded with the single sorted mirror; 2*10^6 codes at n = 2049
-        # fold delta into base several times
-        assert 2049 ** 2 > _FULL_SHUFFLE_MAX and 2_000_000 > 4 * _DELTA_MAX
+    def test_loopful_prefix_of_two_million_codes(self):
+        # recorded with a single sorted set of seen codes; 2*10^6 codes at
+        # n = 2049, almost half the universe, in one request
+        assert 2049 ** 2 > _FULL_SHUFFLE_MAX
         seq = gen_process(2049, "loopful", 3)
         assert (_sha256_codes(seq.codes(2_000_000))
                 == "714ea0cc0e772a54a758452e43a9d563e16a7bb175d5b1d3425fbc911c464a8c")
-        assert seq._base.size > 3 * _DELTA_MAX
 
     def test_loopless_lazy(self):
         assert 3000 * 2999 > _FULL_SHUFFLE_MAX
@@ -506,7 +495,8 @@ class TestShufflePrefix:
                 == "bbde33fafb745b2be1c536dbcf9e96935f2f10e25f9d98bb86a067017526395d")
         assert seq.materialized == 300_000
         assert _sha256_codes(seq.codes(2**16)) == self.LOOPFUL_7
-        order = gen_process(2000, "loopful", 7).full_order()
+        whole = gen_process(2000, "loopful", 7)
+        order = whole.pairs(len(whole))
         assert (_sha256_codes([u * 2000 + v for u, v in order])
                 == "d2ff9e340fcb76f0b2197c0ddbeb0f6ac17c657510d5ae6599bf2ce67cb0b531")
 
@@ -554,7 +544,7 @@ class TestShufflePrefix:
 
 class TestCoupling:
     def test_loop_deletion_preserves_order(self):
-        lf = EdgeSequence.from_order(2, True, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        lf = sequence_from_order(2, True, [(0, 0), (0, 1), (1, 0), (1, 1)])
         cp = couple(lf)
         assert cp.loopless.pairs(2) == [(0, 1), (1, 0)]
 
@@ -565,8 +555,8 @@ class TestCoupling:
     def test_audit_raises_when_the_invariant_fails(self):
         # a loopless order that is not the loop-deleted loopful one: at m = 1
         # the loopful prefix has (0, 1) and the loopless one only (1, 0)
-        lf = EdgeSequence.from_order(2, True, [(0, 1), (0, 0), (1, 0), (1, 1)])
-        cp = CoupledProcess(lf, EdgeSequence.from_order(2, False, [(1, 0), (0, 1)]))
+        lf = sequence_from_order(2, True, [(0, 1), (0, 0), (1, 0), (1, 1)])
+        cp = CoupledProcess(lf, sequence_from_order(2, False, [(1, 0), (0, 1)]))
         with pytest.raises(AssertionError, match="m=1"):
             cp.audit(1)
         assert cp.audit(2)
@@ -575,7 +565,7 @@ class TestCoupling:
     @settings(max_examples=25, deadline=None)
     def test_invariant_exhaustive(self, seed):
         cp = couple(gen_process(5, "loopful", seed))
-        assert cp.audit_all()
+        assert audit_every_prefix(cp)
 
     def test_invariant_larger_n(self):
         cp = couple(gen_process(40, "loopful", 9))
@@ -597,7 +587,7 @@ class TestCoupling:
                 assert seen_loopful_nonloop <= seen_loopless
 
     def test_loops_first_strict_containment(self):
-        lf = EdgeSequence.from_order(2, True, [(0, 0), (1, 1), (0, 1), (1, 0)])
+        lf = sequence_from_order(2, True, [(0, 0), (1, 1), (0, 1), (1, 0)])
         cp = couple(lf)
         ful_nonloop = {p for p in cp.loopful.pairs(2) if p[0] != p[1]}
         less = set(cp.loopless.pairs(2))
@@ -612,7 +602,7 @@ class TestHittingTime:
     def test_constructed_position(self):
         # (2,0) is the only edge leaving vertex 2 and appears seventh
         order = [(0, 1), (0, 2), (1, 0), (1, 2), (0, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-        seq = EdgeSequence.from_order(3, True, order)
+        seq = sequence_from_order(3, True, order)
         assert hitting_time(seq) == 7
 
     def test_boundary_is_tight(self):
@@ -687,7 +677,7 @@ class TestHittingTime:
     def test_matches_python_oracle_on_shuffled_processes(self, n, loopful, seed):
         seq = gen_process(n, "loopful" if loopful else "loopless", seed)
         assert seq.materialized == seq.universe_size  # fully shuffled up front
-        assert hitting_time(seq) == self.oracle(seq.full_order(), n)
+        assert hitting_time(seq) == self.oracle(seq.pairs(len(seq)), n)
 
     @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans(),
            st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 300))
@@ -697,7 +687,7 @@ class TestHittingTime:
         # the loopful answer on the loopful order, the loopless one on the
         # same order with its loops deleted
         cp = couple(gen_process(n, "loopful", seed))
-        order = cp.loopful.full_order()
+        order = cp.loopful.pairs(n * n)
         want_ful = self.oracle(order, n)
         want_less = self.oracle([(u, v) for u, v in order if u != v], n)
         if materialised != "none":
@@ -858,13 +848,64 @@ class TestPendingDraws:
             plain = couple(gen_process(64, "loopful", 5))
             scanned = couple(gen_process(64, "loopful", 5))
             assert plain.loopful._rng is not None
-            want = (TestHittingTime.oracle(plain.loopful.full_order(), 64),
-                    TestHittingTime.oracle(plain.loopless.full_order(), 64))
+            want = (TestHittingTime.oracle(plain.loopful.pairs(64 * 64), 64),
+                    TestHittingTime.oracle(plain.loopless.pairs(64 * 63), 64))
             assert (hitting_time(scanned.loopful), hitting_time(scanned.loopless)) == want
             for side in ("loopful", "loopless"):
                 seq = getattr(scanned, side)
                 k = min(m, seq.universe_size)
                 assert np.array_equal(seq.codes(k), getattr(plain, side).codes(k))
+
+    @given(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3, 8, 64]), st.booleans(),
+           st.lists(st.integers(0, 144), min_size=1, max_size=8))
+    @example(n=12, loopful=True, seed=0, block=1, scan_first=False, sizes=[1, 100])
+    @example(n=3, loopful=False, seed=7, block=64, scan_first=True, sizes=[6])
+    @settings(max_examples=100, deadline=None)
+    def test_requests_match_sequential_reference(self, n, loopful, seed, block, scan_first,
+                                                 sizes):
+        # whatever the requests and whether a hitting time came first, every
+        # prefix is one of the order drawn a block and a code at a time,
+        # deduplicated while fewer than half the codes are held, and then
+        # finished with a shuffle of the leftovers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
+            mp.setattr(digraph, "_DRAW_BLOCK", block)
+            want = reference_lazy_order(n, loopful, seed, block)
+            seq = gen_process(n, "loopful" if loopful else "loopless", seed)
+            assert seq._rng is not None
+            if scan_first:
+                hitting_time(seq)
+            for m in [*sizes, len(seq)]:
+                m = min(m, len(seq))
+                assert seq.codes(m).tolist() == want[:m]
+
+    def test_segment_memory_within_stated_bound(self):
+        # the EdgeSequence docstring: a segment of L draws over S held codes
+        # peaks at about 8(7S + 6L) bytes.  codes(10^6) at n = 10^4 is one
+        # segment over S = 0, and codes(2 * 10^6) after it one over S = 10^6.
+        segments = []
+        fresh_in_order = digraph._fresh_in_order
+
+        def record(block, seen):
+            segments.append((seen.size, block.size))
+            return fresh_in_order(block, seen)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_fresh_in_order", record)
+            tracemalloc.start()
+            try:
+                seq = gen_process(10_000, "loopful", 0)
+                for m in (10**6, 2 * 10**6):
+                    segments.clear()
+                    tracemalloc.reset_peak()
+                    seq.codes(m)
+                    peak = tracemalloc.get_traced_memory()[1]
+                    (held, draws), = segments
+                    assert (held == 0) == (m == 10**6) and draws >= m - held
+                    assert peak < 8 * (7 * held + 6 * draws)
+            finally:
+                tracemalloc.stop()
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 64]),
            st.booleans(), st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 150))
@@ -879,7 +920,7 @@ class TestPendingDraws:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
             mp.setattr(digraph, "_DRAW_BLOCK", block)
-            order = gen_process(n, "loopful", seed).full_order()
+            order = gen_process(n, "loopful", seed).pairs(n * n)
             cp = couple(gen_process(n, "loopful", seed))
             if materialised != "none":
                 seq = getattr(cp, materialised)
@@ -890,7 +931,7 @@ class TestPendingDraws:
                 m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
             assert m_ful == TestHittingTime.oracle(order, n)
             assert m_less == TestHittingTime.oracle([(u, v) for u, v in order if u != v], n)
-            assert cp.loopful.full_order() == order
+            assert cp.loopful.pairs(n * n) == order
 
 
 class TestMinDegrees:
