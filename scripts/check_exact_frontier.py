@@ -20,14 +20,18 @@ The checks, each printed with its time:
 From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  per(J_n)
 is counted by Glynn's formula and per(m*) by the row programme over live
-column sets, so both permanent kernels are checked.  The last line gives the
-peak resident memory.  Exit code 0 when every check holds, the n = 8 line
-included, 1 otherwise.  At the default seeds (n = 22: m* = 87, 4,062
-factors, 358 Hamilton cycles; n = 24: m* = 95, 1,183 factors, 21 Hamilton
-cycles) a run takes 10–25 s and 0.6 GB on a 2-core host, so it is kept out
-of the test suite; there per(m*) takes 1–4 ms (0.3 and 1.1 s by Glynn's
-formula), and enumerating the factors of seed 1 at n = 22 adds about 50 s.
-The n = 8 line takes a few seconds, most of them in the enumeration.
+column sets, so both permanent kernels are checked; K_n and J_n have no
+forced edge, while the m* digraphs are counted after contraction and
+Laplace steps.  The last line gives the peak resident memory.  Exit code 0
+when every check holds, the n = 8 line included, 1 otherwise.  At the
+default seeds (n = 22: m* = 87, 4,062 factors, 358 Hamilton cycles; n = 24:
+m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 10–25 s and
+0.65 GB on a 2-core host, nearly all of it HC(K_n), per(J_n) and the
+enumerations, so it is kept out of the test suite.  There contraction leaves
+18 and 13 vertices, so HC(m*) takes 3 and 1 ms (0.1 and 0.8 s
+uncontracted), and per(m*) takes 1 ms on minors of order 18; enumerating
+the factors of seed 1 at n = 22 adds about 50 s.  The n = 8 line takes a
+few seconds, most of them in the enumeration.
 """
 import argparse
 import math

@@ -223,14 +223,12 @@ def loop_mask(codes: np.ndarray, n: int) -> np.ndarray:
 def _loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
     """Map compact loopless indices to codes, overwriting and returning ``q``.
 
-    Index q = u*(n-1) + r becomes u*n + v with v = r + (r >= u).  Callers pass
-    an array they own; working in place keeps the peak at two int64 copies.
+    The loops are the codes j (n + 1), so the q-th code that is not a loop
+    is q + floor(q / n) + 1.  Callers pass an array they own; working in
+    place keeps the peak at two int64 copies.
     """
-    u = np.empty_like(q)
-    np.divmod(q, n - 1, out=(u, q))
-    q += q >= u
-    u *= n
-    q += u
+    q += q // n
+    q += 1
     return q
 
 

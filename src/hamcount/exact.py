@@ -1,19 +1,23 @@
 """Exact exponential-time counting oracles.
 
-Hamilton cycles are counted with a subset dynamic programme anchored at
-vertex 0, layered by subset size, whose layers are float64 arrays so that
-each step is one BLAS matrix product.  Up to n = 11 the next layer is one
-gather from that product through a table cached per n.  Past that, a dense
-layer has a column for every subset of its size; a sparse one, as most
-layers of a sparse random digraph are, only for the live subsets that some
-path from 0 covers, so the work follows the paths that exist.  1-factors
-(the permanent of the 0/1 adjacency matrix) are counted row by row over the
-live sets of matched columns, those that some partial matching covers, when
-a bound on that work falls below the cost of Glynn's formula, as on sparse
-random digraphs; dense matrices take Glynn's formula over blocks of column
-subsets.  Every kernel computes exactly modulo primes, as many as a proven
-bound on the count needs, and one Chinese remaindering makes the count
-exact.  Both counters refuse to run above a configurable size cap.
+Both counts first take out what a vertex of in- or out-degree 1 forces:
+Hamilton cycles on a digraph whose forced edges are contracted, for n >= 12,
+and the permanent on the minor that Laplace expansion along rows and columns
+with one nonzero entry leaves.  Hamilton cycles are then counted with a
+subset dynamic programme anchored at vertex 0, layered by subset size, whose
+layers are float64 arrays so that each step is one BLAS matrix product.
+Up to n = 11 the next layer is one gather from that product through a table
+cached per n.  Past that, a dense layer has a column for every subset of its
+size; a sparse one, as most layers of a sparse random digraph are, only for
+the live subsets that some path from 0 covers, so the work follows the paths
+that exist.  1-factors (the permanent of the 0/1 adjacency matrix) are
+counted row by row over the live sets of matched columns, those that some
+partial matching covers, when a bound on that work predicts a lower cost
+than Glynn's formula, as on sparse random digraphs from n = 15 on; dense
+and small matrices take Glynn's formula over blocks of column subsets.
+Every kernel computes exactly modulo primes, as many as a proven bound on
+the count needs, and one Chinese remaindering makes the count exact.  Both
+counters refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
@@ -161,7 +165,8 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     The programme anchors at vertex 0 and counts directed closed tours, so a
     cycle is not re-counted per starting vertex.  Loops are ignored: a
     Hamilton cycle is a 1-factor with a single cycle and no loops (hence 0
-    for n = 1).
+    for n = 1).  The cap applies to the order of ``d``; the programme runs on
+    the digraph that ``_contracted`` leaves, of order n below.
 
     Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
     17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes while the layers are full: two
@@ -179,22 +184,79 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     product, with a row of zeros appended, while the layer and the last
     step's product are still held, 8 (3 k + 2) c in all, and the intp
     tables, at most 8 k 2^k bytes, stay cached; their build holds no more
-    than a step.  Ordering the subsets briefly takes
-    13 * 2^k bytes; the 4 * 2^k bytes of the ordered subsets of the last n,
-    and its tables, stay cached between calls, so that this happens once per
-    n.
+    than a step.  Ordering the subsets briefly takes 13 * 2^k bytes, once
+    per k: the ordered subsets and tables of every k stay cached (see
+    ``_subsets_by_size`` for the bound on the cache).  Contraction, before
+    the DP, holds at most 32 N^2 bytes and a few kB, N the order of ``d``.
     """
-    n = d.n
-    if n > cap:
-        raise ResourceCapError(f"n={n} exceeds the Hamilton-cycle counting cap of {cap}")
-    adj = d.adjacency_matrix()
-    adj.reshape(-1)[::n + 1] = 0  # the diagonal, through a strided view
-    # a Hamilton cycle leaves and enters every vertex by one loop-free edge;
-    # one reduction gives the row and the column sums
-    out_deg, in_deg = np.add.reduce((adj, adj.T), axis=2).tolist()
+    if d.n > cap:
+        raise ResourceCapError(f"n={d.n} exceeds the Hamilton-cycle counting cap of {cap}")
+    adj, sums = _contracted(d.adjacency_matrix())
+    n = adj.shape[0]
+    out_deg, in_deg = sums.tolist()
+    # a Hamilton cycle leaves and enters every vertex by one loop-free edge
     bound = min(math.factorial(n - 1), math.prod(out_deg), math.prod(in_deg))
     dp = (adj, *_subsets_by_size(n - 1))  # shared by the residues
     return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
+
+
+# Every 1-factor uses the one nonzero entry (r, c) of a row or a column with
+# no other.  For the permanent that is a Laplace expansion: per(a) is the
+# permanent of the minor without row r and column c.  For Hamilton cycles on
+# n >= 3 vertices, the edge r -> c is on every cycle, and contracting it to
+# one vertex, with the in-edges of r and the out-edges of c, maps the cycles
+# one to one onto those of the contracted digraph; the edge c -> r becomes a
+# loop there and is dropped.  In the matrix that is again the minor without
+# row r and column c, with row c in the place of row r.  A vertex left with
+# no edge in or out makes the count bound 0, so no residue is computed.
+# Contraction pays only past the table step of the Hamilton-cycle DP.  At
+# n <= 11 a count takes 30-80 us, and a step of contraction costs about as
+# much as the layer it saves: contracting there made counts of D(8, 0.6)
+# take 39 us instead of 30, and of the n = 8 and n = 11 m* digraphs 56 and
+# 73 us instead of 30 and 56.  So it starts at n = 12, the least n with no
+# table step, where the m* digraphs count in a third of the time.  There the
+# DP is also anchored at a vertex of least out-degree, whose few paths of
+# length 1 keep the live layers small.  Every matrix goes through the
+# Laplace steps: the permanent's kernels cost a tenth of a millisecond or
+# more, and a step costs a few microseconds.
+_CONTRACT_MIN_N = 12
+
+
+def _forced_entry(a: np.ndarray, sums: np.ndarray) -> Optional[tuple[int, int]]:
+    """(r, c) of a nonzero entry of ``a`` alone in its row or its column, if
+    any, where ``sums`` holds the row sums of ``a`` over its column sums."""
+    side, x = divmod(int(sums.argmin()), a.shape[0])
+    if sums[side, x] != 1:
+        return None
+    return (x, int(a[x].argmax())) if side == 0 else (int(a[:, x].argmax()), x)
+
+
+def _contracted(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency matrix ``adj`` of a digraph on n vertices with its
+    loops cleared and, for n >= ``_CONTRACT_MIN_N``, its forced edges
+    contracted while 3 or more vertices are left and a vertex of least
+    out-degree moved to 0, with the out-degrees over the in-degrees of the
+    result."""
+    n = adj.shape[0]
+    adj.reshape(-1)[::n + 1] = 0  # the diagonal, through a strided view
+    sums = np.add.reduce((adj, adj.T), axis=2)  # one reduction gives both
+    if n < _CONTRACT_MIN_N:
+        return adj, sums
+    while adj.shape[0] >= 3 and (forced := _forced_entry(adj, sums)):
+        r, c = forced
+        rows = np.arange(adj.shape[0])
+        cols = rows != c
+        rows[r] = c  # the in-edges of r, the out-edges of c
+        adj = adj[rows[cols]][:, cols]
+        r -= r > c
+        adj[r, r] = 0
+        sums = np.add.reduce((adj, adj.T), axis=2)
+    start = int(sums[0].argmin())
+    if start and adj.shape[0] >= _CONTRACT_MIN_N:
+        order = np.arange(adj.shape[0])
+        order[[0, start]] = start, 0
+        adj, sums = adj[order][:, order], sums[:, order]
+    return adj, sums
 
 
 # The DP takes one of three steps from a layer to the next.  For n <= 11,
@@ -215,7 +277,7 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 _LIVE_MIN_SUBSETS = 1 << 8
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=None)
 def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, ...]]]:
     """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
     within a size, the end offset of each size in that order and, when every
@@ -226,8 +288,13 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
     (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
     appended to it.  The tables are intp, which ``take`` uses without a
-    converted copy, and take 8 k (2^k - k - 1) bytes.  The one cache entry
-    holds the result for the last k, so every array in it is read-only."""
+    converted copy, and take 8 k (2^k - k - 1) bytes.  Contraction hands
+    the DP digraphs of many orders, so the cache keeps an entry for every k
+    asked for, and every array in it is read-only.  As the entries differ in
+    k, together they hold less than 8 * 2^K + 2^18 bytes, K the largest k:
+    the ordered subsets of every k <= K take less than 4 * 2^(K+1) bytes, the
+    tables of every k <= 10 143,952 bytes, and the offsets and interpreter
+    objects a few kB."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
     masks = np.argsort(size, kind="stable").astype(np.int32)
     ends = np.cumsum(np.bincount(size))
@@ -343,7 +410,10 @@ def count_one_factors(d: Digraph, cap: int = DEFAULT_CAP) -> int:
 def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
     """Permanent of a square 0/1 matrix, by a row-by-row programme over the
     live sets of matched columns or, for dense matrices, Glynn's formula (see
-    the comment by ``_row_order``).
+    the comment by ``_row_order``), on the minor that Laplace expansion
+    along the rows and columns with a single nonzero entry leaves (see the
+    comment by ``_CONTRACT_MIN_N``).  The cap applies to the order of
+    ``matrix``; n below is the order of the minor.
 
     Glynn's row factors for a block of subsets of the columns 1..n-1 are a
     low-column term plus a high-column one, read from two tables of 2^h and
@@ -354,11 +424,13 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
     four int64 arrays over the candidates while they are sorted (the sets,
     their counts, the sort order and a sorted copy), the live sets and their
     counts, the matrix and a few kB of small arrays and interpreter objects.
-    It runs only when its candidates number less than 2^(n-1) in all, so
-    s <= c < 2^(n-1) and the peak stays below 48 * 2^(n-1) bytes and a few
-    kB, 384 MiB at n = 24; on the n = 24 m* digraph that
-    ``scripts/check_exact_frontier.py`` checks at seed 1, c = 2,784 and
-    s = 464.
+    It runs only when its bound W on the candidates, in all, is below
+    n 2^(n-1) / 5, so s <= c <= W and the peak stays below
+    10 n 2^(n-1) bytes and a few kB, 1.9 GiB at n = 24; on the m* digraph
+    of n = 24 that ``scripts/check_exact_frontier.py`` checks at seed 1,
+    whose minor has n = 18, c = 618 and s = 109.  Validation and the Laplace
+    steps, before the kernels, hold at most 32 N^2 bytes and a few kB, N the
+    order of ``matrix``.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -368,22 +440,35 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
         raise ResourceCapError(f"n={n} exceeds the permanent cap of {cap}")
     if not ((m == 0) | (m == 1)).all():
         raise DomainError("permanent needs a 0/1 matrix")
-    a = m.astype(np.int64)
+    a, sums = _laplace_minor(m.astype(np.int64))
+    rows, cols = sums.tolist()
     # a 1-factor picks one entry in each row and one in each column
-    bound = min(math.factorial(n), math.prod(a.sum(axis=1).tolist()),
-                math.prod(a.sum(axis=0).tolist()))
+    bound = min(math.factorial(a.shape[0]), math.prod(rows), math.prod(cols))
     return _from_residues(bound, lambda p: _permanent_residue(a, p))
+
+
+def _laplace_minor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minor of ``a`` left once no row or column has a single nonzero
+    entry, each such entry's row and column deleted in turn, with its row
+    sums over its column sums."""
+    sums = np.add.reduce((a, a.T), axis=2)
+    while a.size and (forced := _forced_entry(a, sums)):
+        r, c = forced
+        keep = np.arange(a.shape[0])
+        a = a[keep != r][:, keep != c]
+        sums = np.add.reduce((a, a.T), axis=2)
+    return a, sums
 
 
 def _permanent_residue(a: np.ndarray, p: int) -> int:
     """per(a) mod p, by the row programme on the rows of ``a`` in the order
-    of ``_row_order`` if that bounds its work below 2^(n-1) candidates, else
-    by Glynn's formula."""
+    of ``_row_order`` if the gate in the comment below expects it to cost
+    less than Glynn's formula, else by Glynn's formula."""
     n = a.shape[0]
     if n == 0:
         return 1
     order, work = _row_order(a)
-    if work < 1 << (n - 1):
+    if n * _ROW_COST + _CANDIDATE_COST * work < n << (n - 1):
         return _row_dp_residue(a[order], p)
     return _glynn_residue(a, p)
 
@@ -397,18 +482,19 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
 # there are at most B_i = C(f, g) live sets, 0 if g < 0.  Row i+1, with R
 # nonzero entries, grows each into at most R candidates, so the programme
 # forms at most W = sum over rows of R_(i+1) B_i candidates.  Glynn's formula
-# forms n row factors for each of its 2^(n-1) sign vectors.  A candidate
-# costs fewer than n row factors: on J_n at one BLAS thread, 1.4 of them at
-# n = 8, 2.6 at n = 12 and 6.5 (23 against 3.6 ns) at n = 18, and below
-# n = 8 either kernel takes a fraction of a millisecond.  So the
-# programme runs only when W < 2^(n-1), where it costs less than Glynn's
-# formula; every dense matrix stays with Glynn (W of J_n is about n 2^n).
+# forms n row factors for each of its 2^(n-1) sign vectors, at 2-4 ns each
+# at one BLAS thread.  The programme costs about 30 us per row, for its
+# dozen numpy calls, and 13 ns per unit of W, fitted over the minors of the
+# first 300 n = 18 m* digraphs of seed 12345 and 43 random matrices,
+# n = 5..20: about _ROW_COST and _CANDIDATE_COST row factors.  So it runs only when
+# n _ROW_COST + _CANDIDATE_COST W < n 2^(n-1), never below n = 15, and
+# every dense matrix stays with Glynn: W of J_n is n (2^n - 1).
 # The rows are taken greedily, each time the one that leaves the fewest
 # live sets by C(f, g), the lowest index among equals; as no row has more
 # live sets than candidates, W counts at most R_(i+1) B_i with B_i the lesser
-# of C(f, g) and the candidates of row i.  On the first 300 n = 18 m*
-# digraphs of seed 12345, W has a median of 1,146 and reaches 2^17 on 7,
-# which stay with Glynn's formula.
+# of C(f, g) and the candidates of row i.
+_ROW_COST = 1 << 13
+_CANDIDATE_COST = 5
 
 
 def _row_order(a: np.ndarray) -> tuple[list[int], int]:

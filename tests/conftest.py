@@ -228,6 +228,14 @@ def audit_every_prefix(cp: CoupledProcess) -> bool:
     return True
 
 
+def reference_loopless_index_to_code(q: np.ndarray, n: int) -> np.ndarray:
+    """Reference for ``digraph._loopless_index_to_code``, on a copy: index
+    q = u*(n-1) + r is the pair (u, v) with v = r + (r >= u), so the code
+    u*n + v."""
+    u, r = np.divmod(q, n - 1)
+    return u * n + r + (r >= u)
+
+
 def reference_lazy_order(n: int, loopful: bool, seed: int, block: int) -> list[int]:
     """Reference for the whole order of a lazy ``EdgeSequence`` drawn in
     blocks of ``block`` codes: draw a block with ``rng.integers``, keep each

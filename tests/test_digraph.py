@@ -20,6 +20,7 @@ from hamcount.digraph import (
     Digraph,
     EdgeSequence,
     _fresh_in_order,
+    _loopless_index_to_code,
     couple,
     gen_binomial,
     gen_process,
@@ -33,7 +34,8 @@ from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
 
 from conftest import (ReferenceDraws, audit_every_prefix, min_degrees, reference_coverage_scan,
-                      reference_lazy_order, sequence_from_order)
+                      reference_lazy_order, reference_loopless_index_to_code,
+                      sequence_from_order)
 
 
 def _sha256_codes(codes) -> str:
@@ -240,6 +242,28 @@ class TestSortedUnion:
             got = sorted_union(x, y)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.union1d(x, y))
+
+
+class TestLooplessIndex:
+    @pytest.mark.parametrize("n", range(2, 80))
+    def test_every_index_against_the_pair_map(self, n):
+        q = np.arange(n * (n - 1), dtype=np.int64)
+        want = reference_loopless_index_to_code(q, n)
+        got = _loopless_index_to_code(q, n)
+        assert got is q  # in place
+        assert np.array_equal(got, want)
+        # the codes of every pair but the loops, in increasing order
+        assert np.array_equal(got, np.flatnonzero(~np.eye(n, dtype=bool)))
+
+    def test_peak_is_two_copies(self):
+        q = np.arange(1 << 20, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            _loopless_index_to_code(q, 1025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= q.nbytes + 4096  # one temporary beside q
 
 
 class TestGenBinomial:

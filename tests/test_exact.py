@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from typing import Optional
 from unittest import mock
 
@@ -98,6 +99,11 @@ def spy_kernels(monkeypatch, *names: str) -> list[tuple[str, int]]:
         monkeypatch.setattr(exact, name, lambda a, p, name=name, kernel=kernel:
                             calls.append((name, p)) or kernel(a, p))
     return calls
+
+
+def laplace_minor(a: np.ndarray) -> np.ndarray:
+    """The minor of ``a`` that ``permanent`` hands its kernels."""
+    return exact._laplace_minor(a)[0]
 
 
 def reference_permanent(a: np.ndarray) -> int:
@@ -279,6 +285,7 @@ class TestResidues:
         rng = np.random.default_rng(3)
         residues = set()
         kernels = set()
+        fully_reduced = 0
         for n in range(5, 10):
             for density in (0.5, 0.8):
                 d = random_digraph(rng, n, density, allow_loops=False)
@@ -289,13 +296,30 @@ class TestResidues:
                 d = random_digraph(rng, n, density, allow_loops=True)
                 used.clear()
                 assert count_one_factors(d) == brute_force_factor_count(d)
-                # each residue of the permanent runs one of its two kernels
+                # each residue of the permanent runs one of its two kernels on
+                # the minor that the Laplace steps leave, unless they leave
+                # the 0 x 0 matrix, whose permanent 1 needs no kernel
                 outer = [p for name, p in used if name == "_permanent_residue"]
-                assert [p for name, p in used if name != "_permanent_residue"] == outer
+                inner = [p for name, p in used if name != "_permanent_residue"]
+                if laplace_minor(d.adjacency_matrix()).size:
+                    assert inner == outer
+                else:
+                    assert inner == [] and len(outer) == 1
+                    fully_reduced += 1
                 kernels.update(name for name, _ in used if name != "_permanent_residue")
                 residues.add(len(outer))
+        # the programme runs from n = 15 on: J_2 + .. + J_2 at n = 16, of
+        # least degree 2, so left whole by the Laplace steps, takes it for
+        # each of the four residues that its bound 2^16 needs
+        a = np.kron(np.eye(8, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+        used.clear()
+        assert permanent(a) == 2**8
+        assert used == [(name, p) for p in SMALL_PRIMES
+                        for name in ("_permanent_residue", "_row_dp_residue")]
+        kernels.update(name for name, _ in used if name != "_permanent_residue")
         assert {2, 3, 4} <= residues
         assert kernels == {"_row_dp_residue", "_glynn_residue"}
+        assert fully_reduced
         # 10! exceeds 31 * 37 * 41 * 43: no wrapped value, an error
         with pytest.raises(ResourceCapError):
             permanent(np.ones((10, 10), dtype=int))
@@ -444,7 +468,8 @@ class TestRowProgramme:
         want = reference_permanent(a)
         order, work = exact._row_order(a)
         assert sorted(order) == list(range(n))
-        dp = work < 1 << (n - 1)  # the choice of _permanent_residue
+        # the choice of _permanent_residue
+        dp = n * exact._ROW_COST + exact._CANDIDATE_COST * work < n << (n - 1)
         if work <= 1 << 16:  # W bounds the candidates of the programme
             assert sum(cand for cand, _ in row_dp_sizes(a[order])) <= work
         for p in exact._PRIMES + SMALL_PRIMES:
@@ -457,16 +482,51 @@ class TestRowProgramme:
 
     def test_dense_takes_glynn_and_m_star_the_programme(self, monkeypatch):
         calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
-        for n in range(1, 19):
+        # J_1 is a single entry, which the Laplace steps take out: per = 1
+        # with no kernel; every larger J_n is left whole
+        assert permanent(np.ones((1, 1), dtype=np.int64)) == 1
+        assert calls == []
+        for n in range(2, 19):
             calls.clear()
             assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
             assert {name for name, _ in calls} == {"_glynn_residue"}, n
-        # the first 40 instances of the exact_large benchmark workload
+        # the first 40 instances of the exact_large benchmark workload: each
+        # has a vertex of degree 1, so the kernel sees the minor that the
+        # Laplace steps leave, which has least degree 2 and takes Glynn's
+        # formula below n = 15, the programme from there on; a minor that
+        # is 0 x 0, or has an empty row or column, needs no kernel
+        taken = Counter()
         for idx in range(40):
             cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
             d = cp.loopless.prefix(hitting_time(cp.loopless))
+            a = d.adjacency_matrix()
+            assert min(a.sum(axis=0).min(), a.sum(axis=1).min()) == 1
+            minor = laplace_minor(a)
+            least = min([*minor.sum(axis=0), *minor.sum(axis=1)], default=0)
             calls.clear()
             count_one_factors(d)
+            if least == 0:
+                assert calls == [], idx
+                taken["none"] += 1
+                continue
+            assert least >= 2
+            want = "_row_dp_residue" if len(minor) >= 15 else "_glynn_residue"
+            assert {name for name, _ in calls} == {want}, idx
+            taken[want] += 1
+        assert taken == {"none": 9, "_glynn_residue": 17, "_row_dp_residue": 14}
+
+    def test_large_m_star_minors_take_the_programme(self, monkeypatch):
+        # the n = 18 m* digraphs of seed 12345 whose bound W once sent them
+        # to Glynn's formula, though the programme counts them 1.5-4x
+        # faster: their minors, of order 17, now take the programme
+        calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
+        for idx in (57, 79, 161, 190, 220, 245, 263):
+            cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
+            d = cp.loopless.prefix(hitting_time(cp.loopless))
+            minor = laplace_minor(d.adjacency_matrix())
+            assert len(minor) == 17 and exact._row_order(minor)[1] >= 1 << 15
+            calls.clear()
+            assert count_one_factors(d) == reference_permanent(minor)
             assert {name for name, _ in calls} == {"_row_dp_residue"}, idx
 
     def test_crt_at_n_24(self, monkeypatch):
@@ -497,15 +557,17 @@ class TestRowProgramme:
         assert permanent(a) == math.factorial(10) ** 2
 
     def test_peak_memory_within_stated_bound(self):
-        # the n = 24 m* digraph that scripts/check_exact_frontier.py checks
-        n = 24
-        seq = gen_process(n, "loopful", 1)
-        a = seq.prefix(hitting_time(seq)).adjacency_matrix().astype(np.int64)
-        order, work = exact._row_order(a)
-        assert work < 1 << (n - 1)
-        sizes = row_dp_sizes(a[order])
+        # the n = 24 m* digraph that scripts/check_exact_frontier.py checks,
+        # whose Laplace steps leave a minor of order 18 for the programme
+        seq = gen_process(24, "loopful", 1)
+        a = seq.prefix(hitting_time(seq)).adjacency_matrix()
+        minor = laplace_minor(a)
+        n = len(minor)
+        order, work = exact._row_order(minor)
+        assert n * exact._ROW_COST + exact._CANDIDATE_COST * work < n << (n - 1)
+        sizes = row_dp_sizes(minor[order])
         c, s = max(cand for cand, _ in sizes), max(live for _, live in sizes)
-        assert (c, s) == (2784, 464)  # as in the docstring of permanent
+        assert (n, c, s) == (18, 618, 109)  # as in the docstring of permanent
         tracemalloc.start()
         try:
             assert permanent(a) == 1183
@@ -629,12 +691,16 @@ class TestLiveLayout:
 
     @pytest.mark.parametrize("idx", [0, 2])
     def test_peak_memory_within_stated_bound(self, idx):
-        # a hitting-time digraph at n = 20: live from layer 3 on
-        n, k = 20, 19
-        cp = couple(gen_process(n, "loopful", derive_seed(12345, idx)))
+        # a hitting-time digraph at n = 20, which contraction takes to a
+        # digraph of order 17 or 18, live from layer 3 on; the bounds are
+        # stated in the order of the digraph that the DP counts
+        order = {0: 17, 2: 18}[idx]
+        cp = couple(gen_process(20, "loopful", derive_seed(12345, idx)))
         d = cp.loopless.prefix(hitting_time(cp.loopless))
-        adj = d.adjacency_matrix()
-        np.fill_diagonal(adj, 0)
+        adj = exact._contracted(d.adjacency_matrix())[0]
+        n = adj.shape[0]
+        k = n - 1
+        assert n == order
         first = watched_residue(adj, exact._PRIMES[0])[1]
         assert first == 3
         full = max(math.comb(k, r) for r in range(1, first + 1))
@@ -650,6 +716,216 @@ class TestLiveLayout:
         bound = max(17 * k * full + 4 * 2**k, 20 * (k + 1) * ell + 9 * 2**k) + 16 * n**2 + 2**14
         full_bound = 17 * k * math.comb(k, k // 2) + 4 * 2**k + 16 * n**2 + 2**14
         assert peak <= bound < full_bound
+
+
+def planted_matrix(n: int, density: float, loops: bool, seed: int, plants) -> np.ndarray:
+    """``random_matrix`` with planted entries forced by degree 1: a plant
+    ("in", u, v) leaves u -> v the only entry of column v, ("out", u, v) the
+    only entry of row u (u, v taken mod n; v moved off u unless ``loops``)."""
+    a = random_matrix(n, density, loops, seed)
+    for kind, u, v in plants:
+        u, v = u % n, v % n
+        if u == v and not loops:
+            v = (v + 1) % n
+        if kind == "in":
+            a[:, v] = 0
+        else:
+            a[u] = 0
+        a[u, v] = 1
+    return a
+
+
+def digraph_of(a: np.ndarray) -> Digraph:
+    return Digraph(len(a), [(u, v) for u, v in zip(*np.nonzero(a))],
+                   allow_loops=bool(a.trace()))
+
+
+def unreduced_hamilton_count(a: np.ndarray) -> int:
+    """HC of the digraph of ``a`` by the DP on the whole digraph, with no
+    contraction and no change of anchor."""
+    adj = a.astype(np.int64)
+    np.fill_diagonal(adj, 0)
+    n = len(adj)
+    bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()),
+                math.prod(adj.sum(axis=0).tolist()))
+    dp = (adj, *exact._subsets_by_size(n - 1))
+    return exact._from_residues(bound, lambda p: exact._hamilton_residue(dp, p))
+
+
+def unreduced_permanent(a: np.ndarray) -> int:
+    """per(a) by the kernels on the whole matrix, with no Laplace step."""
+    n = len(a)
+    bound = min(math.factorial(n), math.prod(a.sum(axis=1).tolist()),
+                math.prod(a.sum(axis=0).tolist()))
+    return exact._from_residues(bound, lambda p: exact._permanent_residue(a, p))
+
+
+_PLANTS = st.lists(st.tuples(st.sampled_from(["in", "out"]), st.integers(0, 63),
+                             st.integers(0, 63)), max_size=12)
+
+
+class TestForcedEntries:
+    """Contraction of forced edges and the Laplace steps of the permanent,
+    which change how a count is computed and never the count."""
+
+    @given(st.integers(1, 9), st.floats(0.2, 0.9), st.booleans(), st.integers(0, 2**32 - 1),
+           _PLANTS)
+    @settings(max_examples=40, deadline=None)
+    @example(9, 0.5, False, 0, [("in", 0, 1), ("in", 1, 0)])  # a forced 2-cycle
+    @example(9, 0.5, False, 1, [("in", 0, 1), ("in", 0, 2)])  # two forced out-edges
+    @example(9, 0.5, True, 2, [("out", v, v + 1) for v in range(8)])  # down to n = 2
+    def test_against_brute_force(self, n, density, loops, seed, plants):
+        a = planted_matrix(n, density, loops, seed, plants)
+        d = digraph_of(a)
+        # contraction from n = 3 on, below the n where counts use it
+        with mock.patch.object(exact, "_CONTRACT_MIN_N", 3):
+            assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
+        assert count_one_factors(d) == brute_force_factor_count(d)
+
+    @given(st.integers(2, 14), st.floats(0.1, 0.9), st.booleans(), st.integers(0, 2**32 - 1),
+           _PLANTS, st.sampled_from([3, exact._CONTRACT_MIN_N]))
+    @settings(max_examples=60, deadline=None)
+    @example(14, 0.6, False, 3, [("in", v, v + 1) for v in range(5)] + [("in", 5, 0)], 12)
+    def test_against_the_kernels_unreduced(self, n, density, loops, seed, plants, least):
+        a = planted_matrix(n, density, loops, seed, plants)
+        d = digraph_of(a)
+        with mock.patch.object(exact, "_CONTRACT_MIN_N", least):
+            assert count_hamilton_cycles(d) == unreduced_hamilton_count(a)
+        assert count_one_factors(d) == permanent(a) == unreduced_permanent(a)
+
+    def test_forced_two_cycle(self, monkeypatch):
+        # 0 and 1 are each other's only in-neighbour: no Hamilton cycle, and
+        # contracting 0 -> 1 leaves a vertex with no in-edge, so no residue
+        n = 12
+        a = Digraph.complete(n).adjacency_matrix()
+        a[:, :2] = 0
+        a[0, 1] = a[1, 0] = 1
+        calls = spy_kernels(monkeypatch, "_hamilton_residue", "_row_dp_residue",
+                            "_glynn_residue")
+        assert count_hamilton_cycles(digraph_of(a)) == 0
+        assert calls == []
+        # every 1-factor takes the 2-cycle, then one of the rest: per(J_10 - I)
+        assert permanent(a) == derangements(10)
+
+    def test_two_forced_out_edges(self, monkeypatch):
+        # 1 and 2 both have 0 as their only in-neighbour
+        n = 13
+        a = Digraph.complete(n).adjacency_matrix()
+        a[:, 1:3] = 0
+        a[0, 1:3] = 1
+        calls = spy_kernels(monkeypatch, "_hamilton_residue", "_permanent_residue")
+        assert count_hamilton_cycles(digraph_of(a)) == 0
+        assert permanent(a) == 0
+        assert calls == []
+
+    def test_chain_that_closes_early(self, monkeypatch):
+        # 0 -> 1 -> 2 -> 3 -> 0 forced by in-degree 1: a cycle of 4 < n
+        # vertices, so no Hamilton cycle; the 1-factors take it whole
+        n = 14
+        a = Digraph.complete(n).adjacency_matrix()
+        a[:, :4] = 0
+        for v in range(4):
+            a[v, (v + 1) % 4] = 1
+        calls = spy_kernels(monkeypatch, "_hamilton_residue")
+        assert count_hamilton_cycles(digraph_of(a)) == 0
+        assert calls == []
+        assert permanent(a) == unreduced_permanent(a) == derangements(10)
+
+    def test_contraction_down_to_two_vertices(self, monkeypatch):
+        # the forced path 0 -> 1 -> .. -> 11 and every edge back to 0: one
+        # Hamilton cycle, counted on the two vertices that contraction leaves
+        n = 12
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.arange(n - 1), np.arange(1, n)] = 1
+        a[:, 0] = 1
+        kernel = exact._hamilton_residue
+        sizes = []
+        monkeypatch.setattr(exact, "_hamilton_residue",
+                            lambda dp, p: sizes.append(len(dp[0])) or kernel(dp, p))
+        assert count_hamilton_cycles(digraph_of(a)) == 1
+        assert sizes == [2]
+        # without the closing edge 11 -> 0, none
+        a[n - 1, 0] = 0
+        sizes.clear()
+        assert count_hamilton_cycles(digraph_of(a)) == 0
+        assert sizes == []
+
+    def test_loops(self):
+        # vertex 5's only in-edge is its loop: no Hamilton cycle, and the
+        # loop is a fixed point of every 1-factor
+        n = 12
+        a = np.ones((n, n), dtype=np.int64)
+        a[:, 5] = 0
+        a[5, 5] = 1
+        d = digraph_of(a)
+        assert count_hamilton_cycles(d) == 0
+        assert count_one_factors(d) == math.factorial(n - 1)
+
+    def test_permanent_down_to_0_by_0(self, monkeypatch):
+        # an upper triangular 0/1 matrix with a full diagonal: column 0 has
+        # the one entry (0, 0), and so on down: per = 1 from the Laplace
+        # steps alone, with no kernel
+        n = 16
+        a = np.triu(np.ones((n, n), dtype=np.int64))
+        assert len(laplace_minor(a)) == 0
+        calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
+        assert permanent(a) == count_one_factors(digraph_of(a)) == 1
+        assert calls == []
+
+    def test_minimum_degree_two_is_left_whole(self):
+        # no row or column with one entry: the Laplace steps and contraction
+        # return their input, and the anchor moves to the least out-degree
+        a = random_matrix(14, 0.5, False, 7)
+        a[3] = 0
+        a[3, [0, 9]] = 1
+        assert np.add.reduce((a, a.T), axis=2).min() >= 2
+        assert laplace_minor(a) is a
+        adj, degrees = exact._contracted(a.copy())
+        order = [3, 1, 2, 0] + list(range(4, 14))
+        assert np.array_equal(adj, a[order][:, order])
+        assert degrees.tolist() == [adj.sum(axis=1).tolist(), adj.sum(axis=0).tolist()]
+
+    def test_peak_memory_before_the_kernels(self):
+        # the forced path of n = 24 contracts to 2 vertices, and a
+        # triangular matrix reduces to 0 x 0: the peaks of the steps alone
+        n = 24
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.arange(n - 1), np.arange(1, n)] = 1
+        a[:, 0] = 1
+        d = digraph_of(a)
+        tri = np.triu(np.ones((n, n), dtype=np.int64))
+        count_hamilton_cycles(d)  # order the subsets outside the measurement
+        for count, arg in ((count_hamilton_cycles, d), (permanent, tri)):
+            tracemalloc.start()
+            try:
+                assert count(arg) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the bounds in the docstrings of count_hamilton_cycles and permanent
+            assert peak <= 32 * n * n + 2**14, count
+
+
+class TestSubsetCache:
+    def test_memory_within_stated_bound(self):
+        # every k up to K = 16, cached at once: less than 8 * 2^K + 2^18 bytes
+        big = 16
+        exact._subsets_by_size.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(big + 1):
+                exact._subsets_by_size(k)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert exact._subsets_by_size.cache_info().currsize == big + 1
+        assert held < 8 * 2**big + 2**18
+
+    def test_entries_stay_for_every_k(self):
+        first = exact._subsets_by_size(7)
+        for k in range(12):
+            exact._subsets_by_size(k)
+        assert exact._subsets_by_size(7) is first
 
 
 class TestCountInvariants:
