@@ -351,8 +351,7 @@ def regularize_degrees(g: Digraph, m: OneFactor, window_eps: float, target: floa
         inv[w] = v
     active_left = set(range(n))
     active_right = set(range(n))
-    outd = {v: g.out_degree(v) for v in range(n)}
-    ind = {v: g.in_degree(v) for v in range(n)}
+    outd, ind = (dict(enumerate(deg.tolist())) for deg in g.degrees())
     removed: list[tuple[int, int]] = []
 
     def bad_left(v):
@@ -374,10 +373,10 @@ def regularize_degrees(g: Digraph, m: OneFactor, window_eps: float, target: floa
         removed.append((left, right))
         active_left.discard(left)
         active_right.discard(right)
-        for w in g.out_neighbors(left):
+        for w in g.out_neighbors(left).tolist():
             if w in active_right:
                 ind[w] -= 1
-        for u in g.in_neighbors(right):
+        for u in g.in_neighbors(right).tolist():
             if u in active_left:
                 outd[u] -= 1
     return RegularizedInstance(

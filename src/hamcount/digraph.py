@@ -15,7 +15,7 @@ out-degree of its vertex.
 from __future__ import annotations
 
 import threading
-from itertools import accumulate, chain
+from itertools import chain
 from math import isqrt, log1p
 from typing import IO, Iterable, Optional
 
@@ -46,14 +46,15 @@ class Digraph:
     The edges are held once, as a sorted, duplicate-free int64 array of codes
     u*n + v (``codes``), given either so or as an iterable of (u, v) pairs.
     Duplicates, out-of-range vertices and loops in a loopless digraph raise
-    ``DomainError`` in both forms, at build time.  The out- and in-neighbour
-    rows are sorted tuples (matching and rotation order depend on them), each
-    cut from the codes on its first query -- ``has_edge``, the neighbour and
-    degree accessors, ``audit`` -- so a digraph whose rows are never read
-    costs only its code array.  The rows are a function of the codes alone:
-    concurrent first queries may each cut them, but they cut equal rows.
-    Edge lists, edge sets, degrees and the adjacency matrix are derived on
-    demand.
+    ``DomainError`` in both forms, at build time.  The neighbour rows are CSR
+    slices (``csr_rows``): offsets into the codes as they lie, with heads
+    codes - tail*n, and the same over one sort of head*n + tail for the
+    in-rows; each row sorted, since matching and rotation order depend on
+    it.  A direction is cut on its first row query and then holds
+    8(m + n + 1) bytes for m edges; ``has_edge`` searches the codes and cuts
+    nothing.  The rows are a function of the codes alone: concurrent first
+    queries may each cut them, but they cut equal rows.  Edge lists,
+    degrees and the adjacency matrix are derived on demand.
     """
 
     __slots__ = ("n", "allow_loops", "_codes", "_out", "_in")
@@ -72,23 +73,10 @@ class Digraph:
             raise DomainError(f"loop ({u},{u}) in a loopless digraph")
         codes.flags.writeable = False
         self._codes = codes
-
-    def __getattr__(self, name: str):
-        # Reached only while a row slot is still unset, so once cut the rows
-        # cost a plain slot read on every query.
-        if name not in ("_out", "_in"):
-            raise AttributeError(f"'Digraph' object has no attribute {name!r}")
-        n = self.n
-        tails, heads = np.divmod(self._codes, n)
-        if name == "_out":
-            self._out = rows = _rows(heads, np.bincount(tails, minlength=n))
-        else:
-            self._in = rows = _rows(np.sort(heads * n + tails) % n, np.bincount(heads, minlength=n))
-        return rows
+        self._out = self._in = None  # (indptr, values), once cut
 
     def __reduce__(self):
-        # Pickles and copies carry the codes alone.  The default state reads
-        # every slot through getattr, which would cut both rows on the way.
+        # Pickles and copies carry the codes alone, never the cut rows.
         return type(self), (self.n, self._codes, self.allow_loops)
 
     # -- queries ------------------------------------------------------------
@@ -107,23 +95,37 @@ class Digraph:
         u, v = np.divmod(self._codes, self.n)
         return list(zip(u.tolist(), v.tolist()))
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
-
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._out[u]
+        n, codes = self.n, self._codes
+        if not (0 <= u < n and 0 <= v < n):  # u*n - 1 is the code of (u - 1, n - 1)
+            return False
+        at = int(codes.searchsorted(u * n + v))
+        return at < codes.size and int(codes[at]) == u * n + v
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+    def has_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Which of the edge codes ``codes`` (each in [0, n^2)) are edges."""
+        return _isin_sorted(self._codes, codes) if self._codes.size else np.zeros(len(codes), bool)
 
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
+    def out_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, heads): the out-row of u is heads[indptr[u]:indptr[u + 1]]."""
+        if self._out is None:
+            self._out = csr_rows(self._codes, self.n)
+        return self._out
 
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+    def in_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, tails): the in-row of v is tails[indptr[v]:indptr[v + 1]]."""
+        if self._in is None:
+            n, codes = self.n, self._codes
+            self._in = csr_rows(np.sort(codes % n * n + codes // n), n)
+        return self._in
 
-    def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+    def out_neighbors(self, v: int) -> np.ndarray:
+        indptr, heads = self.out_rows()
+        return heads[indptr[v]:indptr[v + 1]]
+
+    def in_neighbors(self, v: int) -> np.ndarray:
+        indptr, tails = self.in_rows()
+        return tails[indptr[v]:indptr[v + 1]]
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(out-degree array, in-degree array)."""
@@ -135,20 +137,10 @@ class Digraph:
         a[self._codes] = 1
         return a.reshape(self.n, self.n)
 
-    def audit(self) -> bool:
-        """Verify the neighbour rows against the codes; raises on corruption."""
-        n = self.n
-        rebuilt = [u * n + v for u in range(n) for v in self._out[u]]
-        rebuilt_in = sorted(u * n + v for v in range(n) for u in self._in[v])
-        if rebuilt != self._codes.tolist() or rebuilt_in != rebuilt:
-            raise AssertionError("adjacency indices inconsistent with edge set")
-        return True
-
-    def with_edges(self, extra: Iterable[tuple[int, int]] | np.ndarray,
-                   allow_loops: Optional[bool] = None) -> "Digraph":
+    def with_edges(self, extra: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
         """New digraph with ``extra`` (pairs or codes) unioned in."""
-        loops = self.allow_loops if allow_loops is None else allow_loops
-        return Digraph(self.n, sorted_union(self._codes, _encode(self.n, extra)), allow_loops=loops)
+        return Digraph(self.n, sorted_union(self._codes, _encode(self.n, extra)),
+                       allow_loops=self.allow_loops)
 
     @classmethod
     def complete(cls, n: int, allow_loops: bool = False) -> "Digraph":
@@ -204,10 +196,21 @@ def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return merged if keep.all() else merged[keep]
 
 
-def _rows(heads: np.ndarray, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """``heads`` cut into consecutive tuples of the given lengths."""
-    items, counts = heads.tolist(), counts.tolist()
-    return tuple(tuple(items[end - count:end]) for count, end in zip(counts, accumulate(counts)))
+def csr_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (indptr, values) of the sorted codes ``keys`` =
+    row*n + value: row r is values[indptr[r]:indptr[r + 1]], sorted."""
+    indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int64, copy=False)
+    values = keys % n
+    indptr.flags.writeable = values.flags.writeable = False
+    return indptr, values
+
+
+def csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, at): the length of each row in ``rows``, and the positions of
+    their entries in CSR ``indptr``'s values, row after row."""
+    first = indptr[rows]
+    counts = indptr[rows + 1] - first
+    return counts, np.arange(int(counts.sum())) + np.repeat(first - np.cumsum(counts) + counts, counts)
 
 
 # -- pair <-> code translation ----------------------------------------------
@@ -671,13 +674,14 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
     the codes or a pending block end.  Once nothing unscanned is left, a
     lazy sequence draws one more block by the rule a request draws by
     (``_draw_below_half``: codes and pending draws fewer than half the
-    universe).  Past that it deduplicates its pending draws in one segment
-    (the positions found so far move down by the repeats before them) and
-    asks ``ensure`` for one more code, which draws or shuffles in the tail
-    as it would without the scan; any other sequence just asks ``ensure``.
-    So a lazy sequence draws exactly the blocks that it would draw to
-    materialise its hitting time.  A window costs one floor division,
-    gathers of its sources' and targets' keys from the loop-deleted flags
+    universe).  Past that it deduplicates every pending draw and rescans
+    its codes from position 0 (only tiny universes get there before their
+    hitting time); once they are read it draws on while below half, or asks
+    ``ensure`` for one more code, which shuffles in the tail as it would
+    without the scan.  Any other sequence just asks ``ensure``.  So a lazy
+    sequence draws exactly the blocks that it would draw to materialise its
+    hitting time.  A window costs one floor division, gathers of its
+    sources' and targets' keys from the loop-deleted flags
     (a loop's keys go to the spare key 2n, never unseen) and scatters of
     the few keys found unseen.  A key unseen with loops counted is unseen
     with loops deleted too, so those flags are cleared from the same keys
@@ -706,14 +710,9 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
             else:  # nothing unscanned is left
                 if seq._draw_below_half():
                     continue
-                if seq._pending:
-                    early, repeats, loop_repeats = _repeats(
-                        seq, start if with_loops is None else with_loops, start)
-                    seq._absorb(start - seq._codes.size)
-                    if with_loops is not None:
-                        with_loops -= early
-                    loops -= loop_repeats
-                    start -= repeats
+                if seq._pending:  # past half: deduplicate them all and rescan
+                    seq._absorb(seq._pending_size())
+                    return _coverage_scan(seq)
                 seq.ensure(start + 1)
                 continue
         w = codes.size

@@ -634,7 +634,7 @@ def enumerate_one_factors(d: Digraph, limit: int) -> FactorEnumeration:
     if limit < 0:
         raise DomainError("limit must be non-negative")
     n = d.n
-    out_sorted = [d.out_neighbors(v) for v in range(n)]
+    out_sorted = [d.out_neighbors(v).tolist() for v in range(n)]
     target = limit + 1
     factors: list[OneFactor] = []
     image = [-1] * n

@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .digraph import CoupledProcess, Digraph, _rows, hitting_time, loop_mask, sorted_union
+from .digraph import (CoupledProcess, Digraph, csr_gather, csr_rows, hitting_time, loop_mask,
+                      sorted_union)
 from .errors import DomainError, MergeFailureError, PreconditionError
 from .exact import OneFactor
 from .matching import hopcroft_karp
@@ -118,26 +120,26 @@ def find_one_factor(d: Digraph, seed: int = 0) -> Optional[OneFactor]:
     Tie-breaking is random but reproducible for a fixed seed.
     """
     rng = make_generator(seed)
-    adj = []
-    for u in range(d.n):
-        nbrs = list(d.out_neighbors(u))
-        rng.shuffle(nbrs)
-        adj.append(nbrs)
-    size, match_left, _ = hopcroft_karp(d.n, d.n, adj)
+    indptr, heads = d.out_rows()
+    heads = heads.copy()  # a row's slice shuffles with the draws of the row as a list
+    for lo, hi in pairwise(indptr.tolist()):
+        rng.shuffle(heads[lo:hi])
+    size, match_left, _ = hopcroft_karp(d.n, d.n, indptr, heads)
     if size < d.n:
         return None
     return OneFactor(match_left)
 
 
-def _relabeled_out_rows(d: Digraph, sigma: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Out-rows of ``d`` with every head v renamed sigma[v], each row sorted.
+def _relabeled_out_rows(d: Digraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR out-rows (indptr, heads) of ``d`` with every head v renamed
+    sigma[v], each row sorted.
 
     One sort of the codes tail*n + sigma[head] orders every row at once, so
     ``d``'s own rows are never cut.
     """
     n = d.n
     tails, heads = np.divmod(d.codes, n)
-    return _rows(np.sort(tails * n + sigma[heads]) % n, np.bincount(tails, minlength=n))
+    return csr_rows(np.sort(tails * n + sigma[heads]), n)
 
 
 def is_good_factor(f: OneFactor, c: Constants) -> bool:
@@ -200,7 +202,7 @@ def merge_loops(f: OneFactor, d: Digraph, large: frozenset, seed: int = 0) -> tu
     for v in rng.permutation(loops).tolist():
         best = None
         best_real = None
-        candidates = list(d.in_neighbors(v))
+        candidates = d.in_neighbors(v).tolist()
         rng.shuffle(candidates)
         for v0 in candidates:
             if v0 == v or v0 in pending or v0 in used:
@@ -279,31 +281,31 @@ def patch_cycles(c1: Sequence[int], c2: Sequence[int], d: Digraph) -> Optional[l
     The first pair in index order (least a, then least b, for v1 = c1[a] and
     v2 = c2[b]) wins, so the search is reproducible.
 
-    The search is driven by adjacency: for each v1 it scans the out-neighbours
-    of v1, and for each one that lies on c2 it probes the single edge
-    (v2, w1) that could complete the pair.  Work is
-    O(|c1| + |c2| + sum of out-degrees over c1), with at most that sum of
-    ``has_edge`` probes, instead of |c1|·|c2| probes.
+    The search is driven by adjacency, on arrays: one gather of c1's
+    out-rows gives every edge (v1, w2) with w2 on c2, and one sorted search
+    of the codes v2*n + w1 keeps the pairs that close.  Work is
+    O(|c1| + |c2| + sum of out-degrees over c1) plus that search, instead of
+    |c1|·|c2| probes.
     """
     c1, c2 = list(c1), list(c2)
     len1, len2 = len(c1), len(c2)
-    on1, pos = set(c1), {v: b for b, v in enumerate(c2)}
-    if len(on1) != len1 or len(pos) != len2:
+    on1, on2 = set(c1), set(c2)
+    if len(on1) != len1 or len(on2) != len2:
         raise PreconditionError("a cycle repeats a vertex")
-    if on1 & pos.keys():
+    if on1 & on2:
         raise PreconditionError("cycles must be vertex-disjoint")
-    for a in range(len1):
-        v1, w1 = c1[a], c1[(a + 1) % len1]
-        best = len2
-        for w2 in d.out_neighbors(v1):
-            b = pos.get(w2)
-            if b is not None:
-                b = (b - 1) % len2
-                if b < best and d.has_edge(c2[b], w1):
-                    best = b
-        if best < len2:
-            return c1[: a + 1] + c2[best + 1:] + c2[: best + 1] + c1[a + 1:]
-    return None
+    v1, v2 = np.array(c1, dtype=np.int64), np.array(c2, dtype=np.int64)
+    pos = np.full(d.n, -1, dtype=np.int64)
+    pos[v2] = np.arange(len2)
+    indptr, heads = d.out_rows()
+    counts, at = csr_gather(indptr, v1)
+    a, b = np.repeat(np.arange(len1), counts), pos[heads[at]]  # edges (c1[a], c2[b])
+    a, b = a[b >= 0], (b[b >= 0] - 1) % len2
+    close = d.has_codes(v2[b] * d.n + v1[(a + 1) % len1])
+    if not close.any():
+        return None
+    a, b = divmod(int((a[close] * len2 + b[close]).min()), len2)
+    return c1[: a + 1] + c2[b + 1:] + c2[: b + 1] + c1[a + 1:]
 
 
 def _default_budget(n: int) -> int:
@@ -346,13 +348,13 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
             pos[p] = index
             vl = int(p[-1])
             cands: list[tuple[int, int]] = []
-            for u in d.out_neighbors(vl):
+            for u in d.out_neighbors(vl).tolist():
                 pu = int(pos[u])
                 if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
                     continue
                 i = pu - 1
                 vi = int(p[i])
-                for w in d.out_neighbors(vi):
+                for w in d.out_neighbors(vi).tolist():
                     j = int(pos[w])
                     if j >= i + 2 and (vi, w) not in forbidden:
                         cands.append((i, j))
@@ -556,13 +558,11 @@ class PipelineOutcome:
 
 
 def verify_hamilton_cycle(cycle: Sequence[int], d: Digraph) -> bool:
-    """n = d.n distinct vertices, and the n edges of the closed walk all in d
-    (so every vertex is one of d's)."""
-    cyc = list(cycle)
-    n = d.n
-    if len(cyc) != n or len(set(cyc)) != n:
+    """A permutation of d's n vertices whose closed walk's n edges all lie in d."""
+    cyc = np.array(list(cycle), dtype=np.int64)
+    if cyc.size != d.n or not np.array_equal(np.sort(cyc), np.arange(d.n)):
         return False
-    return all(d.has_edge(cyc[i], cyc[(i + 1) % n]) for i in range(n))
+    return bool(d.has_codes(cyc * d.n + np.roll(cyc, -1)).all())
 
 
 def _canonical_cycle(cyc: Sequence[int]) -> list[int]:
@@ -643,10 +643,10 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     t0 = time.perf_counter()
 
     def extract(tier: Digraph, sigma: np.ndarray) -> Optional[OneFactor]:
-        # The matcher is positional, so the relabeled lists must be
+        # The matcher is positional, so the relabeled rows must be
         # re-sorted: that is what makes a fresh sigma reach a genuinely
         # different factor rather than replaying the same execution.
-        size, match_left, _ = hopcroft_karp(n, n, _relabeled_out_rows(tier, sigma))
+        size, match_left, _ = hopcroft_karp(n, n, *_relabeled_out_rows(tier, sigma))
         if size < n:
             return None
         return OneFactor(np.argsort(sigma)[match_left].tolist())  # undo the relabeling

@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -9,7 +9,7 @@ import pytest
 
 from hamcount.analysis import _pmf_sum
 from hamcount.digraph import CoupledProcess, Digraph, EdgeSequence
-from hamcount.errors import DomainError
+from hamcount.errors import DomainError, PreconditionError
 from hamcount.exact import _subset_sums
 from hamcount.frieze import (MERGE_RETRY_CAP, _default_budget, _path_array, _rotated,
                              close_path)
@@ -22,9 +22,10 @@ def brute_force_hamilton_count(d: Digraph) -> int:
     if n == 1:
         return 0
     count = 0
+    edges = set(d.edges())
     for perm in itertools.permutations(range(1, n)):
         walk = (0,) + perm
-        if all(d.has_edge(walk[i], walk[(i + 1) % n]) for i in range(n)):
+        if all((walk[i], walk[(i + 1) % n]) in edges for i in range(n)):
             count += 1
     return count
 
@@ -33,8 +34,9 @@ def brute_force_factor_count(d: Digraph) -> int:
     """Independent oracle: enumerate all successor permutations."""
     n = d.n
     count = 0
+    edges = set(d.edges())
     for perm in itertools.permutations(range(n)):
-        if all(d.has_edge(v, perm[v]) for v in range(n)):
+        if all((v, perm[v]) in edges for v in range(n)):
             count += 1
     return count
 
@@ -106,13 +108,13 @@ def eager_close_path(path, d: Digraph, forbidden: frozenset, rng: np.random.Gene
             pos[p] = index
             vl = int(p[-1])
             cands: list[tuple[int, int]] = []
-            for u in d.out_neighbors(vl):
+            for u in d.out_neighbors(vl).tolist():
                 pu = int(pos[u])
                 if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
                     continue
                 i = pu - 1
                 vi = int(p[i])
-                for w in d.out_neighbors(vi):
+                for w in d.out_neighbors(vi).tolist():
                     j = int(pos[w])
                     if j >= i + 2 and (vi, w) not in forbidden:
                         cands.append((i, j))
@@ -140,11 +142,11 @@ def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: froze
     cyc_pos = {v: i for i, v in enumerate(cyc)}
     candidates: list[tuple[int, int]] = []
     for a in cyc:
-        for b in rot_d.out_neighbors(a):
+        for b in rot_d.out_neighbors(a).tolist():
             if b in main_pos and (a, b) not in forbidden:
                 candidates.append((a, b))
     for a in main:
-        for b in rot_d.out_neighbors(a):
+        for b in rot_d.out_neighbors(a).tolist():
             if b in cyc_pos and (a, b) not in forbidden:
                 candidates.append((a, b))
     if not candidates:
@@ -160,6 +162,105 @@ def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: froze
         if got is not None:
             cycle, used = got
             return cycle, k * _default_budget(rot_d.n) + used + 1
+    return None
+
+
+def audit_rows(d: Digraph) -> bool:
+    """Verify ``d``'s CSR rows against its codes, cutting them if need be;
+    raises ``AssertionError`` on corruption.  Each row must hold values in
+    [0, n) in rising order, and the (row, value) pairs must be the codes:
+    (tail, head) for the out-rows, (head, tail) for the in-rows."""
+    n = d.n
+    for (indptr, values), flip in ((d.out_rows(), False), (d.in_rows(), True)):
+        counts = np.diff(indptr)
+        if (indptr.size != n + 1 or indptr[0] != 0 or indptr[-1] != values.size
+                or (counts < 0).any() or ((values < 0) | (values >= n)).any()):
+            raise AssertionError("adjacency offsets inconsistent with edge set")
+        rows = np.repeat(np.arange(n), counts)
+        if (np.diff(rows * n + values) <= 0).any():
+            raise AssertionError("adjacency row not sorted")
+        if not np.array_equal(np.sort(values * n + rows) if flip else rows * n + values, d.codes):
+            raise AssertionError("adjacency indices inconsistent with edge set")
+    return True
+
+
+def reference_hopcroft_karp(n_left: int, n_right: int, adj) -> tuple[int, list[int], list[int]]:
+    """Reference for ``matching.hopcroft_karp``: the same phases on a list of
+    rows, ``adj[u]`` the right-neighbours of u in the order tried, with a
+    queue BFS and an explicit-stack DFS."""
+    match_left, match_right = [-1] * n_left, [-1] * n_right
+    dist = [-1] * n_left
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n_left):
+            dist[u] = 0 if match_left[u] == -1 else -1
+            if match_left[u] == -1:
+                queue.append(u)
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(root: int) -> bool:
+        stack, path = [(root, 0)], []
+        while stack:
+            u, i = stack[-1]
+            if i >= len(adj[u]):
+                dist[u] = -1
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            stack[-1] = (u, i + 1)
+            v = adj[u][i]
+            w = match_right[v]
+            if w == -1:
+                path.append((u, v))
+                for pu, pv in path:
+                    match_left[pu], match_right[pv] = pv, pu
+                return True
+            if dist[w] == dist[u] + 1:
+                path.append((u, v))
+                stack.append((w, 0))
+        return False
+
+    size = 0
+    while bfs():
+        for u in range(n_left):
+            if match_left[u] == -1 and dfs(u):
+                size += 1
+    return size, match_left, match_right
+
+
+def reference_patch_cycles(c1, c2, d: Digraph):
+    """Reference for ``frieze.patch_cycles``: per vertex v1 of c1, a scan of
+    its out-neighbours that lie on c2 and one ``has_edge`` probe each."""
+    c1, c2 = list(c1), list(c2)
+    len1, len2 = len(c1), len(c2)
+    on1, pos = set(c1), {v: b for b, v in enumerate(c2)}
+    if len(on1) != len1 or len(pos) != len2:
+        raise PreconditionError("a cycle repeats a vertex")
+    if on1 & pos.keys():
+        raise PreconditionError("cycles must be vertex-disjoint")
+    for a in range(len1):
+        v1, w1 = c1[a], c1[(a + 1) % len1]
+        best = len2
+        for w2 in d.out_neighbors(v1).tolist():
+            b = pos.get(w2)
+            if b is not None:
+                b = (b - 1) % len2
+                if b < best and d.has_edge(c2[b], w1):
+                    best = b
+        if best < len2:
+            return c1[: a + 1] + c2[best + 1:] + c2[: best + 1] + c1[a + 1:]
     return None
 
 

@@ -6,6 +6,8 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from collections import Counter
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -33,9 +35,9 @@ from hamcount.digraph import (
 from hamcount.errors import DomainError, FormatError
 from hamcount.exact import count_hamilton_cycles, count_one_factors
 
-from conftest import (ReferenceDraws, audit_every_prefix, min_degrees, reference_coverage_scan,
-                      reference_lazy_order, reference_loopless_index_to_code,
-                      sequence_from_order)
+from conftest import (ReferenceDraws, audit_every_prefix, audit_rows, min_degrees,
+                      reference_coverage_scan, reference_lazy_order,
+                      reference_loopless_index_to_code, sequence_from_order)
 
 
 def _sha256_codes(codes) -> str:
@@ -57,9 +59,9 @@ class TestDigraph:
 
     def test_adjacency_audit(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 3)], allow_loops=True)
-        assert d.audit()
-        assert d.out_neighbors(0) == (1,)
-        assert d.in_neighbors(0) == (2,)
+        assert audit_rows(d)
+        assert d.out_neighbors(0).tolist() == [1]
+        assert d.in_neighbors(0).tolist() == [2]
 
     def test_complete_counts(self):
         assert Digraph.complete(5).edge_count == 20
@@ -80,6 +82,11 @@ def _codes(n, edges):
     return np.array([u * n + v for u, v in edges], dtype=np.int64)
 
 
+def _rows_of(edges, v):
+    """(sorted out-neighbours, sorted in-neighbours) of v, from the pairs."""
+    return sorted(w for u, w in edges if u == v), sorted(u for u, w in edges if w == v)
+
+
 class TestEdgeForms:
     """Pairs and code arrays are two spellings of the same input."""
 
@@ -90,21 +97,21 @@ class TestEdgeForms:
         a = Digraph(n, edges, allow_loops=loops)
         b = Digraph(n, _codes(n, edges), allow_loops=loops)
         assert a.edges() == b.edges() == sorted(edges)
-        assert a.edge_set() == b.edge_set() == frozenset(edges)
         for v in range(n):
-            assert a.out_neighbors(v) == b.out_neighbors(v) == tuple(sorted(w for u, w in edges if u == v))
-            assert a.in_neighbors(v) == b.in_neighbors(v) == tuple(sorted(u for u, w in edges if w == v))
+            want_out, want_in = _rows_of(edges, v)
+            assert a.out_neighbors(v).tolist() == b.out_neighbors(v).tolist() == want_out
+            assert a.in_neighbors(v).tolist() == b.in_neighbors(v).tolist() == want_in
         for x, y in zip(a.degrees(), b.degrees()):
             assert np.array_equal(x, y)
-        assert np.array_equal(a.degrees()[0], [a.out_degree(v) for v in range(n)])
-        assert np.array_equal(a.degrees()[1], [a.in_degree(v) for v in range(n)])
+        assert a.degrees()[0].tolist() == [len(_rows_of(edges, v)[0]) for v in range(n)]
+        assert a.degrees()[1].tolist() == [len(_rows_of(edges, v)[1]) for v in range(n)]
         adj = np.zeros((n, n), dtype=np.int64)
         for u, v in edges:
             adj[u, v] = 1
         assert np.array_equal(a.adjacency_matrix(), adj)
         assert np.array_equal(b.adjacency_matrix(), adj)
         assert a == b and hash(a) == hash(b)
-        assert a.audit() and b.audit()
+        assert audit_rows(a) and audit_rows(b)
         assert all(a.has_edge(u, v) == ((u, v) in edges) for u in range(-1, n + 1) for v in range(n))
 
     @given(_edge_lists(), st.sampled_from(["duplicate", "loop", "high", "low"]))
@@ -148,34 +155,27 @@ class TestEdgeForms:
         d = Digraph(n, base, allow_loops=loops)
         assert d.with_edges(extra) == want
         assert d.with_edges(_codes(n, extra)) == want
-        assert d.with_edges(extra, allow_loops=True).allow_loops
 
 
 def _rows_cut(d: Digraph) -> tuple[bool, bool]:
     """Whether the out- and in-rows are cut, read from their slots directly
     so that the check itself cuts nothing."""
-    def cut(name: str) -> bool:
-        try:
-            Digraph.__dict__[name].__get__(d, Digraph)
-        except AttributeError:
-            return False
-        return True
-    return cut("_out"), cut("_in")
+    return d._out is not None, d._in is not None
 
 
 # first query -> (out-rows cut, in-rows cut) after it
 _FIRST_QUERIES = {
-    "has_edge": (lambda d: d.has_edge(0, d.n - 1), (True, False)),
+    "has_edge": (lambda d: d.has_edge(0, d.n - 1), (False, False)),
     "out_neighbors": (lambda d: d.out_neighbors(d.n - 1), (True, False)),
-    "out_degree": (lambda d: d.out_degree(0), (True, False)),
+    "out_rows": (lambda d: d.out_rows(), (True, False)),
     "in_neighbors": (lambda d: d.in_neighbors(0), (False, True)),
-    "in_degree": (lambda d: d.in_degree(d.n - 1), (False, True)),
-    "audit": (lambda d: d.audit(), (True, True)),
+    "in_rows": (lambda d: d.in_rows(), (False, True)),
+    "audit_rows": (audit_rows, (True, True)),
 }
 
 
 class TestLazyRows:
-    """The neighbour rows are cut on first query, to what an eager cut gives."""
+    """The neighbour rows are CSR slices of the codes, cut on first query."""
 
     def test_builds_leave_rows_uncut(self):
         built = [
@@ -202,10 +202,63 @@ class TestLazyRows:
         ask(d)
         assert _rows_cut(d) == cut_after
         for v in range(n):
-            assert d.out_neighbors(v) == tuple(sorted(w for u, w in edges if u == v))
-            assert d.in_neighbors(v) == tuple(sorted(u for u, w in edges if w == v))
+            assert (d.out_neighbors(v).tolist(), d.in_neighbors(v).tolist()) == _rows_of(edges, v)
         assert _rows_cut(d) == (True, True)
-        assert d.audit()
+        assert audit_rows(d)
+
+    @given(_edge_lists())
+    @example((1, False, []))
+    @example((1, True, [(0, 0)]))
+    @example((4, True, [(3, 3), (0, 3), (3, 0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_codes(self, case):
+        # empty rows, n = 1, loops and vertex n - 1 included
+        n, loops, edges = case
+        d = Digraph(n, edges, allow_loops=loops)
+        for indptr, values in (d.out_rows(), d.in_rows()):
+            assert indptr.dtype == values.dtype == np.int64
+            assert indptr.size == n + 1 and values.size == len(edges)
+            assert not indptr.flags.writeable and not values.flags.writeable
+        for v in range(n):
+            want_out, want_in = _rows_of(edges, v)
+            out, into = d.out_neighbors(v), d.in_neighbors(v)
+            assert (out.tolist(), into.tolist()) == (want_out, want_in)
+            assert not out.flags.writeable and not into.flags.writeable
+        pairs = set(edges)
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert d.has_edge(u, v) is ((u, v) in pairs)
+        probe = np.arange(n * n, dtype=np.int64)
+        assert d.has_codes(probe).tolist() == [divmod(c, n) in pairs for c in range(n * n)]
+        assert audit_rows(d)
+
+    @pytest.mark.parametrize("corrupt", ["out_value", "out_offset", "in_order"])
+    def test_audit_catches_corrupt_rows(self, corrupt):
+        d = Digraph(4, [(0, 1), (0, 2), (1, 2), (2, 0), (3, 1)])
+        (out_ptr, heads), (in_ptr, tails) = d.out_rows(), d.in_rows()
+        if corrupt == "out_value":
+            heads = heads.copy()
+            heads[0] = 3
+        elif corrupt == "out_offset":
+            out_ptr = out_ptr.copy()
+            out_ptr[1] = 1
+        else:
+            tails = tails[::-1].copy()
+        d._out, d._in = (out_ptr, heads), (in_ptr, tails)
+        with pytest.raises(AssertionError):
+            audit_rows(d)
+
+    def test_cut_rows_within_stated_bound(self):
+        # the Digraph docstring: both directions hold 16(m + n + 1) bytes
+        d = gen_process(3000, "loopless", 1).prefix(40_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d.out_rows(), d.in_rows()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 16 * (40_000 + 3000 + 1) <= held < 16 * (40_000 + 3000 + 1) + 2048
 
     @pytest.mark.parametrize("clone", [
         lambda d: pickle.loads(pickle.dumps(d)),
@@ -218,9 +271,10 @@ class TestLazyRows:
         assert _rows_cut(d) == _rows_cut(twin) == (False, False)
         assert twin == d and twin is not d and not twin.codes.flags.writeable
         for v in range(d.n):
-            assert twin.out_neighbors(v) == d.out_neighbors(v)
-            assert twin.in_neighbors(v) == d.in_neighbors(v)
+            assert twin.out_neighbors(v).tolist() == d.out_neighbors(v).tolist()
+            assert twin.in_neighbors(v).tolist() == d.in_neighbors(v).tolist()
         assert _rows_cut(d) == (True, True) and _rows_cut(clone(d)) == (False, False)
+        assert len(pickle.dumps(d)) < d.codes.nbytes + 512
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -794,6 +848,54 @@ class TestHittingTime:
             assert _sha256_codes(cp.loopless.codes(300_000)) == shadow
 
 
+def _chi_square_critical(df: int, alpha: float) -> float:
+    """Upper ``alpha`` point of chi-square with ``df`` degrees of freedom, by
+    the Wilson-Hilferty cube-root normal approximation."""
+    h = 2 / (9 * df)
+    return df * (1 - h + NormalDist().inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
+
+
+class TestEdgeProcessLaw:
+    """Lazy draws give a uniformly random order of the pair universe, and the
+    loop-deleted shadow a uniformly random loopless order, whether or not a
+    hitting-time scan comes first.  At n = 3 the first and the last two
+    codes of whole orders are tabulated over fixed seeds and compared with
+    the uniform law by chi-square tests.  Blocks of 4 draws make the lazy
+    path stop below half the universe and shuffle in a tail; blocks of 64
+    cover the universe in one block."""
+
+    SEEDS = 1500
+    ALPHA = 1e-3
+
+    @pytest.mark.parametrize("block", [4, 64])
+    @pytest.mark.parametrize("scan_first", [False, True])
+    @pytest.mark.parametrize("universe", ["loopless", "loopful"])
+    def test_orders_are_uniform(self, monkeypatch, universe, scan_first, block):
+        monkeypatch.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
+        monkeypatch.setattr(digraph, "_DRAW_BLOCK", block)
+        sides = ["loopless"] if universe == "loopless" else ["loopful", "shadow"]
+        tallies = {(side, end): Counter() for side in sides for end in ("first", "last")}
+        for seed in range(self.SEEDS):
+            seq = gen_process(3, universe, seed)
+            assert seq._rng is not None
+            shadow = couple(seq).loopless if universe == "loopful" else None
+            if scan_first:
+                hitting_time(seq)  # the root's scan gives the shadow's too
+            for side in sides:
+                got = (shadow if side == "shadow" else seq)
+                order = got.codes(len(got)).tolist()
+                tallies[side, "first"][tuple(order[:2])] += 1
+                tallies[side, "last"][tuple(order[-2:])] += 1
+        for (side, end), counts in tallies.items():
+            codes = 9 if side == "loopful" else 6
+            cells = codes * (codes - 1)
+            assert len(counts) <= cells
+            expected = self.SEEDS / cells
+            chi2 = sum((k - expected) ** 2 for k in counts.values()) / expected
+            chi2 += (cells - len(counts)) * expected  # cells never seen
+            assert chi2 < _chi_square_critical(cells - 1, self.ALPHA), (side, end, chi2)
+
+
 class TestPendingDraws:
     """A lazy process keeps its draws pending until a request deduplicates
     them, and a hitting-time scan reads them raw; neither may change the
@@ -885,13 +987,18 @@ class TestPendingDraws:
            st.lists(st.integers(0, 144), min_size=1, max_size=8))
     @example(n=12, loopful=True, seed=0, block=1, scan_first=False, sizes=[1, 100])
     @example(n=3, loopful=False, seed=7, block=64, scan_first=True, sizes=[6])
+    # these two scans pass half the universe twice before their answers
+    @example(n=4, loopful=True, seed=0, block=3, scan_first=True, sizes=[16])
+    @example(n=3, loopful=False, seed=0, block=1, scan_first=True, sizes=[2])
     @settings(max_examples=100, deadline=None)
     def test_requests_match_sequential_reference(self, n, loopful, seed, block, scan_first,
                                                  sizes):
         # whatever the requests and whether a hitting time came first, every
         # prefix is one of the order drawn a block and a code at a time,
         # deduplicated while fewer than half the codes are held, and then
-        # finished with a shuffle of the leftovers
+        # finished with a shuffle of the leftovers; and a scan first gives
+        # both hitting times of that order, also where it passes half the
+        # universe (often, at n <= 4 with small blocks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
             mp.setattr(digraph, "_DRAW_BLOCK", block)
@@ -899,7 +1006,11 @@ class TestPendingDraws:
             seq = gen_process(n, "loopful" if loopful else "loopless", seed)
             assert seq._rng is not None
             if scan_first:
-                hitting_time(seq)
+                shadow = couple(seq).loopless if loopful else seq
+                pairs = [divmod(code, n) for code in want]
+                assert hitting_time(seq) == TestHittingTime.oracle(pairs, n)
+                assert hitting_time(shadow) == TestHittingTime.oracle(
+                    [(u, v) for u, v in pairs if u != v], n)
             for m in [*sizes, len(seq)]:
                 m = min(m, len(seq))
                 assert seq.codes(m).tolist() == want[:m]
@@ -968,8 +1079,7 @@ class TestMinDegrees:
     def test_loop_counts_both_ways(self):
         d = Digraph(3, [(1, 1)], allow_loops=True)
         assert min_degrees(d) == (0, 0)
-        assert d.out_degree(1) == 1
-        assert d.in_degree(1) == 1
+        assert [deg.tolist() for deg in d.degrees()] == [[0, 1, 0], [0, 1, 0]]
 
 
 class TestEdgeListFormat:

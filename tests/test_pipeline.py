@@ -98,9 +98,9 @@ class TestFindHamilton:
         # has a 1-factor, so the early and full tiers are the only runs
         sizes = []
 
-        def counting(n_left, n_right, adj):
-            sizes.append(sum(map(len, adj)))
-            return hopcroft_karp(n_left, n_right, adj)
+        def counting(n_left, n_right, indptr, heads):
+            sizes.append(heads.size)
+            return hopcroft_karp(n_left, n_right, indptr, heads)
 
         monkeypatch.setattr(frieze, "hopcroft_karp", counting)
         out = find_hamilton(couple(gen_process(300, "loopful", seed)), compute_constants(300),
