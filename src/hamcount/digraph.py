@@ -46,7 +46,8 @@ class Digraph:
     The edges are held once, as a sorted, duplicate-free int64 array of codes
     u*n + v (``codes``), given either so or as an iterable of (u, v) pairs.
     Duplicates, out-of-range vertices and loops in a loopless digraph raise
-    ``DomainError`` in both forms, at build time.  The neighbour rows are CSR
+    ``DomainError`` in both forms, at build time, except in ``gen_binomial``,
+    whose codes are valid as it makes them.  The neighbour rows are CSR
     slices (``csr_rows``): offsets into the codes as they lie, with heads
     codes - tail*n, and the same over one sort of head*n + tail for the
     in-rows; each row sorted, since matching and rotation order depend on
@@ -60,17 +61,22 @@ class Digraph:
     __slots__ = ("n", "allow_loops", "_codes", "_out", "_in")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = (),
-                 allow_loops: bool = False):
+                 allow_loops: bool = False, *, _valid: bool = False):
         if n <= 0:
             raise DomainError(f"vertex count must be positive, got {n}")
         self.n = n = int(n)
         self.allow_loops = bool(allow_loops)
-        codes = _encode(n, edges)
-        if (codes[1:] == codes[:-1]).any():
-            raise DomainError("duplicate edges in input")
-        if not self.allow_loops and (loop := loop_mask(codes, n)).any():
-            u = int(codes[loop.argmax()]) // (n + 1)
-            raise DomainError(f"loop ({u},{u}) in a loopless digraph")
+        if _valid:
+            # int64 codes that the caller made sorted, distinct, in range and
+            # loop-free unless loops are allowed, and hands over
+            codes = edges
+        else:
+            codes = _encode(n, edges)
+            if (codes[1:] == codes[:-1]).any():
+                raise DomainError("duplicate edges in input")
+            if not self.allow_loops and (loop := loop_mask(codes, n)).any():
+                u = int(codes[loop.argmax()]) // (n + 1)
+                raise DomainError(f"loop ({u},{u}) in a loopless digraph")
         codes.flags.writeable = False
         self._codes = codes
         self._out = self._in = None  # (indptr, values), once cut
@@ -556,16 +562,15 @@ def gen_binomial(n: int, p: float, allow_loops: bool, seed: int) -> Digraph:
         raise DomainError(f"vertex count must be positive, got {n}")
     rng = make_generator(seed)
     universe = n * n if allow_loops else n * (n - 1)
-    if universe <= _FULL_SHUFFLE_MAX:
-        mask = rng.random(universe) < p
-        idx = np.nonzero(mask)[0].astype(np.int64, copy=False)
-        codes = idx if allow_loops else _loopless_index_to_code(idx, n)
-    else:
+    if universe > _FULL_SHUFFLE_MAX:
         # Draw the edge count, then a uniform set of that size: exactly the
         # same joint law, without touching all ~n^2 pairs.
         m = int(rng.binomial(universe, p))
-        codes = EdgeSequence(n, allow_loops, _rng=rng).codes(m)
-    return Digraph(n, codes, allow_loops=allow_loops)
+        return Digraph(n, EdgeSequence(n, allow_loops, _rng=rng).codes(m), allow_loops=allow_loops)
+    idx = np.nonzero(rng.random(universe) < p)[0].astype(np.int64, copy=False)
+    # increasing indices, mapped increasingly past the loops: valid codes
+    codes = idx if allow_loops else _loopless_index_to_code(idx, n)
+    return Digraph(n, codes, allow_loops=allow_loops, _valid=True)
 
 
 def gen_process(n: int, universe: str, seed: int) -> EdgeSequence:

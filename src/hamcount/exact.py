@@ -180,9 +180,10 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     (k + 1) l / 2 of them), and a 2^k bool and a 2^k int32 table over the
     subsets; on the sparse hitting-time digraphs l is a small fraction of c.
     The peak is the larger of the two.  For n <= 11, which takes the table
-    step, add (7 k + 16) c + 8 k 2^k bytes: a step allocates a layer's
-    product, with a row of zeros appended, while the layer and the last
-    step's product are still held, 8 (3 k + 2) c in all, and the intp
+    step, add (7 k + 8) c + 8 k 2^k bytes: a step allocates the product of
+    a layer with the (k + 1) x k step operator (the float64 adjacency
+    matrix above, with a row of zeros), then gathers the next layer from it
+    while the layer is still held, 8 (3 k + 1) c in all, and the intp
     tables, at most 8 k 2^k bytes, stay cached; their build holds no more
     than a step.  Ordering the subsets briefly takes 13 * 2^k bytes, once
     per k: the ordered subsets and tables of every k stay cached (see
@@ -262,7 +263,7 @@ def _contracted(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # The DP takes one of three steps from a layer to the next.  For n <= 11,
 # where no layer has 2^8 subsets (C(10, 5) = 252), the table step gathers
 # each layer from the product of the last through a table cached per n: one
-# dgemm and one take per layer, and no index arithmetic.  Its tables would
+# dgemm and one gather per layer, and no index arithmetic.  Its tables would
 # take 8 k 2^k bytes, 1.5 GB at n = 24, so from n = 12 on a layer is held in
 # one of two layouts.  The full layout has a column for every subset of its
 # size and is filled through a membership mask; the live layout has one only
@@ -287,11 +288,12 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
     T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
     (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
-    appended to it.  The tables are intp, which ``take`` uses without a
-    converted copy, and take 8 k (2^k - k - 1) bytes.  Contraction hands
-    the DP digraphs of many orders, so the cache keeps an entry for every k
-    asked for, and every array in it is read-only.  As the entries differ in
-    k, together they hold less than 8 * 2^K + 2^18 bytes, K the largest k:
+    appended to it.  The tables are intp, which indexing uses as they are
+    (``take`` copies a read-only index on every call), and take
+    8 k (2^k - k - 1) bytes.  Contraction hands the DP digraphs of many
+    orders, so the cache keeps an entry for every k asked for, and every
+    array in it is read-only.  As the entries differ in k, together they
+    hold less than 8 * 2^K + 2^18 bytes, K the largest k:
     the ordered subsets of every k <= K take less than 4 * 2^(K+1) bytes, the
     tables of every k <= 10 143,952 bytes, and the offsets and interpreter
     objects a few kB."""
@@ -325,15 +327,15 @@ def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray,
     live r-subset (see the comment by ``_LIVE_MIN_SUBSETS``)."""
     adj, masks, ends, tables = dp
     k = adj.shape[0] - 1
-    to_inner = adj[1:, 1:].T.astype(np.float64)
     if tables is not None:  # no reduction (see the comment by _PRIMES)
-        layer = np.diag(adj[0, 1:].astype(np.float64))  # layer 1: the paths 0 -> w
+        step = np.zeros((k + 1, k))  # the step, then 0s for w not in T
+        step[:k] = adj[1:, 1:].T
+        layer = np.zeros((k, k))
+        layer.reshape(-1)[::k + 1] = adj[0, 1:]  # layer 1: the paths 0 -> w
         for table in tables:
-            out = np.zeros((k + 1, layer.shape[1]))  # the product, then 0s for w not in T
-            np.matmul(to_inner, layer, out=out[:k])
-            del layer
-            layer = out.take(table)
+            layer = np.matmul(step, layer).ravel()[table]
         return int(adj[1:, 0] @ layer.ravel()) % p  # the one k-subset, if k > 0
+    to_inner = adj[1:, 1:].T.astype(np.float64)
     growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:]  # layer 1: the paths 0 -> w

@@ -6,12 +6,13 @@ are reproducible across platforms and numpy versions.  Parallel trials get
 independent streams by spawning with ``spawn_key=(trial_index, ...)`` from
 the master seed -- never by arithmetic on the seed itself.
 
-This is the one module that knows how numpy turns that stream into a
-shuffle (``permutation_prefix``); the rest of the package only asks for
-generators.
+This is the one module that knows how numpy hashes a seed's mixed pool
+into state words (``_state_words``) and turns the stream into a shuffle
+(``permutation_prefix``); the rest of the package only asks for generators.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -22,18 +23,59 @@ _STREAM_WORDS = 1 << 17
 _DECODE_CHUNK = 1 << 16
 
 
-def seed_sequence(master: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master, spawn_key=tuple(path))
-
-
-def make_generator(master: int, *path: int) -> np.random.Generator:
-    """Generator for the stream identified by (master seed, index path)."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master, *path)))
+def make_generator(master: int) -> np.random.Generator:
+    """Generator for the stream of the seed ``master``."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence_type()(master)))
 
 
 def derive_seed(master: int, *path: int) -> int:
-    """A plain integer seed derived from (master, path), for sub-components."""
-    return int(seed_sequence(master, *path).generate_state(1, np.uint64)[0])
+    """A plain integer seed derived from (master, path), for sub-components:
+    the first uint64 word of ``SeedSequence(master, spawn_key=path)``."""
+    low, high = _state_words(np.random.SeedSequence(master, spawn_key=path).pool, 2)
+    return low | high << 32
+
+
+def _state_words(pool: np.ndarray, n: int) -> list[int]:
+    """The first n uint32 words of ``SeedSequence.generate_state`` over
+    ``pool``, in Python ints (numpy's Python-level loop costs several us):
+    O'Neill's seed_seq output hash.  A uint64 word is two, low half first."""
+    words = pool.tolist()
+    size = len(words)
+    out = []
+    hash_const = 0x8B51F9DD
+    for i in range(n):
+        value = words[i % size] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
+        value = value * hash_const & 0xFFFFFFFF
+        out.append(value ^ value >> 16)
+    return out
+
+
+@functools.cache
+def _seed_sequence_type() -> type:
+    """numpy's ``SeedSequence``, pool mixing and ``spawn`` included, with
+    ``generate_state`` from ``_state_words``.  Built on first use, as
+    subclassing imports ``numpy.random``, which numpy loads lazily; the
+    module's ``__getattr__`` finds it by name for pickles."""
+
+    class _SeedSequence(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            dtype = np.dtype(dtype)
+            if dtype == np.uint32:
+                return np.array(_state_words(self.pool, n_words), dtype)
+            if dtype != np.uint64:
+                raise ValueError("only support uint32 or uint64")
+            words = np.array(_state_words(self.pool, 2 * n_words), "<u4")
+            return words.view("<u8").astype(dtype, copy=False)  # low half first
+
+    _SeedSequence.__qualname__ = "_SeedSequence"
+    return _SeedSequence
+
+
+def __getattr__(name: str):
+    if name == "_SeedSequence":
+        return _seed_sequence_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def permutation_prefix(master: int, size: int, k: int) -> np.ndarray:

@@ -343,6 +343,20 @@ class TestGenBinomial:
         sd = math.sqrt(9900 * 0.25)
         assert abs(np.mean(sizes) - 4950) < 4 * sd
 
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    @example(1, 1.0, True, 0)
+    @example(1, 1.0, False, 0)
+    @example(64, 1.0, False, 3)
+    @example(64, 1.0, True, 4)
+    def test_unchecked_build_equals_checked(self, n, p, loops, seed):
+        # the dense path builds its digraph without the checks of a build;
+        # its codes pass them and give an equal digraph
+        d = gen_binomial(n, p, loops, seed)
+        checked = Digraph(n, d.codes, allow_loops=loops)
+        assert d == checked and d.codes.dtype == np.int64 and not d.codes.flags.writeable
+        assert d.out_rows()[0].tolist() == checked.out_rows()[0].tolist()
+
     def test_sparse_path_matches_distribution(self):
         # large-universe branch: n^2 > 2^22 forces the two-stage sampler
         d = gen_binomial(3000, 1e-5, False, 5)

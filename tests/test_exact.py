@@ -59,18 +59,24 @@ def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[i
     """``_hamilton_residue`` of ``adj`` mod p, the layer at which it goes live
     (None if it never does), and the number of columns of each live layer it
     builds after that one.  The steps are read from the kernel's calls to
-    np.zeros.  For n <= 11 it must take the table step, with one
-    (k + 1) x C(k, r) product buffer for each layer r = 1..k-1, never live.
-    Otherwise there is one per full layer, then the 2^k table that it sets
-    up on going live, then one per later live layer."""
+    np.zeros and np.matmul.  For n <= 11 it must take the table step: its
+    only zeroed buffers are the (k + 1) x k step operator and the k x k
+    layer 1, so it builds no 2^k table and no full or live layer, and it
+    takes one product of that operator with the k x C(k, r) layer r for each
+    r = 1..k-1.  Otherwise there is one zeroed buffer per full layer, then
+    the 2^k table that it sets up on going live, then one per later live
+    layer."""
     k = adj.shape[0] - 1
     dp = (adj, *exact._subsets_by_size(k))
-    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
+            mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
         residue = exact._hamilton_residue(dp, p)
     shapes = [call.args[0] for call in zeros.call_args_list]
     if k <= 10:
         assert dp[3] is not None
-        assert shapes == [(k + 1, math.comb(k, r)) for r in range(1, k)]
+        assert shapes == [(k + 1, k), (k, k)]
+        assert [tuple(a.shape for a in call.args) for call in matmul.call_args_list] \
+            == [((k + 1, k), (k, math.comb(k, r))) for r in range(1, k)]
         return residue, None, []
     assert dp[3] is None
     if 1 << k not in shapes:
@@ -216,7 +222,7 @@ class TestHamiltonCount:
             c = math.comb(k, k // 2)
             bound = 17 * k * c + 4 * 2**k + 16 * n**2 + 2**14
             if n <= 11:
-                bound += (7 * k + 16) * c + 8 * k * 2**k
+                bound += (7 * k + 8) * c + 8 * k * 2**k
             assert peak <= bound, n
 
 

@@ -1,14 +1,21 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hamcount
 from hamcount.rng import (
     _resumed,
     _swap_draws,
+    derive_seed,
     make_generator,
     permutation_prefix,
-    seed_sequence,
 )
 
 
@@ -18,6 +25,71 @@ def _live_state(bitgen) -> dict:
     if not state["has_uint32"]:
         state["uinteger"] = None
     return state
+
+
+# seeds as Python ints past 128 bits, and as numpy integers
+SEEDS = st.one_of(st.integers(0, 2**130 - 1), st.integers(0, 2**63 - 1).map(np.int64),
+                  st.integers(0, 2**64 - 1).map(np.uint64))
+PATHS = st.lists(st.one_of(st.integers(0, 2**70 - 1), st.integers(0, 2**32 - 1).map(np.uint32)),
+                 max_size=4).map(tuple)
+
+
+class TestSeeding:
+    """The state words hashed in Python ints against numpy's SeedSequence."""
+
+    @given(SEEDS, PATHS)
+    @settings(max_examples=80, deadline=None)
+    @example(0, ())
+    @example(2**130 - 1, (2**70 - 1,) * 4)
+    def test_derive_seed_equals_numpy(self, master, path):
+        want = np.random.SeedSequence(master, spawn_key=path).generate_state(1, np.uint64)[0]
+        got = derive_seed(master, *path)
+        assert type(got) is int and got == int(want)
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_generator_equals_numpy(self, master):
+        got = make_generator(master)
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master)))
+        assert got.bit_generator.state == want.bit_generator.state
+        for child, oracle in zip(got.spawn(2), want.spawn(2)):
+            assert child.bit_generator.state == oracle.bit_generator.state
+            assert child.bit_generator.seed_seq.spawn_key == oracle.bit_generator.seed_seq.spawn_key
+        assert got.random(5).tolist() == want.random(5).tolist()
+
+    @given(SEEDS, st.integers(0, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_generate_state_equals_numpy(self, master, n_words):
+        seq = make_generator(master).bit_generator.seed_seq
+        oracle = np.random.SeedSequence(master)
+        for dtype in (np.uint32, np.uint64, "u4", "uint64"):
+            got, want = seq.generate_state(n_words, dtype), oracle.generate_state(n_words, dtype)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            seq.generate_state(1, np.int64)
+
+    def test_negative_seeds_raise(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1)
+        with pytest.raises(ValueError):
+            derive_seed(3, 1, -2)
+        with pytest.raises(ValueError):
+            make_generator(-5)
+
+    def test_pickled_generator_continues(self):
+        rng = make_generator(11)
+        rng.random(3)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert copy.random(4).tolist() == rng.random(4).tolist()
+        assert [c.random() for c in copy.spawn(2)] == [c.random() for c in rng.spawn(2)]
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random lazily, about 10 ms of start-up
+        env = dict(os.environ, PYTHONPATH=str(Path(hamcount.__file__).parents[1]))
+        code = "import sys, hamcount.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 @st.composite
@@ -77,7 +149,7 @@ class TestSwapDraws:
         tops = [top for top, _ in runs]
         ends = [top - chosen.size for top, chosen in runs]
         assert tops[0] == size - 1 and tops[1:] == ends[:-1] and ends[-1] == k - 1
-        oracle_bitgen = np.random.PCG64(seed_sequence(seed))
+        oracle_bitgen = np.random.PCG64(np.random.SeedSequence(seed))
         want = np.random.RandomState(oracle_bitgen).randint(0, np.arange(size, k, -1))
         assert np.array_equal(np.concatenate([c for _, c in runs]), want)
         resumed = _resumed(seed, consumed)
