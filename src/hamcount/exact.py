@@ -15,9 +15,10 @@ counted row by row over the live sets of matched columns, those that some
 partial matching covers, when a bound on that work predicts a lower cost
 than Glynn's formula, as on sparse random digraphs from n = 15 on; dense
 and small matrices take Glynn's formula over blocks of column subsets.
-Every kernel computes exactly modulo primes, as many as a proven bound on
-the count needs, and one Chinese remaindering makes the count exact.  Both
-counters refuse to run above a configurable size cap.
+Up to n = 11 the table step counts Hamilton cycles exactly in float64.
+Every other kernel computes exactly modulo primes, as many as a proven bound
+on the count needs, and one Chinese remaindering makes the count exact.
+Both counters refuse to run above a configurable size cap.
 """
 from __future__ import annotations
 
@@ -38,10 +39,7 @@ DEFAULT_CAP = 24
 # entry hi to at most D * hi, D (>= 1) the most in-edges from 1..n-1 at any
 # vertex, so every BLAS partial sum is an integer of at most D * hi; the
 # layer is reduced (hi = p - 1) once D * hi could reach 2^53, and
-# D (p - 1) < 2^53 for D < 2^13.  The table step, for n <= 11, never
-# reduces: its entries and partial sums count paths from 0 through a set of
-# s <= 9 vertices, at most s! of them, then one more edge, and its last sum
-# counts Hamilton cycles, at most 10! < 2^53.  In Glynn's formula
+# D (p - 1) < 2^53 for D < 2^13.  In Glynn's formula
 # |R_i - 2 a_i(S)| <= R_i, so rows i and i+1 raise |prod| by at most
 # R_i R_(i+1) <= n^2, and a block sums at most max(2^16, 2^ceil((n-1)/2))
 # products; a block is reduced once the next pair or the block sum could
@@ -165,8 +163,9 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     The programme anchors at vertex 0 and counts directed closed tours, so a
     cycle is not re-counted per starting vertex.  Loops are ignored: a
     Hamilton cycle is a 1-factor with a single cycle and no loops (hence 0
-    for n = 1).  The cap applies to the order of ``d``; the programme runs on
-    the digraph that ``_contracted`` leaves, of order n below.
+    for n = 1).  The cap applies to the order of ``d``; from n = 12 on, the
+    programme runs on the digraph that ``_contracted`` leaves, of order n
+    below, and up to n = 11 it takes no residues (``_hamilton_table_count``).
 
     Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
     17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes while the layers are full: two
@@ -192,12 +191,17 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     """
     if d.n > cap:
         raise ResourceCapError(f"n={d.n} exceeds the Hamilton-cycle counting cap of {cap}")
-    adj, sums = _contracted(d.adjacency_matrix())
+    adj = d.adjacency_matrix()
+    if d.n >= _CONTRACT_MIN_N:
+        adj, sums = _contracted(adj)
     n = adj.shape[0]
+    masks, ends, tables = _subsets_by_size(n - 1)
+    if tables is not None:
+        return _hamilton_table_count(adj, tables)
     out_deg, in_deg = sums.tolist()
     # a Hamilton cycle leaves and enters every vertex by one loop-free edge
     bound = min(math.factorial(n - 1), math.prod(out_deg), math.prod(in_deg))
-    dp = (adj, *_subsets_by_size(n - 1))  # shared by the residues
+    dp = (adj, masks, ends)  # shared by the residues
     return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
 
 
@@ -233,16 +237,13 @@ def _forced_entry(a: np.ndarray, sums: np.ndarray) -> Optional[tuple[int, int]]:
 
 
 def _contracted(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacency matrix ``adj`` of a digraph on n vertices with its
-    loops cleared and, for n >= ``_CONTRACT_MIN_N``, its forced edges
-    contracted while 3 or more vertices are left and a vertex of least
-    out-degree moved to 0, with the out-degrees over the in-degrees of the
-    result."""
+    """The adjacency matrix ``adj`` of a digraph with its loops cleared, its
+    forced edges contracted while 3 or more vertices are left and, if at
+    least ``_CONTRACT_MIN_N`` are, a vertex of least out-degree moved to 0,
+    with the out-degrees over the in-degrees of the result."""
     n = adj.shape[0]
     adj.reshape(-1)[::n + 1] = 0  # the diagonal, through a strided view
     sums = np.add.reduce((adj, adj.T), axis=2)  # one reduction gives both
-    if n < _CONTRACT_MIN_N:
-        return adj, sums
     while adj.shape[0] >= 3 and (forced := _forced_entry(adj, sums)):
         r, c = forced
         rows = np.arange(adj.shape[0])
@@ -283,7 +284,7 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
     within a size, the end offset of each size in that order and, when every
     size has fewer than ``_LIVE_MIN_SUBSETS`` subsets (k <= 10), the gather
-    tables of the table step of ``_hamilton_residue`` (None otherwise).
+    tables of ``_hamilton_table_count`` (None otherwise).
     Table r, for r = 1..k-1, is a k x C(k, r+1) intp array whose entry
     (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
     T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
@@ -316,25 +317,33 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.
     return masks, ends, tuple(tables)
 
 
-def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray,
-                                Optional[tuple[np.ndarray, ...]]], p: int) -> int:
-    """Hamilton cycles mod p, where ``dp`` is the n x n adjacency matrix and
-    ``_subsets_by_size(n - 1)``.  Layer r holds, for each r-subset T of the
-    vertices 1..k (k = n - 1) in increasing bitmask order and each w in T,
-    the number of paths from 0 through exactly T that end at w, in row w-1
-    and the column of T; the rest of the layer is zero.  The table step and a
-    full layer have a column for every r-subset, a live layer one for every
-    live r-subset (see the comment by ``_LIVE_MIN_SUBSETS``)."""
-    adj, masks, ends, tables = dp
+def _hamilton_table_count(adj: np.ndarray, tables: tuple[np.ndarray, ...]) -> int:
+    """Hamilton cycles of the n x n adjacency matrix ``adj``, n <= 11, by the
+    table step through the ``tables`` of ``_subsets_by_size(n - 1)``.  Layer
+    r holds, for each r-subset T of the vertices 1..k (k = n - 1) in
+    increasing bitmask order and each w in T, the number of paths from 0
+    through exactly T that end at w, in row w-1 and the column of T, and 0
+    elsewhere; so a loop w -> w adds only to entries (w, S) with w in S,
+    which no gather reads.  No sum is reduced: every entry and partial sum
+    counts paths from 0 through s <= 9 vertices, at most s! of them, then
+    one more edge, and the last sums to HC <= 10! < 2^53."""
     k = adj.shape[0] - 1
-    if tables is not None:  # no reduction (see the comment by _PRIMES)
-        step = np.zeros((k + 1, k))  # the step, then 0s for w not in T
-        step[:k] = adj[1:, 1:].T
-        layer = np.zeros((k, k))
-        layer.reshape(-1)[::k + 1] = adj[0, 1:]  # layer 1: the paths 0 -> w
-        for table in tables:
-            layer = np.matmul(step, layer).ravel()[table]
-        return int(adj[1:, 0] @ layer.ravel()) % p  # the one k-subset, if k > 0
+    step = np.zeros((k + 1, k))  # the step, then 0s for w not in T
+    step[:k] = adj[1:, 1:].T
+    layer = np.zeros((k, k))
+    layer.reshape(-1)[::k + 1] = adj[0, 1:]  # layer 1: the paths 0 -> w
+    for table in tables:
+        layer = np.matmul(step, layer).ravel()[table]
+    return int(adj[1:, 0] @ layer.ravel())  # the one k-subset, if k > 0
+
+
+def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
+    """Hamilton cycles mod p, where ``dp`` is the n x n adjacency matrix and
+    the subsets and offsets of ``_subsets_by_size(n - 1)``, over the layers
+    of ``_hamilton_table_count`` held full, with a column for every r-subset,
+    or live (see the comment by ``_LIVE_MIN_SUBSETS``)."""
+    adj, masks, ends = dp
+    k = adj.shape[0] - 1
     to_inner = adj[1:, 1:].T.astype(np.float64)
     growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]

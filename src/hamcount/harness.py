@@ -12,15 +12,14 @@ import json
 import math
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import analysis
 from .digraph import Digraph, couple, gen_binomial, gen_process, hitting_time
 from .errors import DomainError
 from .exact import count_hamilton_cycles, count_one_factors, enumerate_one_factors
@@ -141,12 +140,44 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "), indent=1)
+        out = self.to_dict()
+        if records := _flat_records_json(self.records):
+            out["records"] = []  # replaced by the text of the records
+        text = json.dumps(out, sort_keys=True, separators=(",", ": "), indent=1)
+        return text.replace('\n "records": []', '\n "records": ' + records, 1) if records else text
 
     def recompute_aggregates(self) -> tuple[dict, bool]:
         """Re-derive aggregates from the records; must match the embedded ones."""
         cfg = ExperimentConfig.from_dict(self.config)
         return EXPERIMENTS[self.experiment].aggregate(cfg, self.records)
+
+
+# the scalars as json.dumps writes them: float.__repr__ but for NaN and +-inf
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda x: "null",
+                bool: lambda x: "true" if x else "false",
+                float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x)}
+
+
+def _flat_records_json(records: list) -> Optional[str]:
+    """``records`` as json.dumps(..., sort_keys=True, indent=1) writes them
+    in a report if each is a dict of scalars under str keys, else None
+    (``indent`` keeps json on its pure-Python encoder, 2.5 times slower)."""
+    heads: dict[tuple, list[tuple[str, str]]] = {}  # built once per key set
+    items = []
+    for rec in records:
+        if type(rec) is not dict:
+            return None
+        if (head := heads.get(keys := tuple(rec))) is None:
+            if any(type(key) is not str for key in keys):
+                return None
+            head = heads[keys] = [(key, "\n   " + encode_basestring_ascii(key) + ": ")
+                                  for key in sorted(keys)]
+        try:
+            items.append("{" + ",".join([h + _SCALAR_JSON[type(rec[key])](rec[key])
+                                         for key, h in head]) + "\n  }" if head else "{}")
+        except KeyError:  # a value of another type
+            return None
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else None
 
 
 @dataclass(frozen=True)
@@ -159,6 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     exp = EXPERIMENTS[cfg.experiment]
     t0 = time.perf_counter()
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_trial_entry,
                                     [(cfg.to_dict(), i) for i in range(cfg.trials)]))
@@ -421,6 +453,7 @@ def good_fraction_of_digraph(d: Digraph, c: Constants, sigma_seed: int,
                              limit: int) -> dict:
     """Enumerate 1-factors, apply one random head-side relabeling, and
     measure the fraction that are good."""
+    from . import analysis  # only the two 1-factor experiments load it
     enum = enumerate_one_factors(d, limit)
     rng = make_generator(sigma_seed)
     sigma = rng.permutation(d.n).tolist()
@@ -445,6 +478,7 @@ def _good_fraction_trial(cfg: ExperimentConfig, idx: int) -> dict:
         rec.update(good_fraction_of_digraph(star, c, derive_seed(seed, 1), cfg.enum_limit))
     else:
         # sampling mode: repeated seeded extraction counts as one sample each
+        from . import analysis
         good = 0
         got = 0
         for k in range(cfg.samples):
@@ -461,6 +495,7 @@ def _good_fraction_trial(cfg: ExperimentConfig, idx: int) -> dict:
 
 
 def _good_fraction_aggregate(cfg: ExperimentConfig, records: list) -> tuple[dict, bool]:
+    from . import analysis
     c = compute_constants(cfg.n)
     fracs = [r["fraction"] for r in records if r["fraction"] is not None]
     agg = {
@@ -469,7 +504,9 @@ def _good_fraction_aggregate(cfg: ExperimentConfig, records: list) -> tuple[dict
         "min_fraction": float(np.min(fracs)) if fracs else None,
         "good_loop_cap": c.good_loop_cap,
         "good_cycle_cap": c.good_cycle_cap,
-        "reference_loop_bound": _reference_good_loops(cfg.n, c),
+        # the exact probability that a uniform permutation has < good_loop_cap loops
+        "reference_loop_bound": float(sum(analysis.fixed_point_reference(
+            cfg.n, max(math.ceil(c.good_loop_cap) - 1, 0)))),
     }
     passed = True  # informational: the caps are tiny at desk scale
     if cfg.check_identity_relabel:
@@ -480,13 +517,6 @@ def _good_fraction_aggregate(cfg: ExperimentConfig, records: list) -> tuple[dict
             stats.fixed_point_histogram, ref, stats.trials)
         agg["identity_relabel_mean_fixed_points"] = stats.mean_fixed_points
     return agg, passed
-
-
-def _reference_good_loops(n: int, c: Constants) -> float:
-    """Exact probability that a uniform permutation has < good_loop_cap loops."""
-    cap = math.ceil(c.good_loop_cap) - 1  # strictly fewer
-    cap = max(cap, 0)
-    return float(sum(analysis.fixed_point_reference(n, cap)))
 
 
 # -- 1-factor count lower bound ---------------------------------------------------------
@@ -513,6 +543,7 @@ def _factor_count_trial(cfg: ExperimentConfig, idx: int) -> dict:
         rec["no_factor"] = True
     f = find_one_factor(star, seed=seed)
     if f is not None:
+        from . import analysis
         g = base.with_edges(f.edges())
         reg = analysis.regularize_degrees(g, f, c.degree_window_eps, c.m3 / cfg.n)
         rec["removed_pairs"] = len(reg.removed)

@@ -35,7 +35,12 @@ SMALL_PRIMES = (31, 37, 41, 43)
 
 
 def hamilton_residue(adj: np.ndarray, p: int) -> int:
-    return exact._hamilton_residue((adj, *exact._subsets_by_size(adj.shape[0] - 1)), p)
+    """HC of ``adj`` mod p by the kernel that ``count_hamilton_cycles`` takes
+    at its order: the table count for n <= 11, else ``_hamilton_residue``."""
+    masks, ends, tables = exact._subsets_by_size(adj.shape[0] - 1)
+    if tables is not None:
+        return exact._hamilton_table_count(adj, tables) % p
+    return exact._hamilton_residue((adj, masks, ends), p)
 
 
 def live_counts(adj: np.ndarray) -> list[int]:
@@ -56,29 +61,32 @@ def live_counts(adj: np.ndarray) -> list[int]:
 
 
 def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[int]]:
-    """``_hamilton_residue`` of ``adj`` mod p, the layer at which it goes live
-    (None if it never does), and the number of columns of each live layer it
-    builds after that one.  The steps are read from the kernel's calls to
-    np.zeros and np.matmul.  For n <= 11 it must take the table step: its
+    """HC of ``adj`` mod p, the layer at which the DP goes live (None if it
+    never does), and the number of columns of each live layer it builds
+    after that one.  The steps are read from the kernel's calls to np.zeros
+    and np.matmul.  For n <= 11 it must be ``_hamilton_table_count``: its
     only zeroed buffers are the (k + 1) x k step operator and the k x k
     layer 1, so it builds no 2^k table and no full or live layer, and it
     takes one product of that operator with the k x C(k, r) layer r for each
-    r = 1..k-1.  Otherwise there is one zeroed buffer per full layer, then
-    the 2^k table that it sets up on going live, then one per later live
-    layer."""
+    r = 1..k-1.  Otherwise it is ``_hamilton_residue``, with one zeroed
+    buffer per full layer, then the 2^k table that it sets up on going live,
+    then one per later live layer."""
     k = adj.shape[0] - 1
-    dp = (adj, *exact._subsets_by_size(k))
+    masks, ends, tables = exact._subsets_by_size(k)
     with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
             mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
-        residue = exact._hamilton_residue(dp, p)
+        if k <= 10:
+            residue = exact._hamilton_table_count(adj, tables) % p
+        else:
+            residue = exact._hamilton_residue((adj, masks, ends), p)
     shapes = [call.args[0] for call in zeros.call_args_list]
     if k <= 10:
-        assert dp[3] is not None
+        assert tables is not None
         assert shapes == [(k + 1, k), (k, k)]
         assert [tuple(a.shape for a in call.args) for call in matmul.call_args_list] \
             == [((k + 1, k), (k, math.comb(k, r))) for r in range(1, k)]
         return residue, None, []
-    assert dp[3] is None
+    assert tables is None
     if 1 << k not in shapes:
         assert shapes == [(k, math.comb(k, r)) for r in range(1, k)]
         return residue, None, []
@@ -94,6 +102,23 @@ def random_matrix(n: int, density: float, loops: bool, seed: int) -> np.ndarray:
     if not loops:
         np.fill_diagonal(a, 0)
     return a
+
+
+def blow_up_matrix(n: int, size: int, extra: int, seed: int) -> np.ndarray:
+    """The adjacency matrix of a cycle of n / ``size`` groups of ``size``
+    vertices, each joined to every vertex of the next group, with ``extra``
+    random edges off the diagonal and the vertices relabelled at random.
+    Every degree is at least ``size``, so ``size`` >= 2 leaves nothing for
+    contraction, and the group orders of its passes give (size!)^(n/size)
+    / size Hamilton cycles before the extra edges: 32 at n = 12 and
+    ``size`` 2, 432 at n = 12 and ``size`` 3."""
+    rng = np.random.default_rng(seed)
+    group = np.arange(n) % (n // size)
+    a = (group[None, :] == (group[:, None] + 1) % (n // size)).astype(np.int64)
+    a[tuple(rng.integers(0, n, (2, extra)))] = 1
+    np.fill_diagonal(a, 0)
+    order = rng.permutation(n)
+    return a[order][:, order]
 
 
 def spy_kernels(monkeypatch, *names: str) -> list[tuple[str, int]]:
@@ -199,10 +224,13 @@ class TestHamiltonCount:
             assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
 
     def test_crt_path_matches_int64_path(self, monkeypatch):
-        # one 40-bit prime holds every count at n = 9 in a single int64 residue;
-        # the small primes force the same kernel through two or more residues
-        rng = np.random.default_rng(3)
-        graphs = [random_digraph(rng, 9, 0.45, allow_loops=False) for _ in range(10)]
+        # one 40-bit prime holds every count at n <= 14 in a single int64
+        # residue; the small primes force the same kernel through three or
+        # four residues (n <= 11 takes no residue at all)
+        graphs = [digraph_of(blow_up_matrix(n, size, extra, seed))
+                  for seed, (n, size, extra) in enumerate(
+                      [(12, 2, e) for e in (0, 3, 6, 9)] + [(12, 3, e) for e in (0, 2, 4)]
+                      + [(14, 2, e) for e in (0, 3, 6)])]
         single = [count_hamilton_cycles(d) for d in graphs]
         monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
         assert [count_hamilton_cycles(d) for d in graphs] == single
@@ -284,21 +312,31 @@ class TestResidues:
         for p in exact._PRIMES:  # the premise of the int64 exactness argument
             assert p < 2**40
             assert (p % np.arange(2, math.isqrt(p) + 1) != 0).all()
-        # primes so small that counts at n <= 9 need two to four residues
+        big = exact._PRIMES[0]  # holds every count at n <= 14
+        # primes so small that the counts below need two to four residues
         monkeypatch.setattr(exact, "_PRIMES", (31, 37, 41, 43))
         used = spy_kernels(monkeypatch, "_hamilton_residue", "_permanent_residue",
                            "_row_dp_residue", "_glynn_residue")
-        rng = np.random.default_rng(3)
+        # Hamilton cycles take residues from n = 12 on, on digraphs that
+        # contraction leaves whole; these counts, 32 to 432 and more, wrap
+        # under the small primes, and their degree bounds need three or four
         residues = set()
+        for n, size in ((12, 2), (12, 3), (14, 2)):
+            for extra in (0, 5):
+                a = blow_up_matrix(n, size, extra, n + extra)
+                assert len(exact._contracted(a.copy())[0]) == n
+                used.clear()
+                count = count_hamilton_cycles(digraph_of(a))
+                assert count == reference_hamilton_residue(a, big) > SMALL_PRIMES[0]
+                assert {name for name, _ in used} == {"_hamilton_residue"}
+                residues.add(len(used))
+        assert residues == {3, 4}
+        rng = np.random.default_rng(3)
         kernels = set()
         fully_reduced = 0
         for n in range(5, 10):
             for density in (0.5, 0.8):
-                d = random_digraph(rng, n, density, allow_loops=False)
-                used.clear()
-                assert count_hamilton_cycles(d) == brute_force_hamilton_count(d)
-                assert {name for name, _ in used} == {"_hamilton_residue"}
-                residues.add(len(used))
+                random_digraph(rng, n, density, allow_loops=False)  # keeps seed 3's loopful draws
                 d = random_digraph(rng, n, density, allow_loops=True)
                 used.clear()
                 assert count_one_factors(d) == brute_force_factor_count(d)
@@ -329,8 +367,8 @@ class TestResidues:
         # 10! exceeds 31 * 37 * 41 * 43: no wrapped value, an error
         with pytest.raises(ResourceCapError):
             permanent(np.ones((10, 10), dtype=int))
-        with pytest.raises(ResourceCapError):
-            count_hamilton_cycles(Digraph.complete(11))
+        with pytest.raises(ResourceCapError):  # and 11! too, at the least n with residues
+            count_hamilton_cycles(Digraph.complete(12))
 
 
 class TestKernelsAgainstReference:
@@ -430,8 +468,9 @@ class TestCountBounds:
         a = np.ones((6, 6), dtype=np.int64)
         a[:, 2] = 0  # every row sum is 5, the column sum 0
         assert permanent(a) == 0
-        # every out-degree is 4 or 5, the in-degree of vertex 2 is 0
-        d = Digraph(6, [(u, v) for u in range(6) for v in range(6) if u != v and v != 2])
+        # every out-degree is 10 or 11, the in-degree of vertex 2 is 0; at
+        # n = 12, which takes residues, no vertex has a forced edge
+        d = Digraph(12, [(u, v) for u in range(12) for v in range(12) if u != v and v != 2])
         assert count_hamilton_cycles(d) == 0
         assert calls == []
 
@@ -444,13 +483,20 @@ class TestCountBounds:
         a[:, 0] = 1
         assert permanent(a) == 1
         assert calls == [("_permanent_residue", 31)]
-        # the cycle 0 -> 1 -> .. -> 8 -> 0 with arcs back to 0 from 1..7: the
-        # out-degrees multiply to 2^7, the in-degrees to 8, and the in-degree
-        # 1 of each of 1..8 leaves the cycle alone
-        d = Digraph(9, [(v, (v + 1) % 9) for v in range(9)] + [(v, 0) for v in range(1, 8)])
+        # the cycle 0 -> 1 -> .. -> 11 -> 0, the arcs back to 0 from 1..10
+        # and the chords v -> v + 2 mod 12 into 1..11: in-degree 11 at 0 and
+        # 2 elsewhere, out-degree 3 at 1..9 and 2 elsewhere, so contraction
+        # leaves it whole; the out-degrees multiply to 3^9 2^3 = 157,464,
+        # which needs four moduli, the in-degrees to 11 * 2^11 = 22,528 <
+        # 31 * 37 * 41, which needs three
+        n = 12
+        edges = {(v, (v + 1) % n) for v in range(n)} | {(v, 0) for v in range(1, n - 1)}
+        d = Digraph(n, sorted(edges | {((v - 2) % n, v) for v in range(1, n)}))
+        adj = d.adjacency_matrix()
+        assert len(exact._contracted(adj.copy())[0]) == n
         calls.clear()
-        assert count_hamilton_cycles(d) == 1
-        assert calls == [("_hamilton_residue", 31)]
+        assert count_hamilton_cycles(d) == reference_hamilton_residue(adj, exact._PRIMES[0]) == 6
+        assert calls == [("_hamilton_residue", p) for p in SMALL_PRIMES[:3]]
 
 
 class TestRowProgramme:
@@ -599,6 +645,38 @@ class TestTableStep:
         # the small primes wrap the counts, which the table step never reduces
         for p in exact._PRIMES + SMALL_PRIMES:
             assert watched_residue(adj, p) == (reference_hamilton_residue(adj, p), None, [])
+
+    @given(st.integers(1, 11), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(1, 1.0, True, 0)  # one vertex and its loop
+    @example(2, 1.0, True, 0)
+    @example(11, 0.0, False, 0)  # the empty digraph
+    @example(11, 1.0, False, 0)  # K_11
+    @example(10, 1.0, True, 0)  # K_10 with every loop
+    def test_counts_take_no_residue(self, n, density, loops, seed):
+        # a count below n = 12 comes from the table step alone, loops and all
+        a = random_matrix(n, density, loops, seed)
+        d = digraph_of(a)
+        want = brute_force_hamilton_count(d) if n <= 9 \
+            else reference_hamilton_residue(a, exact._PRIMES[0])  # 10! < p
+        with mock.patch.object(exact, "_hamilton_residue") as residue:
+            assert count_hamilton_cycles(d) == want
+        residue.assert_not_called()
+
+    def test_contracted_below_12_takes_no_residue(self, monkeypatch):
+        # the first n = 18 hitting-time digraph of seed 12345, whose one
+        # Hamilton cycle is counted on the digraph that contraction leaves
+        cp = couple(gen_process(18, "loopful", derive_seed(12345, 0)))
+        d = cp.loopless.prefix(hitting_time(cp.loopless))
+        order = len(exact._contracted(d.adjacency_matrix())[0])
+        assert order < 12
+        kernel = exact._hamilton_table_count
+        sizes = []
+        monkeypatch.setattr(exact, "_hamilton_table_count",
+                            lambda adj, tables: sizes.append(len(adj)) or kernel(adj, tables))
+        calls = spy_kernels(monkeypatch, "_hamilton_residue")
+        assert count_hamilton_cycles(d) == 1
+        assert sizes == [order] and calls == []
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_tables(self, n):
@@ -754,8 +832,10 @@ def unreduced_hamilton_count(a: np.ndarray) -> int:
     n = len(adj)
     bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()),
                 math.prod(adj.sum(axis=0).tolist()))
-    dp = (adj, *exact._subsets_by_size(n - 1))
-    return exact._from_residues(bound, lambda p: exact._hamilton_residue(dp, p))
+    masks, ends, tables = exact._subsets_by_size(n - 1)
+    if tables is not None:
+        return exact._hamilton_table_count(adj, tables)
+    return exact._from_residues(bound, lambda p: exact._hamilton_residue((adj, masks, ends), p))
 
 
 def unreduced_permanent(a: np.ndarray) -> int:
@@ -844,17 +924,19 @@ class TestForcedEntries:
         a = np.zeros((n, n), dtype=np.int64)
         a[np.arange(n - 1), np.arange(1, n)] = 1
         a[:, 0] = 1
-        kernel = exact._hamilton_residue
+        kernel = exact._hamilton_table_count
         sizes = []
-        monkeypatch.setattr(exact, "_hamilton_residue",
-                            lambda dp, p: sizes.append(len(dp[0])) or kernel(dp, p))
+        monkeypatch.setattr(exact, "_hamilton_table_count",
+                            lambda adj, tables: sizes.append(len(adj)) or kernel(adj, tables))
+        calls = spy_kernels(monkeypatch, "_hamilton_residue")
         assert count_hamilton_cycles(digraph_of(a)) == 1
         assert sizes == [2]
-        # without the closing edge 11 -> 0, none
+        # without the closing edge 11 -> 0, none: vertex 11 has no out-edge,
+        # which stops contraction at 12 vertices with a count bound of 0
         a[n - 1, 0] = 0
         sizes.clear()
         assert count_hamilton_cycles(digraph_of(a)) == 0
-        assert sizes == []
+        assert sizes == [] and calls == []
 
     def test_loops(self):
         # vertex 5's only in-edge is its loop: no Hamilton cycle, and the

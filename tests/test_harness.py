@@ -1,8 +1,11 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamcount.digraph import Digraph, couple, gen_process
 from hamcount.errors import DomainError
@@ -11,6 +14,7 @@ from hamcount.frieze import compute_constants
 from hamcount.harness import (
     EXPERIMENTS,
     ExperimentConfig,
+    Report,
     almost_containment_prob,
     good_fraction_of_digraph,
     run_experiment,
@@ -252,6 +256,19 @@ class TestPipelineExperiment:
         assert a.to_json() == b.to_json()
 
 
+# scalars of every JSON type, strings with escapes and non-ASCII
+# characters, ints past 2^64, and floats with NaN and +-inf
+_SCALARS = st.one_of(st.text(max_size=6), st.integers(), st.integers(2**64, 2**80),
+                     st.booleans(), st.none(), st.floats())
+# a few keys shared between records, so that key sets repeat and change
+_KEYS = st.one_of(st.sampled_from(["trial", "seed", "count", "\u00e9", "a\"b\\\n"]),
+                  st.text(max_size=4))
+
+
+def canonical_json(report: Report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ": "), indent=1)
+
+
 class TestSerialization:
     def test_counts_are_decimal_strings(self):
         r = run_experiment(ExperimentConfig("expected-count", n=6, trials=3, seed=1, p=0.7))
@@ -267,3 +284,33 @@ class TestSerialization:
             write_trials_csv(r, fh)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4 and lines[0].split(",") == ["count", "seed", "trial"]
+
+    @given(st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=4), max_size=6),
+           st.dictionaries(_KEYS, _SCALARS, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    @example([{"s": "\u00e9\n\"\x00\u2028", "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf, "big": 2**70, "neg": -(2**65), "b": True, "none": None,
+               "zero": -0.0}, {}, {"\u00e9": 1}, {"trial": 1, "seed": 2}, {"seed": 3, "trial": 4}],
+             {"records": []})
+    def test_json_equals_json_dumps(self, records, aggregates):
+        # the flat records are written without json.dumps, whose encoder
+        # sets the bytes; a nested "records": [] elsewhere stays as it is
+        report = Report("expected-count", {"n": 8, "pipeline": {"records": []}}, records,
+                        aggregates, True)
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            text = report.to_json()
+        # one call writes the report, its records left empty (the others
+        # write a NaN or an infinity)
+        reports = [call.args[0] for call in dumps.call_args_list if isinstance(call.args[0], dict)]
+        assert len(reports) == 1 and reports[0]["records"] == []
+        assert text == canonical_json(report)
+
+    def test_nested_records_take_json_dumps(self):
+        records = [{"trial": 0, "phase_log": [{"phase": "factor", "seconds": 0.5}]},
+                   {"trial": 1, "count": "7"}]
+        report = Report("pipeline", {"n": 200}, records, {"successes": 1}, False)
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            text = report.to_json()
+        assert dumps.call_count == 1 and dumps.call_args.args[0]["records"] is records
+        assert text == canonical_json(report)
+

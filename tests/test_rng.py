@@ -84,12 +84,17 @@ class TestSeeding:
         assert [c.random() for c in copy.spawn(2)] == [c.random() for c in rng.spawn(2)]
 
     def test_import_leaves_numpy_random_unloaded(self):
-        # numpy loads numpy.random lazily, about 10 ms of start-up
+        # numpy loads numpy.random lazily, about 10 ms of start-up; the
+        # package loads neither the process pool (multiprocessing, logging,
+        # sockets) nor ``analysis``, which only two experiments call
         env = dict(os.environ, PYTHONPATH=str(Path(hamcount.__file__).parents[1]))
-        code = "import sys, hamcount.cli; print('numpy.random' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        for module, unloaded in (("hamcount.cli", ["numpy.random"]),
+                                 ("hamcount", ["numpy.random", "concurrent.futures",
+                                               "hamcount.analysis"])):
+            code = f"import sys, {module}; print([m in sys.modules for m in {unloaded!r}])"
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == str([False] * len(unloaded)), module
 
 
 @st.composite
