@@ -3,11 +3,14 @@
 
     python scripts/run_experiments.py                      # every config
     python scripts/run_experiments.py pipeline_n2000 ...   # only these
+    python scripts/run_experiments.py --out DIR ...        # reports into DIR
 
 Reports are written to scripts/reports/<name>.report.json (an ignored
-directory, so reruns never feed a report back in as a config).  Exit code is
-the number of failed experiments (0 when everything passes its thresholds).
+directory, so reruns never feed a report back in as a config), or to
+DIR/<name>.report.json.  Exit code is the number of failed experiments (0
+when everything passes its thresholds).
 """
+import argparse
 import json
 import pathlib
 import sys
@@ -20,7 +23,12 @@ REPORT_DIR = pathlib.Path(__file__).resolve().parent / "reports"
 
 
 def main(argv):
-    only = set(argv[1:])
+    parser = argparse.ArgumentParser(description="Run the experiment configs.")
+    parser.add_argument("names", nargs="*", help="config names (default: every config)")
+    parser.add_argument("--out", type=pathlib.Path, default=REPORT_DIR,
+                        help="report directory (default: scripts/reports)")
+    args = parser.parse_args(argv[1:])
+    only = set(args.names)
     failures = 0
     for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
         if only and cfg_path.stem not in only:
@@ -29,11 +37,11 @@ def main(argv):
         t0 = time.time()
         report = run_experiment(cfg)
         elapsed = time.time() - t0
-        REPORT_DIR.mkdir(exist_ok=True)
-        out = REPORT_DIR / f"{cfg_path.stem}.report.json"
+        args.out.mkdir(parents=True, exist_ok=True)
+        out = args.out / f"{cfg_path.stem}.report.json"
         out.write_text(report.to_json() + "\n")
         status = "pass" if report.passed else "FAIL"
-        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s)  -> {out.relative_to(REPORT_DIR.parent)}")
+        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s)  -> {out}")
         failures += 0 if report.passed else 1
     return failures
 

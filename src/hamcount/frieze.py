@@ -325,21 +325,19 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
     its int64 vertex array is built when the path is expanded, and an
     expanded path stays alive while its children are queued.  So the peak is
     about 8n bytes per expanded path (for a path on n vertices), however
-    many paths are queued.
+    many paths are queued.  An expanded path reads the positions of each
+    row it scans with one gather, and probes the closing edges of all its
+    candidate ends with one ``has_codes`` call.
     """
     verts = _path_array(path, d.n)
-    v0, ell = int(verts[0]), verts.size - 1
-
-    def closes(end: int) -> bool:
-        return d.has_edge(end, v0) and (end, v0) not in forbidden
-
-    if closes(int(verts[-1])):
+    v0, last, ell = int(verts[0]), int(verts[-1]), verts.size - 1
+    if d.has_edge(last, v0) and (last, v0) not in forbidden:
         return verts.tolist(), 0
     # Every path of the search has the same vertex set, so one position array,
     # refilled per expanded path, serves them all; off-path vertices stay -1.
     pos = np.full(d.n, -1, dtype=np.int64)
     index = np.arange(verts.size)
-    seen_ends = {int(verts[-1])}
+    seen_ends = {last}
     frontier = [(verts, ell, ell + 1)]  # the identity rotation
     for depth in range(1, _default_budget(d.n) + 1):
         nxt: list[tuple[np.ndarray, int, int]] = []
@@ -348,23 +346,27 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
             pos[p] = index
             vl = int(p[-1])
             cands: list[tuple[int, int]] = []
-            for u in d.out_neighbors(vl).tolist():
-                pu = int(pos[u])
+            row = d.out_neighbors(vl)
+            for u, pu in zip(row.tolist(), pos[row].tolist()):
                 if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
                     continue
                 i = pu - 1
                 vi = int(p[i])
-                for w in d.out_neighbors(vi).tolist():
-                    j = int(pos[w])
+                row_i = d.out_neighbors(vi)
+                for w, j in zip(row_i.tolist(), pos[row_i].tolist()):
                     if j >= i + 2 and (vi, w) not in forbidden:
                         cands.append((i, j))
+            if not cands:
+                continue
             if len(cands) > 1:
                 rng.shuffle(cands)
-            for i, j in cands:
-                end = int(p[j - 1])  # the last vertex after the rotation
+            # the last vertex after each rotation, and whether it closes
+            ends = p[[j - 1 for _, j in cands]]
+            edges = d.has_codes(ends * d.n + v0).tolist()
+            for (i, j), end, edge in zip(cands, ends.tolist(), edges):
                 if end in seen_ends:
                     continue
-                if closes(end):
+                if edge and (end, v0) not in forbidden:
                     return _rotated(p, i, j).tolist(), depth
                 seen_ends.add(end)
                 nxt.append((p, i, j))

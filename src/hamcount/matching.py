@@ -1,10 +1,13 @@
 """Maximum bipartite matching (Hopcroft-Karp) on CSR rows, iterative throughout.
 
-Each phase's breadth-first search runs on arrays, a frontier at a time; its
-distances do not depend on the order of the scan.  The depth-first phase
-walks the rows in the order handed in, with an explicit stack so instances
-with thousands of vertices cannot hit the interpreter recursion limit; that
-order alone breaks ties, so results are deterministic for a given input.
+Each phase's breadth-first search runs on arrays, a frontier at a time: the
+next frontier is the sorted set of left vertices that the level reaches
+first, and the distances do not depend on the order of the scan.  The
+depth-first phase walks the rows in the order handed in, holding its path
+in three parallel lists (left vertices, next row positions, right vertices)
+rather than a recursion, so instances with thousands of vertices cannot hit
+the interpreter recursion limit; that order alone breaks ties, so results
+are deterministic for a given input.
 """
 from __future__ import annotations
 
@@ -45,34 +48,41 @@ def _bfs(indptr, heads, match_left, match_right) -> list[int] | None:
         left = matched_to[heads[csr_gather(indptr, frontier)[1]]]
         found = found or bool((left == -1).any())
         left = left[left >= 0]
-        frontier = np.unique(left[dist[left] == INF])
-        dist[frontier] = level
+        dist[left[dist[left] == INF]] = level
+        frontier = np.flatnonzero(dist == level)  # sorted, each vertex once
     return dist.tolist() if found else None
 
 
 def _dfs(root, starts, flat, match_left, match_right, dist) -> bool:
-    # Explicit stack of (vertex, position in flat); u's row ends at starts[u + 1].
-    stack: list[tuple[int, int]] = [(root, starts[root])]
-    path: list[tuple[int, int]] = []  # (left vertex, chosen right vertex)
-    while stack:
-        u, i = stack[-1]
-        if i >= starts[u + 1]:
-            dist[u] = INF
-            stack.pop()
-            if path:  # drop the edge by which we descended into u
-                path.pop()
+    # The alternating path from root: its left vertices, the position in flat
+    # of the next entry to try in each one's row (u's row ends at
+    # starts[u + 1]), and the right vertex by which each later one is reached.
+    lefts, nexts, rights = [root], [starts[root]], []
+    while lefts:
+        u = lefts[-1]
+        i, end, level = nexts[-1], starts[u + 1], dist[u] + 1
+        while i < end:
+            v = flat[i]
+            i += 1
+            w = match_right[v]
+            if w == -1:
+                # Augmenting path found: flip along the recorded choices.
+                rights.append(v)
+                for pu, pv in zip(lefts, rights):
+                    match_left[pu] = pv
+                    match_right[pv] = pu
+                return True
+            if dist[w] == level:
+                break
+        else:
+            dist[u] = INF  # a dead end for the rest of the phase
+            lefts.pop()
+            nexts.pop()
+            if rights:  # drop the edge by which we descended into u
+                rights.pop()
             continue
-        stack[-1] = (u, i + 1)
-        v = flat[i]
-        w = match_right[v]
-        if w == -1:
-            # Augmenting path found: flip along the recorded choices.
-            path.append((u, v))
-            for pu, pv in path:
-                match_left[pu] = pv
-                match_right[pv] = pu
-            return True
-        if dist[w] == dist[u] + 1:
-            path.append((u, v))
-            stack.append((w, starts[w]))
+        nexts[-1] = i
+        lefts.append(w)
+        nexts.append(starts[w])
+        rights.append(v)
     return False

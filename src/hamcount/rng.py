@@ -148,14 +148,13 @@ def _resumed(master: int, consumed: int) -> np.random.Generator:
 def _refill(bitgen, stream: np.ndarray, pos: int) -> np.ndarray:
     """``stream[pos:]`` followed by the next ``_STREAM_WORDS`` outputs of
     ``bitgen`` as numpy's uint32 draws see them: the low half, then the high
-    half, of each."""
+    half, of each.  The outputs are read as little-endian uint64 and viewed
+    as uint32 pairs, which puts the low half first on either byte order (a
+    copy only on a big-endian host)."""
     rest = stream.size - pos
     out = np.empty(rest + 2 * _STREAM_WORDS, dtype=np.uint32)
     out[:rest] = stream[pos:]
-    raw = bitgen.random_raw(_STREAM_WORDS)
-    halves = out[rest:].reshape(-1, 2)
-    np.copyto(halves[:, 0], raw, casting="unsafe")  # keeps the low 32 bits
-    np.right_shift(raw, np.uint64(32), out=halves[:, 1], casting="unsafe")
+    out[rest:] = bitgen.random_raw(_STREAM_WORDS).astype("<u8", copy=False).view("<u4")
     return out
 
 
@@ -209,8 +208,9 @@ def _accepted(values: np.ndarray, top: int, offsets: np.ndarray) -> np.ndarray:
     acceptances precede it) and surely rejected if w > top.  Each undecided
     value is accepted iff w + a <= top - b, with a the sure acceptances
     before it and b the undecided ones accepted before it: the same problem
-    on the subsequence of undecided values shifted by a.  The first value of
-    every level is decided, so the loop ends.
+    on the subsequence of undecided values shifted by a, where a is a
+    running total of the sure acceptances per segment between undecided
+    offsets.  The first value of every level is decided, so the loop ends.
     """
     # over = w + t - top - 1 is negative where w is surely accepted and lies
     # in [0, t) where it is undecided, so one unsigned compare finds those.
@@ -220,7 +220,12 @@ def _accepted(values: np.ndarray, top: int, offsets: np.ndarray) -> np.ndarray:
     open_ = np.flatnonzero(over.view(np.uint32) < offsets.view(np.uint32))
     if not open_.size:
         return accept
-    shifted = values[open_] + np.searchsorted(np.flatnonzero(accept), open_)
+    # Sure acceptances per segment between undecided offsets, then a running
+    # total.  reduceat gives accept[0], not 0, for an empty first segment
+    # (open_[0] == 0); harmless, as accept is False at an undecided offset.
+    segments = np.add.reduceat(accept[:open_[-1]], np.concatenate(([0], open_[:-1])),
+                               dtype=np.int32)
+    shifted = values[open_] + np.cumsum(segments)
     while open_.size:
         sure = shifted + offsets[:open_.size] <= top
         accept[open_[sure]] = True

@@ -463,6 +463,28 @@ class TestLazyRotations:
         # close_path that built its children when queuing them would fail here
         assert eager_surplus > 0
 
+    def test_closing_edges_probed_once_per_expanded_path(self, monkeypatch):
+        calls = Counter()
+        for name in ("has_edge", "has_codes"):
+            def spy(graph, *args, real=getattr(Digraph, name), name=name):
+                calls[name] += 1
+                return real(graph, *args)
+            monkeypatch.setattr(Digraph, name, spy)
+        probes = 0
+        for n in (60, 150, 300):
+            for seed in range(4):
+                d = gen_binomial(n, 1.5 * math.log(n) / n, False, seed)
+                path = np.random.default_rng(seed).permutation(n).tolist()
+                u, v = np.divmod(d.codes[::10], n)
+                forbidden = frozenset(zip(u.tolist(), v.tolist())) if seed % 2 else frozenset()
+                counts = Counter()
+                want = eager_close_path(path, d, forbidden, make_generator(seed), counts)
+                calls.clear()
+                assert close_path(path, d, forbidden, make_generator(seed)) == want
+                assert calls["has_edge"] <= 1 and calls["has_codes"] <= counts["expanded"]
+                probes += calls["has_codes"]
+        assert probes > 1  # the searches do expand paths
+
 
 @st.composite
 def _merge_cases(draw):

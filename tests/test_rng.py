@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 import hamcount
 from hamcount.rng import (
+    _STREAM_WORDS,
+    _accepted,
+    _refill,
     _resumed,
     _swap_draws,
     derive_seed,
@@ -168,3 +171,53 @@ class TestSwapDraws:
         parities = {_swap_draws(make_generator(seed).bit_generator, size, k, lambda top, chosen: None) % 2
                     for size, k, seed in self.CASES}
         assert parities == {0, 1}
+
+
+def rejection_loop(values, top: int) -> list[bool]:
+    """Which values a plain rejection loop accepts, testing each against a
+    bound that starts at ``top`` and falls by one at each acceptance."""
+    accepted = []
+    for w in values:
+        accepted.append(w <= top)
+        top -= w <= top
+    return accepted
+
+
+@st.composite
+def masked_chunks(draw):
+    """(values, top): a chunk of values below the mask 2^bitlen(top) - 1,
+    half the time drawn near ``top``, where acceptance is undecided."""
+    top = draw(st.integers(1, 1 << 20))
+    mask = (1 << top.bit_length()) - 1
+    width = draw(st.integers(1, 300))
+    low = max(0, top - width) if draw(st.booleans()) else 0
+    return draw(st.lists(st.integers(low, mask), min_size=width, max_size=width)), top
+
+
+class TestAccepted:
+    """``_accepted`` against a plain rejection loop."""
+
+    @given(masked_chunks())
+    @settings(max_examples=200, deadline=None)
+    @example(([0] * 40, 1000))  # no undecided value
+    @example(([1001, 1000, 999, 1000, 998, 5], 1000))  # undecided from offset 1 on
+    @example(([7, 6, 6, 6, 5], 7))  # offset 0 accepted at the bound, then undecided
+    @example(([0, 1000, 1000, 1000, 1000, 999, 0], 1000))  # a run of adjacent ones
+    @example(([0] * 10, 5))  # more acceptances than the band has steps
+    def test_matches_rejection_loop(self, case):
+        values, top = case
+        chunk = np.array(values, dtype=np.int32)
+        got = _accepted(chunk, top, np.arange(chunk.size, dtype=np.int32))
+        assert got.tolist() == rejection_loop(values, top)
+
+
+class TestRefill:
+    @pytest.mark.parametrize("pos", [0, 1, 6, 7])
+    def test_low_half_then_high_half(self, pos):
+        stream = np.arange(10, dtype=np.uint32) + 100
+        raw = np.random.PCG64(3).random_raw(_STREAM_WORDS)
+        got = _refill(np.random.PCG64(3), stream, pos)
+        assert got.dtype == np.uint32 and got.size == 10 - pos + 2 * _STREAM_WORDS
+        assert np.array_equal(got[:10 - pos], stream[pos:])
+        assert np.array_equal(got[10 - pos::2], raw & 0xFFFFFFFF)
+        assert np.array_equal(got[11 - pos::2], raw >> 32)
