@@ -7,12 +7,15 @@
 
 Reports are written to scripts/reports/<name>.report.json (an ignored
 directory, so reruns never feed a report back in as a config), or to
-DIR/<name>.report.json.  Exit code is the number of failed experiments (0
-when everything passes its thresholds).
+DIR/<name>.report.json.  Each summary line ends with the process's peak RSS
+so far (``ru_maxrss``, a high-water mark: exact for the first config, and an
+upper bound for each later one).  Exit code is the number of failed
+experiments (0 when everything passes its thresholds).
 """
 import argparse
 import json
 import pathlib
+import resource
 import sys
 import time
 
@@ -41,7 +44,8 @@ def main(argv):
         out = args.out / f"{cfg_path.stem}.report.json"
         out.write_text(report.to_json() + "\n")
         status = "pass" if report.passed else "FAIL"
-        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s)  -> {out}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+        print(f"{cfg_path.stem:32s} {status}  ({elapsed:6.1f}s, peak RSS {peak_mb:6.1f} MB)  -> {out}")
         failures += 0 if report.passed else 1
     return failures
 

@@ -295,6 +295,22 @@ def _random_block(rng: np.random.Generator, n: int, loopful: bool) -> np.ndarray
     return block if loopful else _loopless_index_to_code(block, n)
 
 
+def _appended(buf: np.ndarray, start: int, end: int,
+              values: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(buffer, start, end) of ``buf[start:end]`` then the int64 ``values``:
+    ``buf`` if it has room past ``end``, else ``values`` itself if ``buf``
+    holds none (so nothing else may write them), else a new buffer of at
+    least twice the capacity with the old values at its front."""
+    if end == start and values.size > buf.size:
+        return values, 0, values.size
+    if end + values.size > buf.size:
+        grown = np.empty(max(end - start + values.size, 2 * buf.size), dtype=np.int64)
+        grown[:end - start] = buf[start:end]
+        buf, start, end = grown, 0, end - start
+    buf[end:end + values.size] = values
+    return buf, start, end + values.size
+
+
 class EdgeSequence:
     """A uniformly random ordering of all admissible ordered pairs.
 
@@ -313,9 +329,9 @@ class EdgeSequence:
     - Larger universes are drawn lazily (uniformity is preserved: the
       distinct values of an i.i.d. uniform stream, in order of first
       appearance, form a uniform permutation prefix).  Lazy draws come in
-      fixed blocks of ``_DRAW_BLOCK`` codes, kept as pending draws until a
-      request deduplicates them.  A request sizes a segment to what it
-      still lacks, draws blocks until the pending draws cover it, and
+      fixed blocks of ``_DRAW_BLOCK`` codes, appended to the pending draws
+      until a request deduplicates them.  A request sizes a segment to what
+      it still lacks, draws blocks until the pending draws cover it, and
       deduplicates the segment at once.  A block is drawn only while the
       codes and the pending draws together are fewer than half the universe
       (``_draw_below_half``), so never one that deduplicating first would
@@ -332,15 +348,19 @@ class EdgeSequence:
 
     The materialised codes are a prefix of a buffer whose capacity doubles,
     so appending a segment costs O(segment) amortised and ``codes(m)`` is a
-    view.  Lazy draws deduplicate against ``_seen``, the S codes
-    materialised so far, sorted (see ``_fresh_in_order``).  The buffer and
-    ``_seen`` cost up to 24 bytes per code, and the pending draws 8 bytes
-    each: less than one block after a request, and after a hitting-time
-    scan the blocks that its answer needs (two at n = 10^4).  A segment of L
-    draws over S held codes peaks at about 8(7S + 6L) bytes: the buffer
-    (capacity up to 2S) and its doubled copy, ``_seen`` and the merged copy
-    that replaces it, and the segment with its sort, about 5L at once.
-    ``_seen`` is freed once the tail is shuffled in.
+    view; the pending draws are a slice of a second such buffer
+    (``_appended``), which each request cuts from the front.  Lazy draws
+    deduplicate against ``_seen``, the S codes materialised so far, sorted
+    (see ``_fresh_in_order``).  The code buffer and ``_seen`` cost up to 24
+    bytes per code, and the pending draws up to 16 bytes each (a request
+    that leaves them under half their buffer copies them out): less than one
+    block after a request, and after a hitting-time scan the blocks that its
+    answer needs (two at n = 10^4).  A segment of L draws over S held codes
+    peaks at about 8(7S + 6L) bytes written: the code buffer (capacity up to
+    2S) and its doubled copy, ``_seen`` and the merged copy that replaces
+    it, and the pending draws with the segment's sort, about 5L at once; the
+    pending buffer's unwritten capacity, under L, comes on top.  ``_seen``
+    is freed once the tail is shuffled in.
     """
 
     def __init__(self, n: int, loopful: bool, *, _codes: Optional[np.ndarray] = None,
@@ -354,10 +374,9 @@ class EdgeSequence:
         # _codes is always a prefix of _buf (see _append)
         self._buf = self._codes = _codes if _codes is not None else np.empty(0, dtype=np.int64)
         # The codes of a lazy sequence, sorted, and its i.i.d. draws not yet
-        # deduplicated, in order: the unused tail of one block, then whole
-        # blocks.
-        self._seen = np.empty(0, dtype=np.int64)
-        self._pending: list[np.ndarray] = []
+        # deduplicated, in order: _pending[_pending_start:_pending_end].
+        self._seen = self._pending = np.empty(0, dtype=np.int64)
+        self._pending_start = self._pending_end = 0
         self._rng = _rng
         self._seed: Optional[int] = None  # set for a prefix of a seeded shuffle
         self._parent = _parent
@@ -412,9 +431,10 @@ class EdgeSequence:
                     held, universe = self._codes.size, self.universe_size
                     want = int(universe * log1p((m - held) / max(universe - m, 1)))
                     segment = max(want + 2 * isqrt(want) + 16, held // 2)
-                    while self._pending_size() < segment and self._draw_below_half():
+                    while (self._pending_end - self._pending_start < segment
+                           and self._draw_below_half()):
                         pass
-                    if self._pending:
+                    if self._pending_end > self._pending_start:
                         self._absorb(segment)
                     else:
                         self._finish_with_shuffle()
@@ -427,16 +447,8 @@ class EdgeSequence:
         self._buf = self._codes = codes if self.loopful else _loopless_index_to_code(codes, self.n)
 
     def _append(self, codes: np.ndarray) -> None:
-        held, end = self._codes.size, self._codes.size + codes.size
-        if end > self._buf.size:
-            buf = np.empty(max(end, 2 * self._buf.size), dtype=np.int64)
-            buf[:held] = self._codes
-            self._buf = buf
-        self._buf[held:end] = codes
+        self._buf, _, end = _appended(self._buf, 0, self._codes.size, codes)
         self._codes = self._buf[:end]
-
-    def _pending_size(self) -> int:
-        return sum(block.size for block in self._pending)
 
     def _draw_below_half(self) -> bool:
         """Draw one more block into the pending draws of a lazy sequence while
@@ -445,32 +457,30 @@ class EdgeSequence:
         deduplicating every pending draw first would also draw: the rng is
         consumed alike whatever the requests and scans, and any request
         pattern yields the same order for one seed."""
-        if self._rng is None or self._codes.size + self._pending_size() >= self.universe_size // 2:
+        start, end = self._pending_start, self._pending_end
+        if self._rng is None or self._codes.size + end - start >= self.universe_size // 2:
             return False
-        self._pending.append(_random_block(self._rng, self.n, self.loopful))
+        self._pending, self._pending_start, self._pending_end = _appended(
+            self._pending, start, end, _random_block(self._rng, self.n, self.loopful))
         return True
 
     def _absorb(self, count: int) -> None:
         # Deduplicate the next ``count`` > 0 pending draws (all, if fewer)
-        # into the codes.  Blocks are joined only for a segment that crosses
-        # one, and an unused tail stays a view of its own block, not of the
-        # joined segment.
-        pending, pieces = self._pending, []
-        while pending and count > 0:
-            block = pending.pop(0)
-            pieces.append(block[:count])
-            if count < block.size:
-                pending.insert(0, block[count:])
-            count -= block.size
-        segment = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        del pieces  # the joined blocks go before the segment is sorted
-        fresh, self._seen = _fresh_in_order(segment, self._seen)
+        # into the codes.  A tail left under half the buffer is copied out,
+        # so that the consumed head does not pin the buffer's memory.
+        start, end = self._pending_start, self._pending_end
+        cut = min(start + count, end)
+        fresh, self._seen = _fresh_in_order(self._pending[start:cut], self._seen)
         self._append(fresh)
+        self._pending_start = cut
+        if 2 * (end - cut) < self._pending.size:
+            self._pending = self._pending[cut:end].copy()
+            self._pending_start, self._pending_end = 0, end - cut
 
     def _finish_with_shuffle(self) -> None:
         # Past half the universe rejection stalls; finish with a shuffle of
         # the leftovers (the conditional law of a uniform permutation's tail).
-        assert self._rng is not None and not self._pending
+        assert self._rng is not None and self._pending_start == self._pending_end
         have = self._codes
         all_codes = np.arange(self.universe_size, dtype=np.int64)
         if not self.loopful:
@@ -612,22 +622,6 @@ def _first_cover(keys: np.ndarray, pos: np.ndarray, size: int, past: int) -> np.
     return first
 
 
-def _pending_sorted(seq: EdgeSequence, lo: int, hi: int) -> np.ndarray:
-    """The pending draws lo..hi-1 of ``seq`` (0 is the first pending draw),
-    sorted; uint32, half the bytes and sorting time of int64, whenever the
-    universe allows."""
-    out = np.empty(max(hi - lo, 0), dtype=np.uint32 if seq.universe_size <= 1 << 32 else np.int64)
-    at = 0
-    for block in seq._pending:
-        piece = block[max(lo, 0):max(hi, 0)]
-        out[at:at + piece.size] = piece
-        at += piece.size
-        lo -= block.size
-        hi -= block.size
-    out.sort()
-    return out
-
-
 def _repeats(seq: EdgeSequence, cut: int, end: int) -> tuple[int, int, int]:
     """(repeats before ``cut``, repeats before ``end``, loops among the
     latter) in ``seq``'s stream, for cut <= end.
@@ -643,10 +637,15 @@ def _repeats(seq: EdgeSequence, cut: int, end: int) -> tuple[int, int, int]:
     held = seq._codes.size
     if end <= held:  # no pending draw before end: a process that is not lazy
         return 0, 0, 0
-    cut, end = max(cut - held, 0), end - held
+    start = seq._pending_start
+    cut, end = start + max(cut - held, 0), start + end - held
+    # uint32, half the bytes and sorting time of int64, where the universe allows
+    width = np.uint32 if seq.universe_size <= 1 << 32 else np.int64
     seen = [seq._seen] if seq._seen.size else []
     again = []
-    for draws in (_pending_sorted(seq, 0, cut), _pending_sorted(seq, cut, end)):
+    for lo, hi in ((start, cut), (cut, end)):
+        draws = seq._pending[lo:hi].astype(width)
+        draws.sort()
         repeat = np.zeros(draws.size, dtype=bool)
         repeat[1:] = draws[1:] == draws[:-1]
         for level in seen:
@@ -676,7 +675,7 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
     side keeps a "not yet seen" flag per key.  Windows of the stream are
     read in turn, the first of max(n, ``_MIN_WINDOW``) draws and each next
     one at most twice as long, up to ``_MAX_WINDOW``; a window ends where
-    the codes or a pending block end.  Once nothing unscanned is left, a
+    the codes or the pending draws end.  Once nothing unscanned is left, a
     lazy sequence draws one more block by the rule a request draws by
     (``_draw_below_half``: codes and pending draws fewer than half the
     universe).  Past that it deduplicates every pending draw and rescans
@@ -707,16 +706,13 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
         if skip < 0:
             codes = seq._codes[start:start + width]
         else:
-            for block in seq._pending:
-                if skip < block.size:
-                    codes = block[skip:skip + width]
-                    break
-                skip -= block.size
-            else:  # nothing unscanned is left
+            pending = seq._pending[seq._pending_start:seq._pending_end]
+            codes = pending[skip:skip + width]
+            if not codes.size:  # nothing unscanned is left
                 if seq._draw_below_half():
                     continue
-                if seq._pending:  # past half: deduplicate them all and rescan
-                    seq._absorb(seq._pending_size())
+                if pending.size:  # past half: deduplicate them all and rescan
+                    seq._absorb(pending.size)
                     return _coverage_scan(seq)
                 seq.ensure(start + 1)
                 continue

@@ -173,9 +173,6 @@ class VirtualEdgeSet:
     def __len__(self) -> int:
         return len(self._edges)
 
-    def edge_set(self) -> frozenset:
-        return self._edges
-
 
 def merge_loops(f: OneFactor, d: Digraph, large: frozenset, seed: int = 0) -> tuple[OneFactor, VirtualEdgeSet]:
     """Splice every loop of f into another cycle.
@@ -312,14 +309,14 @@ def _default_budget(n: int) -> int:
     return math.ceil(3.0 * math.log(n))
 
 
-def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
+def close_path(path: Sequence[int], d: Digraph, virtual_next: np.ndarray,
                rng: np.random.Generator) -> Optional[tuple[list[int], int]]:
     """Rotate the path until its last vertex closes back to its first one.
 
     Breadth-first search over rotation sequences, at most
-    ``_default_budget(n)`` rotations deep; edges in ``forbidden`` are never
-    added.  Returns (cycle on exactly the path's vertex set, rotations used),
-    or None if the budget is exhausted.
+    ``_default_budget(n)`` rotations deep; no virtual edge (v,
+    virtual_next[v]) is ever added.  Returns (cycle on exactly the path's
+    vertex set, rotations used), or None if the budget is exhausted.
 
     A queued path is only its parent and the rotation (i, j) that makes it;
     its int64 vertex array is built when the path is expanded, and an
@@ -331,7 +328,7 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
     """
     verts = _path_array(path, d.n)
     v0, last, ell = int(verts[0]), int(verts[-1]), verts.size - 1
-    if d.has_edge(last, v0) and (last, v0) not in forbidden:
+    if d.has_edge(last, v0) and virtual_next[last] != v0:
         return verts.tolist(), 0
     # Every path of the search has the same vertex set, so one position array,
     # refilled per expanded path, serves them all; off-path vertices stay -1.
@@ -346,15 +343,15 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
             pos[p] = index
             vl = int(p[-1])
             cands: list[tuple[int, int]] = []
-            row = d.out_neighbors(vl)
+            row, skip = d.out_neighbors(vl), int(virtual_next[vl])
             for u, pu in zip(row.tolist(), pos[row].tolist()):
-                if pu < 2 or pu > ell - 1 or (vl, u) in forbidden:
+                if pu < 2 or pu > ell - 1 or u == skip:
                     continue
                 i = pu - 1
                 vi = int(p[i])
-                row_i = d.out_neighbors(vi)
+                row_i, skip_i = d.out_neighbors(vi), int(virtual_next[vi])
                 for w, j in zip(row_i.tolist(), pos[row_i].tolist()):
-                    if j >= i + 2 and (vi, w) not in forbidden:
+                    if j >= i + 2 and w != skip_i:
                         cands.append((i, j))
             if not cands:
                 continue
@@ -366,7 +363,7 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
             for (i, j), end, edge in zip(cands, ends.tolist(), edges):
                 if end in seen_ends:
                     continue
-                if edge and (end, v0) not in forbidden:
+                if edge and virtual_next[end] != v0:
                     return _rotated(p, i, j).tolist(), depth
                 seen_ends.add(end)
                 nxt.append((p, i, j))
@@ -376,30 +373,31 @@ def close_path(path: Sequence[int], d: Digraph, forbidden: frozenset,
     return None
 
 
-def _forbidden_at(cycle: list[int], forbidden: frozenset) -> list[int]:
-    """Indices idx whose cycle edge (cycle[idx], cycle[idx + 1]) is forbidden."""
-    return [idx for idx, e in enumerate(zip(cycle, cycle[1:] + cycle[:1])) if e in forbidden]
+def _forbidden_at(cycle: list[int], virtual_next: np.ndarray) -> list[int]:
+    """Indices idx whose cycle edge (cycle[idx], cycle[idx + 1]) is virtual."""
+    verts = np.asarray(cycle, dtype=np.int64)
+    return np.flatnonzero(virtual_next[verts] == np.roll(verts, -1)).tolist()
 
 
-def eliminate_forbidden(cycle: list[int], forbidden: frozenset, d: Digraph,
+def eliminate_forbidden(cycle: list[int], virtual_next: np.ndarray, d: Digraph,
                         seed: int) -> Optional[tuple[list[int], int, int]]:
-    """Rotate the ``forbidden`` (virtual) edges out of a Hamilton cycle, one
-    per round.  Returns (cycle, rounds, rotations), or None when stuck."""
+    """Rotate the virtual edges (v, virtual_next[v]) out of a Hamilton cycle,
+    one per round.  Returns (cycle, rounds, rotations), or None when stuck."""
     rounds = rotations = 0
-    present = _forbidden_at(cycle, forbidden)
+    present = _forbidden_at(cycle, virtual_next)
     while present:
         # A removal can be unclosable (e.g. the freed head has no usable
         # in-edge); any of the present edges may be removed first, so try
         # them all before declaring the round stuck.
         for attempt, idx in enumerate(present):
-            got = close_path(cycle[idx + 1:] + cycle[: idx + 1], d, forbidden,
+            got = close_path(cycle[idx + 1:] + cycle[: idx + 1], d, virtual_next,
                              make_generator(derive_seed(seed, rounds, attempt)))
             if got is not None:
                 break
         if got is None:
             return None
         cycle, used = got
-        left = _forbidden_at(cycle, forbidden)
+        left = _forbidden_at(cycle, virtual_next)
         if len(left) >= len(present):
             raise AssertionError("forbidden-edge round did not make progress")
         present = left
@@ -727,8 +725,12 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     mark("patch", t0)
 
     # Phase 3: unravel each remaining cycle into the main one and re-close.
+    # Its rotation search sets the peak memory: the earlier phases' edges go.
     t0 = time.perf_counter()
-    forbidden = virtual.edge_set()
+    del d_m3, star_codes, eligible, early_eligible, full_eligible, sources, tiers, tier, work
+    del reserved, patch_d
+    virtual_next = np.full(n, -1, dtype=np.int64)  # -1: none; the edges are vertex-disjoint
+    virtual_next[[u for u, _ in virtual]] = [v for _, v in virtual]
     main = cycles[0]
     pending = cycles[1:]
     rotations_total = 0
@@ -736,7 +738,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     deferrals: dict[int, int] = {}
     while pending:
         cyc = pending.pop(0)
-        got = _merge_into(main, cyc, target, forbidden, derive_seed(seed, 3, closes, len(cyc)))
+        got = _merge_into(main, cyc, target, virtual_next, derive_seed(seed, 3, closes, len(cyc)))
         if got is None:
             key = cyc[0]
             deferrals[key] = deferrals.get(key, 0) + 1
@@ -754,8 +756,8 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
 
     # Rotate away virtual edges.
     t0 = time.perf_counter()
-    if virtual.edge_set():
-        got = eliminate_forbidden(main, forbidden, target, derive_seed(seed, 4))
+    if virtual:
+        got = eliminate_forbidden(main, virtual_next, target, derive_seed(seed, 4))
         if got is None:
             return fail("eliminate", "could not rotate a virtual edge out")
         main, rounds, el_rot = got
@@ -768,8 +770,8 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
 
     if not verify_hamilton_cycle(main, target):
         return fail("verify", "result is not a Hamilton cycle of the loopless prefix")
-    cyc_edges = {(main[i], main[(i + 1) % n]) for i in range(n)}
-    overlap = len(cyc_edges & set(factor.edges()))
+    cyc = np.asarray(main, dtype=np.int64)
+    overlap = int(np.count_nonzero(np.asarray(factor.image)[cyc] == np.roll(cyc, -1)))
     log["overlap"] = overlap
     log["overlap_floor"] = c.overlap_floor
     log["edges_changed"] = n - overlap
@@ -804,7 +806,7 @@ def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     return first
 
 
-def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: frozenset,
+def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, virtual_next: np.ndarray,
                 seed: int) -> Optional[tuple[list[int], int]]:
     """Unravel ``cyc`` into ``main`` via a connecting pool edge, then close.
 
@@ -823,12 +825,11 @@ def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: froz
         pos[verts] = np.arange(verts.size)
     tails, heads = np.divmod(rot_d.codes, n)
     cross = side[heads] == 1 - side[tails]  # never true off the two cycles
+    cross &= virtual_next[tails] != heads
     candidates, tails = rot_d.codes[cross], tails[cross]
     # The codes are sorted by (tail, head), so a stable sort by tail rank
     # keeps each tail's heads ascending.
     candidates = candidates[np.argsort(side[tails] * n + pos[tails], kind="stable")]
-    if forbidden:
-        candidates = candidates[~np.isin(candidates, [u * n + v for u, v in forbidden])]
     if not candidates.size:
         return None
     # Shuffling an array draws exactly what shuffling a list of the same length draws.
@@ -838,7 +839,7 @@ def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, forbidden: froz
         ca, cb = (cyc, main) if side[a] == 0 else (main, cyc)
         apos, bpos = int(pos[a]), int(pos[b])
         path = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
-        got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
+        got = close_path(path, rot_d, virtual_next, make_generator(derive_seed(seed, k)))
         if got is not None:
             # a failed candidate counts as a full budget; +1 for the closing edge round
             cycle, used = got

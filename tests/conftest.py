@@ -83,12 +83,27 @@ def reference_permanent_residue(a: np.ndarray, p: int) -> int:
     return (-total if n % 2 else total) % p
 
 
-def eager_close_path(path, d: Digraph, forbidden: frozenset, rng: np.random.Generator,
+def virtual_successors(n: int, pairs=()) -> np.ndarray:
+    """The successor array of the virtual edges ``pairs``, one per tail (the
+    last one given wins): -1 at a vertex without one."""
+    out = np.full(n, -1, dtype=np.int64)
+    for u, v in pairs:
+        out[u] = v
+    return out
+
+
+def _virtual_pairs(virtual_next: np.ndarray) -> set:
+    return {(u, v) for u, v in enumerate(virtual_next.tolist()) if v >= 0}
+
+
+def eager_close_path(path, d: Digraph, virtual_next: np.ndarray, rng: np.random.Generator,
                      counts: Optional[Counter] = None):
     """Reference for ``frieze.close_path``: the same breadth-first rotation
-    search, building every queued child's vertex array when it is queued.
-    ``counts`` receives the paths expanded and the arrays built."""
+    search, building every queued child's vertex array when it is queued,
+    with the virtual edges as a set of pairs.  ``counts`` receives the paths
+    expanded and the arrays built."""
     counts = Counter() if counts is None else counts
+    forbidden = _virtual_pairs(virtual_next)
     verts = _path_array(path, d.n)
     v0, ell = int(verts[0]), verts.size - 1
 
@@ -135,9 +150,12 @@ def eager_close_path(path, d: Digraph, forbidden: frozenset, rng: np.random.Gene
     return None
 
 
-def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: frozenset, seed: int):
+def reference_merge_into(main: list, cyc: list, rot_d: Digraph, virtual_next: np.ndarray,
+                         seed: int):
     """Reference for ``frieze._merge_into``: candidates listed by a Python
-    loop over each cycle's out-neighbour rows, with dict positions."""
+    loop over each cycle's out-neighbour rows, with dict positions and the
+    virtual edges as a set of pairs."""
+    forbidden = _virtual_pairs(virtual_next)
     main_pos = {v: i for i, v in enumerate(main)}
     cyc_pos = {v: i for i, v in enumerate(cyc)}
     candidates: list[tuple[int, int]] = []
@@ -158,7 +176,7 @@ def reference_merge_into(main: list, cyc: list, rot_d: Digraph, forbidden: froze
         else:
             ca, cb, apos, bpos = main, cyc, main_pos[a], cyc_pos[b]
         path = ca[apos + 1:] + ca[: apos + 1] + cb[bpos:] + cb[: bpos]
-        got = close_path(path, rot_d, forbidden, make_generator(derive_seed(seed, k)))
+        got = close_path(path, rot_d, virtual_next, make_generator(derive_seed(seed, k)))
         if got is not None:
             cycle, used = got
             return cycle, k * _default_budget(rot_d.n) + used + 1

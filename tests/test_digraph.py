@@ -493,7 +493,7 @@ class TestSeenCodes:
                 assert seq._draw_below_half()
                 if block.size:
                     seq._absorb(block.size)
-                assert seq._pending_size() == 0
+                assert seq._pending_start == seq._pending_end
                 assert seq._codes[before:].tolist() == oracle.draw(block).tolist()
                 assert seq.materialized == oracle.codes.size
                 assert _strictly_increasing(seq._seen)
@@ -748,7 +748,7 @@ class TestHittingTime:
             assert 92_000 <= min(m_less, m_ful) and max(m_less, m_ful) <= 107_000
             # two blocks of about 65.5k distinct codes cover m* in either order
             assert cp.loopless.materialized == 0
-            pending = sum(block.size for block in cp.loopful._pending)
+            pending = cp.loopful._pending_end - cp.loopful._pending_start
             assert (cp.loopful.materialized, pending) == self.MATERIALIZED
             assert self.least_covering_prefix(cp.loopless, m_less)
             assert self.least_covering_prefix(cp.loopful, m_ful)
@@ -1028,6 +1028,49 @@ class TestPendingDraws:
             for m in [*sizes, len(seq)]:
                 m = min(m, len(seq))
                 assert seq.codes(m).tolist() == want[:m]
+
+    @pytest.mark.parametrize("scan_first", [False, True])
+    def test_pending_buffer_doubles_and_lets_go(self, scan_first):
+        # blocks of 8 draws at n = 60: a segment draws up to a few hundred
+        # blocks into one buffer, replaced only when its capacity doubles,
+        # and after each request the buffer holds at most twice its pending
+        # draws (or one block), however many draws the request consumed
+        n, block, seed = 60, 8, 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 0)
+            mp.setattr(digraph, "_DRAW_BLOCK", block)
+            want = reference_lazy_order(n, True, seed, block)
+            seq = gen_process(n, "loopful", seed)
+            tally = Counter()
+            draw, absorb = EdgeSequence._draw_below_half, EdgeSequence._absorb
+
+            def drawn_since_last_absorb():
+                assert tally["buffers"] <= tally["blocks"].bit_length() + 1, tally
+                tally["most"] = max(tally["most"], tally["blocks"])
+                tally["blocks"] = tally["buffers"] = 0
+
+            def counted_draw(s):
+                before = s._pending
+                drew = draw(s)
+                tally["blocks"] += drew
+                tally["buffers"] += s._pending is not before
+                return drew
+
+            def checked_absorb(s, count):
+                drawn_since_last_absorb()
+                absorb(s, count)
+
+            mp.setattr(EdgeSequence, "_draw_below_half", counted_draw)
+            mp.setattr(EdgeSequence, "_absorb", checked_absorb)
+            if scan_first:
+                hitting_time(seq)
+            for m in (1, 5, 40, 41, 300, 1500, 1790, n * n):
+                assert seq.codes(m).tolist() == want[:m]
+                pending = seq._pending_end - seq._pending_start
+                assert seq._pending.size <= max(2 * pending, block)
+            drawn_since_last_absorb()
+            assert tally["most"] > 100  # one segment drew over a hundred blocks
+            assert seq._pending.size == 0  # the tail is shuffled in
 
     def test_segment_memory_within_stated_bound(self):
         # the EdgeSequence docstring: a segment of L draws over S held codes

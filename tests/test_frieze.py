@@ -31,7 +31,7 @@ from hamcount.frieze import (
 )
 
 from conftest import (brute_force_factor_count, eager_close_path, random_digraph,
-                      reference_merge_into, reference_patch_cycles)
+                      reference_merge_into, reference_patch_cycles, virtual_successors)
 
 
 class TestConstants:
@@ -378,26 +378,27 @@ def test_bad_paths_rejected(path):
     with pytest.raises(DomainError):
         rotate(path, 1, 2, d)
     with pytest.raises(DomainError):
-        close_path(path, d, frozenset(), make_generator(0))
+        close_path(path, d, virtual_successors(4), make_generator(0))
 
 
 class TestClosePath:
     def test_immediate(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert close_path([0, 1, 2], d, frozenset(), make_generator(0)) == ([0, 1, 2], 0)
+        assert close_path([0, 1, 2], d, virtual_successors(3), make_generator(0)) == ([0, 1, 2], 0)
 
     def test_impossible_on_bare_path(self):
         d = Digraph(3, [(0, 1), (1, 2)])
-        assert close_path([0, 1, 2], d, frozenset(), make_generator(0)) is None
+        assert close_path([0, 1, 2], d, virtual_successors(3), make_generator(0)) is None
 
     def test_one_rotation_needed(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 2), (2, 0)])
-        assert close_path([0, 1, 2, 3], d, frozenset(), make_generator(0)) == ([0, 1, 3, 2], 1)
+        assert close_path([0, 1, 2, 3], d, virtual_successors(4),
+                          make_generator(0)) == ([0, 1, 3, 2], 1)
 
     def test_respects_forbidden_closing_edge(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        forbidden = VirtualEdgeSet([(2, 0)]).edge_set()
-        assert close_path([0, 1, 2], d, forbidden, make_generator(0)) is None
+        virtual_next = virtual_successors(3, VirtualEdgeSet([(2, 0)]))
+        assert close_path([0, 1, 2], d, virtual_next, make_generator(0)) is None
 
     def test_cycle_uses_path_vertices_only(self):
         for seed in range(10):
@@ -405,27 +406,28 @@ class TestClosePath:
             n = 12
             verts = rng.permutation(n).tolist()
             d = random_digraph(rng, n, 0.4, allow_loops=False)
-            got = close_path(verts, d, frozenset(), make_generator(seed))
+            got = close_path(verts, d, virtual_successors(n), make_generator(seed))
             if got is not None:
                 assert sorted(got[0]) == sorted(verts)
 
 
 @st.composite
 def _rotation_cases(draw):
-    """(digraph, path, forbidden, seed): a sparse digraph on 20-300 vertices
-    with mean out-degree c ln n, a path on a random subset of at least three
-    vertices, and either no forbidden pairs or about a tenth of the edges."""
+    """(digraph, path, virtual successors, seed): a sparse digraph on 20-300
+    vertices with mean out-degree c ln n, a path on a random subset of at
+    least three vertices, and either no virtual edges or one per tail from a
+    random tenth of the edges."""
     n = draw(st.integers(20, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     c = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     d = gen_binomial(n, c * math.log(n) / n, False, seed)
     rng = np.random.default_rng(seed)
     path = rng.permutation(n)[: draw(st.integers(3, n))].tolist()
-    forbidden = frozenset()
+    pairs = ()
     if draw(st.booleans()):
         u, v = np.divmod(d.codes[rng.random(d.edge_count) < 0.1], n)
-        forbidden = frozenset(zip(u.tolist(), v.tolist()))
-    return d, path, forbidden, seed
+        pairs = zip(u.tolist(), v.tolist())
+    return d, path, virtual_successors(n, pairs), seed
 
 
 class TestLazyRotations:
@@ -434,9 +436,10 @@ class TestLazyRotations:
     @given(_rotation_cases())
     @settings(max_examples=120, deadline=None)
     def test_matches_eager_search(self, case):
-        d, path, forbidden, seed = case
+        d, path, virtual_next, seed = case
         lazy_rng, eager_rng = make_generator(seed), make_generator(seed)
-        assert close_path(path, d, forbidden, lazy_rng) == eager_close_path(path, d, forbidden, eager_rng)
+        assert (close_path(path, d, virtual_next, lazy_rng)
+                == eager_close_path(path, d, virtual_next, eager_rng))
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
 
     def test_one_array_per_expanded_path(self, monkeypatch):
@@ -454,9 +457,10 @@ class TestLazyRotations:
                 d = gen_binomial(n, 1.5 * math.log(n) / n, False, seed)
                 path = np.random.default_rng(seed).permutation(n).tolist()
                 counts = Counter()
-                want = eager_close_path(path, d, frozenset(), make_generator(seed), counts)
+                none = virtual_successors(n)
+                want = eager_close_path(path, d, none, make_generator(seed), counts)
                 calls.clear()
-                assert close_path(path, d, frozenset(), make_generator(seed)) == want
+                assert close_path(path, d, none, make_generator(seed)) == want
                 assert calls["rotated"] <= counts["expanded"] + 1
                 eager_surplus = max(eager_surplus, counts["built"] - counts["expanded"] - 1)
         # the eager search builds more arrays than this bound allows, so a
@@ -476,11 +480,12 @@ class TestLazyRotations:
                 d = gen_binomial(n, 1.5 * math.log(n) / n, False, seed)
                 path = np.random.default_rng(seed).permutation(n).tolist()
                 u, v = np.divmod(d.codes[::10], n)
-                forbidden = frozenset(zip(u.tolist(), v.tolist())) if seed % 2 else frozenset()
+                pairs = zip(u.tolist(), v.tolist()) if seed % 2 else ()
+                virtual_next = virtual_successors(n, pairs)
                 counts = Counter()
-                want = eager_close_path(path, d, forbidden, make_generator(seed), counts)
+                want = eager_close_path(path, d, virtual_next, make_generator(seed), counts)
                 calls.clear()
-                assert close_path(path, d, forbidden, make_generator(seed)) == want
+                assert close_path(path, d, virtual_next, make_generator(seed)) == want
                 assert calls["has_edge"] <= 1 and calls["has_codes"] <= counts["expanded"]
                 probes += calls["has_codes"]
         assert probes > 1  # the searches do expand paths
@@ -488,8 +493,10 @@ class TestLazyRotations:
 
 @st.composite
 def _merge_cases(draw):
-    """(main, cyc, digraph, forbidden, seed): two disjoint vertex sequences of
-    a random order of 20-300 vertices, which may leave vertices on neither."""
+    """(main, cyc, digraph, virtual successors, seed): two disjoint vertex
+    sequences of a random order of 20-300 vertices, which may leave vertices
+    on neither, and either no virtual edges or one per tail from a random
+    fifth of the edges."""
     n = draw(st.integers(20, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     d = gen_binomial(n, draw(st.sampled_from([1.0, 2.0, 4.0])) * math.log(n) / n, False, seed)
@@ -497,20 +504,20 @@ def _merge_cases(draw):
     order = rng.permutation(n).tolist()
     a = draw(st.integers(2, n - 2))
     b = draw(st.integers(a + 1, n))
-    forbidden = frozenset()
+    pairs = ()
     if draw(st.booleans()):
         u, v = np.divmod(d.codes[rng.random(d.edge_count) < 0.2], n)
-        forbidden = frozenset(zip(u.tolist(), v.tolist()))
-    return order[:a], order[a:b], d, forbidden, seed
+        pairs = zip(u.tolist(), v.tolist())
+    return order[:a], order[a:b], d, virtual_successors(n, pairs), seed
 
 
 class TestMergeInto:
     @given(_merge_cases())
     @settings(max_examples=120, deadline=None)
     def test_matches_dict_candidates(self, case):
-        main, cyc, d, forbidden, seed = case
-        assert _merge_into(main, cyc, d, forbidden, seed) == reference_merge_into(
-            main, cyc, d, forbidden, seed)
+        main, cyc, d, virtual_next, seed = case
+        assert _merge_into(main, cyc, d, virtual_next, seed) == reference_merge_into(
+            main, cyc, d, virtual_next, seed)
 
 
 class TestVirtualEdgeSet:
@@ -648,11 +655,13 @@ class TestCompress:
 class TestEliminateForbidden:
     def test_noop_without_virtual(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert eliminate_forbidden([0, 1, 2, 3], frozenset(), d, 0) == ([0, 1, 2, 3], 0, 0)
+        none = virtual_successors(4)
+        assert eliminate_forbidden([0, 1, 2, 3], none, d, 0) == ([0, 1, 2, 3], 0, 0)
 
     def test_single_virtual_edge_eliminated(self):
         d = Digraph(4, [(0, 1), (2, 3), (3, 0), (1, 0), (3, 1), (0, 2), (2, 0)])
-        got = eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]).edge_set(), d, 3)
+        virtual_next = virtual_successors(4, VirtualEdgeSet([(1, 2)]))
+        got = eliminate_forbidden([0, 1, 2, 3], virtual_next, d, 3)
         assert got is not None
         got, rounds, _rotations = got
         assert rounds == 1
@@ -664,4 +673,5 @@ class TestEliminateForbidden:
 
     def test_returns_none_when_stuck(self):
         d = Digraph(4, [(0, 1), (2, 3), (3, 0)])
-        assert eliminate_forbidden([0, 1, 2, 3], VirtualEdgeSet([(1, 2)]).edge_set(), d, 0) is None
+        virtual_next = virtual_successors(4, VirtualEdgeSet([(1, 2)]))
+        assert eliminate_forbidden([0, 1, 2, 3], virtual_next, d, 0) is None
