@@ -250,31 +250,36 @@ def _isin_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a[slot] == x
 
 
+def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys[order], order), ``order`` the stable sort of nonnegative int64 keys.
+
+    Keys narrow enough to pack with their indices into one int64 take a plain
+    in-place sort of the packed values (two int64 copies of the keys), several
+    times faster than argsort(kind="stable"), which wider keys take."""
+    index_bits = max(1, (keys.size - 1).bit_length())
+    if keys.size and int(keys.max()) < 1 << (63 - index_bits):
+        order = keys << index_bits
+        order |= np.arange(keys.size)
+        order.sort()
+        ranked = order >> index_bits
+        order &= (1 << index_bits) - 1
+        return ranked, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
 def _fresh_in_order(block: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes of ``block`` absent from ``seen``, each once, in order of first
     appearance in the block, and the sorted union of ``seen`` and the block.
 
     ``seen`` holds every code seen so far, sorted and duplicate-free (int64).
-    For a block of L codes over S seen: one sort of the block (its codes
-    packed with their indices into one int64 key, or a stable argsort when
-    the codes are too wide to pack), one binary search of its distinct codes
-    in ``seen`` (none while ``seen`` is empty) and one linear merge of the new
-    ones into it, so O(L log L + L log S + S).  Peak memory past the inputs:
+    For a block of L codes over S seen: one ``_stable_sort`` of the block,
+    one binary search of its distinct codes in ``seen`` (none while ``seen``
+    is empty) and one linear merge of the new ones into it, so
+    O(L log L + L log S + S).  Peak memory past the inputs:
     about 4L int64 for the block sort and 1.5(S + L) int64 for the merge.
     """
-    index_bits = max(1, (block.size - 1).bit_length())
-    if block.size and int(block.max()) < 1 << (63 - index_bits):
-        # (code, index) packed into one int64: a plain sort of the packed keys
-        # gives the stable order, several times faster than argsort(kind="stable").
-        # In place, so that the sort holds two int64 copies of the block.
-        order = block << index_bits
-        order |= np.arange(block.size)
-        order.sort()
-        ranked = order >> index_bits
-        order &= (1 << index_bits) - 1
-    else:
-        order = np.argsort(block, kind="stable")
-        ranked = block[order]
+    ranked, order = _stable_sort(block)
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]  # stable: a run starts at its earliest index
     new, where = ranked[first], order[first]

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import combinations, pairwise
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .digraph import (CoupledProcess, Digraph, csr_gather, csr_rows, hitting_time, loop_mask,
-                      sorted_union)
+from .digraph import (CoupledProcess, Digraph, _isin_sorted, _stable_sort, csr_gather, csr_rows,
+                      hitting_time, loop_mask, sorted_union)
 from .errors import DomainError, MergeFailureError, PreconditionError
 from .exact import OneFactor
 from .matching import hopcroft_karp
@@ -130,15 +130,13 @@ def find_one_factor(d: Digraph, seed: int = 0) -> Optional[OneFactor]:
     return OneFactor(match_left)
 
 
-def _relabeled_out_rows(d: Digraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR out-rows (indptr, heads) of ``d`` with every head v renamed
-    sigma[v], each row sorted.
+def _relabeled_out_rows(codes: np.ndarray, n: int, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR out-rows (indptr, heads) of the digraph with edge codes ``codes``
+    on n vertices, every head v renamed sigma[v], each row sorted.
 
-    One sort of the codes tail*n + sigma[head] orders every row at once, so
-    ``d``'s own rows are never cut.
+    One sort of the codes tail*n + sigma[head] orders every row at once.
     """
-    n = d.n
-    tails, heads = np.divmod(d.codes, n)
+    tails, heads = np.divmod(codes, n)
     return csr_rows(np.sort(tails * n + sigma[heads]), n)
 
 
@@ -578,32 +576,32 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     n = cp.n
     log: dict = {}
     timings: dict = {}
-    t_start = time.perf_counter()
+    t_start = t_mark = time.perf_counter()
 
-    def mark(stage: str, t0: float) -> None:
+    def mark(stage: str) -> None:
+        nonlocal t_mark
         if config.include_timings:
-            timings[stage] = time.perf_counter() - t0
+            now = time.perf_counter()
+            timings[stage], t_mark = now - t_mark, now
 
     def fail(phase: str, reason: str) -> PipelineOutcome:
         if config.include_timings:
             log["durations"] = timings
         return PipelineOutcome(False, None, None, phase, reason, log, m_star, m_star_l)
 
-    t0 = time.perf_counter()
     m_star_l = hitting_time(cp.loopful)
     m_star = hitting_time(cp.loopless)
     target = cp.loopless.prefix(m_star)
     d_m3 = cp.loopful.prefix(c.m3)
     log["m_star"] = m_star
     log["m_star_loopful"] = m_star_l
-    mark("exposure", t0)
+    mark("exposure")
 
     # Degree threshold for the working large set: the formula value when it
     # leaves only O(sqrt n) vertices outside.  Otherwise fall back to 2:
     # vertices with a side of degree <= 1 in the two-thirds prefix get all
     # their hitting-time edges (degree-1 vertices colliding on a single
     # neighbour are the dominant matching obstruction at moderate n).
-    t0 = time.perf_counter()
     thr = c.large_threshold
     large = compute_large(d_m3, thr)
     if n - len(large) > c.low_degree_budget:
@@ -613,45 +611,45 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     log["large_threshold_formula"] = c.large_threshold
     log["large_threshold_used"] = thr
     log["large_size"] = len(large)
-    mark("star", t0)
+    mark("star")
 
     # Factor-eligible edges: loops may enter the factor (they are merged away
     # later); non-loop edges must already lie in the verification target.
-    t0 = time.perf_counter()
-    eligible = star_codes[loop_mask(star_codes, n)
-                          | np.isin(star_codes, target.codes, assume_unique=True)]
+    eligible = star_codes[loop_mask(star_codes, n) | target.has_codes(star_codes)]
     log["eligible_edges"] = eligible.size
     log["trimmed_star_edges"] = star_codes.size - eligible.size
+    early = _early_edges(cp, c, m_star_l)
+    early = early[_isin_sorted(eligible, early)]  # eligible holds d_m3, so it is not empty
+    mark("early")
 
-    early_eligible = np.intersect1d(_early_edges(cp, c, m_star_l), eligible, assume_unique=True)
-    # Last-resort factor source: the whole loopless prefix at its hitting
-    # time (degrees >= 1 by definition) plus the exposed loops.
-    exposed = cp.loopful.codes(m_star_l)
-    full_eligible = sorted_union(target.codes, exposed[loop_mask(exposed, n)])
-    # At m* the star tier often has the early tier's edges; a tier equal to
-    # the one before it would only repeat that tier's Hopcroft-Karp run.
-    sources = (("early", early_eligible), ("star", eligible), ("full", full_eligible))
-    tiers = [(source, Digraph(n, codes, allow_loops=True))
-             for i, (source, codes) in enumerate(sources)
-             if i == 0 or not np.array_equal(codes, sources[i - 1][1])]
-    mark("early", t0)
+    def factor_tiers():
+        """(source, sorted codes) of the factor tiers, in the order tried."""
+        # At m* the star tier often has the early tier's edges; a tier equal
+        # to the one before it would only repeat that tier's Hopcroft-Karp run.
+        yield "early", early
+        if not np.array_equal(eligible, early):
+            yield "star", eligible
+        # Last resort: the whole loopless prefix at its hitting time (degrees
+        # >= 1 by definition) plus the exposed loops.
+        exposed = cp.loopful.codes(m_star_l)
+        full = sorted_union(target.codes, exposed[loop_mask(exposed, n)])
+        if not np.array_equal(full, eligible):
+            yield "full", full
 
     # Extract a factor from the first tier that has one; re-extract under
     # fresh right-side relabelings until it is good and its loops sit inside
     # the large set.  A relabeling keeps whether a tier has a perfect
     # matching, so every attempt uses the tier chosen at attempt 0.
-    t0 = time.perf_counter()
-
-    def extract(tier: Digraph, sigma: np.ndarray) -> Optional[OneFactor]:
+    def extract(tier: np.ndarray, sigma: np.ndarray) -> Optional[OneFactor]:
         # The matcher is positional, so the relabeled rows must be
         # re-sorted: that is what makes a fresh sigma reach a genuinely
         # different factor rather than replaying the same execution.
-        size, match_left, _ = hopcroft_karp(n, n, *_relabeled_out_rows(tier, sigma))
+        size, match_left, _ = hopcroft_karp(n, n, *_relabeled_out_rows(tier, n, sigma))
         if size < n:
             return None
         return OneFactor(np.argsort(sigma)[match_left].tolist())  # undo the relabeling
 
-    for factor_source, tier in tiers:
+    for factor_source, tier in factor_tiers():
         got = extract(tier, np.arange(n))
         if got is not None:
             break
@@ -666,21 +664,20 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
             break
     log["relabel_attempts"] = attempt + 1
     log["factor_source"] = factor_source
-    mark("factor", t0)
+    mark("factor")
     if factor is None:
         return fail("goodness", f"no good factor within {RELABEL_RETRIES} relabelings")
     log["factor_loops"] = factor.num_loops
     log["factor_cycles"] = factor.num_cycles
 
     # Merge loops away; only real non-loop eligible edges back the merge.
-    t0 = time.perf_counter()
     work = Digraph(n, eligible[~loop_mask(eligible, n)], allow_loops=False)
     try:
         merged, virtual = merge_loops(factor, work, large, seed=derive_seed(seed, 2))
     except (PreconditionError, MergeFailureError) as exc:
         return fail("merge", str(exc))
     log["virtual_edges"] = len(virtual)
-    mark("merge", t0)
+    mark("merge")
 
     # No compression: every vertex is kept.  The contraction step is tested
     # on its own; at these sizes its isolation precondition is never met by
@@ -690,83 +687,67 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     # Patching uses every other unexposed loopless edge between large
     # vertices.  Rotations and closures may use every verified edge: the
     # search is breadth-first, so a denser supply means fewer edges changed.
-    t0 = time.perf_counter()
     unexposed = cp.loopless.codes(m_star)[c.m3:]
     reserved = unexposed[_inside(unexposed, n, large)]
     patch_d = Digraph(n, reserved[1::2], allow_loops=False)
     log["reserved_edges"] = reserved.size
     log["patch_pool"] = patch_d.edge_count
     log["rotation_pool"] = target.edge_count
-    mark("pools", t0)
+    mark("pools")
 
-    # Phase 2: greedy patching.
-    t0 = time.perf_counter()
+    # Phase 2: greedy patching, always of the first patchable pair in index order.
     cycles = sorted((_canonical_cycle(cy) for cy in merged.cycles()),
                     key=lambda cy: (-len(cy), cy[0]))
     log["cycles_before_patching"] = len(cycles)
     patches = 0
-    progress = True
-    while progress and len(cycles) > 1:
-        progress = False
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                got = patch_cycles(cycles[i], cycles[j], patch_d)
-                if got is not None:
-                    rest = [cycles[k] for k in range(len(cycles)) if k not in (i, j)]
-                    rest.append(_canonical_cycle(got))
-                    cycles = sorted(rest, key=lambda cy: (-len(cy), cy[0]))
-                    patches += 1
-                    progress = True
-                    break
-            if progress:
+    while len(cycles) > 1:
+        for i, j in combinations(range(len(cycles)), 2):
+            got = patch_cycles(cycles[i], cycles[j], patch_d)
+            if got is not None:
                 break
+        else:
+            break
+        rest = [cy for k, cy in enumerate(cycles) if k not in (i, j)]
+        cycles = sorted(rest + [_canonical_cycle(got)], key=lambda cy: (-len(cy), cy[0]))
+        patches += 1
     log["patches"] = patches
     log["cycles_after_patching"] = len(cycles)
-    mark("patch", t0)
+    mark("patch")
 
-    # Phase 3: unravel each remaining cycle into the main one and re-close.
-    # Its rotation search sets the peak memory: the earlier phases' edges go.
-    t0 = time.perf_counter()
-    del d_m3, star_codes, eligible, early_eligible, full_eligible, sources, tiers, tier, work
-    del reserved, patch_d
+    # Phase 3: unravel each remaining cycle into the main one and re-close;
+    # a cycle that fails goes to the back of the queue once.  Its rotation
+    # search sets the peak memory: the earlier phases' edges go.
+    del d_m3, star_codes, eligible, early, tier, work, reserved, patch_d
     virtual_next = np.full(n, -1, dtype=np.int64)  # -1: none; the edges are vertex-disjoint
     virtual_next[[u for u, _ in virtual]] = [v for _, v in virtual]
     main = cycles[0]
-    pending = cycles[1:]
+    queue = [(cyc, False) for cyc in cycles[1:]]
     rotations_total = 0
     closes = 0
-    deferrals: dict[int, int] = {}
-    while pending:
-        cyc = pending.pop(0)
+    while queue:
+        cyc, retried = queue.pop(0)
         got = _merge_into(main, cyc, target, virtual_next, derive_seed(seed, 3, closes, len(cyc)))
         if got is None:
-            key = cyc[0]
-            deferrals[key] = deferrals.get(key, 0) + 1
-            if deferrals[key] > 1:
+            if retried:
                 return fail("phase3", f"could not merge the cycle starting at {cyc[0]} "
                                       f"(length {len(cyc)})")
-            pending.append(cyc)
+            queue.append((cyc, True))
             continue
         main, used = got
         rotations_total += used
         closes += 1
     log["closes"] = closes
     log["rotations_total"] = rotations_total
-    mark("phase3", t0)
+    mark("phase3")
 
     # Rotate away virtual edges.
-    t0 = time.perf_counter()
-    if virtual:
-        got = eliminate_forbidden(main, virtual_next, target, derive_seed(seed, 4))
-        if got is None:
-            return fail("eliminate", "could not rotate a virtual edge out")
-        main, rounds, el_rot = got
-        rotations_total += el_rot
-        log["eliminate_rounds"] = rounds
-        log["rotations_total"] = rotations_total
-    else:
-        log["eliminate_rounds"] = 0
-    mark("eliminate", t0)
+    got = eliminate_forbidden(main, virtual_next, target, derive_seed(seed, 4))
+    if got is None:
+        return fail("eliminate", "could not rotate a virtual edge out")
+    main, rounds, used = got
+    log["eliminate_rounds"] = rounds
+    log["rotations_total"] += used
+    mark("eliminate")
 
     if not verify_hamilton_cycle(main, target):
         return fail("verify", "result is not a Hamilton cycle of the loopless prefix")
@@ -798,8 +779,7 @@ def _early_edges(cp: CoupledProcess, c: Constants, m_star_l: int) -> np.ndarray:
 
 def _first_per_key(keys: np.ndarray, width: int) -> np.ndarray:
     """Mask of the entries among the first ``width`` occurrences of their key."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
+    ranked, order = _stable_sort(keys)
     rank = np.arange(keys.size) - np.searchsorted(ranked, ranked)
     first = np.empty(keys.size, dtype=bool)
     first[order] = rank < width
@@ -829,7 +809,7 @@ def _merge_into(main: list[int], cyc: list[int], rot_d: Digraph, virtual_next: n
     candidates, tails = rot_d.codes[cross], tails[cross]
     # The codes are sorted by (tail, head), so a stable sort by tail rank
     # keeps each tail's heads ascending.
-    candidates = candidates[np.argsort(side[tails] * n + pos[tails], kind="stable")]
+    candidates = candidates[_stable_sort(side[tails] * n + pos[tails])[1]]
     if not candidates.size:
         return None
     # Shuffling an array draws exactly what shuffling a list of the same length draws.

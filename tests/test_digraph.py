@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hamcount.digraph import (
     EdgeSequence,
     _fresh_in_order,
     _loopless_index_to_code,
+    _stable_sort,
     couple,
     gen_binomial,
     gen_process,
@@ -465,6 +467,28 @@ class TestFreshInOrder:
         block = [offset + c for c in block]
         seen = sorted(offset + c for c in seen)
         assert self.fresh_and_merged(block, seen) == self.reference(block, seen)
+
+
+class TestStableSort:
+    @given(st.lists(st.integers(0, 40), max_size=80), st.sampled_from([None, 41, 20, 0]))
+    @example(keys=[], back=None)
+    @example(keys=[0, 0, 0], back=0)  # the least keys that take argsort
+    @example(keys=[3] * 9, back=0)    # equal keys past the packing limit
+    @example(keys=[3] * 9, back=None)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort(self, keys, back):
+        # Keys below 2^(63 - index bits) are packed with their indices; from
+        # there on the sort falls back to argsort.  ``back`` lifts the keys to
+        # that limit: None leaves them small, 41 puts them all just below it,
+        # 20 across it and 0 at or above it.
+        limit = 1 << (63 - max(1, (len(keys) - 1).bit_length()))
+        keys = np.array(keys, dtype=np.int64) + (0 if back is None else limit - back)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            ranked, order = _stable_sort(keys)
+        want = np.argsort(keys, kind="stable")
+        assert order.tolist() == want.tolist()
+        assert ranked.tolist() == keys[want].tolist()
+        assert argsort.called == (keys.size == 0 or int(keys.max()) >= limit)
 
 
 def _strictly_increasing(a: np.ndarray) -> bool:

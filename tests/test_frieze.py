@@ -15,6 +15,7 @@ from hamcount.rng import make_generator
 from hamcount.frieze import (
     VirtualEdgeSet,
     _early_edges,
+    _first_per_key,
     _merge_into,
     _relabeled_out_rows,
     build_star_digraph,
@@ -149,6 +150,20 @@ class TestEarlySubgraph:
         assert (e1.degrees()[1] <= 10 + np.minimum(10, full_out)).all()
 
 
+class TestFirstPerKey:
+    @given(st.lists(st.integers(0, 6), max_size=60), st.integers(0, 4),
+           st.sampled_from([0, 2**62]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_first_occurrences(self, keys, width, offset):
+        # an offset of 2^62 makes the keys too wide to pack with their indices
+        seen = Counter()
+        want = []
+        for k in keys:
+            want.append(seen[k] < width)
+            seen[k] += 1
+        assert _first_per_key(np.array(keys, dtype=np.int64) + offset, width).tolist() == want
+
+
 class TestFindOneFactor:
     def test_complete_has_factor(self):
         d = Digraph.complete(6, allow_loops=True)
@@ -184,7 +199,7 @@ class TestRelabeledOutRows:
         sigma = (np.arange(n) if identity
                  else np.array(data.draw(st.permutations(range(n))), dtype=np.int64))
         want = [sorted(int(sigma[w]) for w in d.out_neighbors(u)) for u in range(n)]
-        indptr, heads = _relabeled_out_rows(Digraph(n, d.codes, allow_loops=loops), sigma)
+        indptr, heads = _relabeled_out_rows(d.codes, n, sigma)
         assert [heads[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == want
         assert indptr.dtype == heads.dtype == np.int64 and indptr.size == n + 1
 

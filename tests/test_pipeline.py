@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,13 @@ from hamcount.frieze import (
     verify_hamilton_cycle,
 )
 from hamcount.matching import hopcroft_karp
+
+
+def bench_phases() -> tuple:
+    """The phase order in which perfbench lays find_hamilton's durations out."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PHASES")
 
 
 def independent_cycle_check(cycle, cp, m_star):
@@ -108,6 +117,64 @@ class TestFindHamilton:
         assert out.failure_phase == failure_phase
         assert out.phase_log.get("factor_source") == factor_source
         assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+
+class TestPhaseClock:
+    def test_durations_are_back_to_back(self, monkeypatch):
+        # a clock that goes up by 1 per reading: each duration counts readings
+        stamps = []
+
+        def ticking():
+            stamps.append(float(len(stamps)))
+            return stamps[-1]
+
+        cp = couple(gen_process(150, "loopful", 0))
+        monkeypatch.setattr(frieze.time, "perf_counter", ticking)
+        out = find_hamilton(cp, compute_constants(150), seed=0,
+                            config=PipelineConfig(include_timings=True))
+        assert out.ok
+        durations = dict(out.phase_log["durations"])
+        total = durations.pop("total")
+        assert tuple(durations) == bench_phases()
+        # one reading at the start, one per phase, one for the total
+        assert len(stamps) == len(durations) + 2
+        assert sum(durations.values()) == stamps[-2] - stamps[0]
+        assert total == stamps[-1] - stamps[0]
+
+
+class TestPhase3Retry:
+    """A cycle that fails to merge goes to the back of the queue, once."""
+    n, seed = 150, 0  # five cycles after patching, one virtual edge
+
+    def run(self, monkeypatch, refusals):
+        merge_into, calls = frieze._merge_into, []
+
+        def refusing(main, cyc, *args):
+            # the first cycle offered is refused its first ``refusals`` times
+            calls.append(cyc[0])
+            if cyc[0] == calls[0] and calls.count(cyc[0]) <= refusals:
+                return None
+            return merge_into(main, cyc, *args)
+
+        monkeypatch.setattr(frieze, "_merge_into", refusing)
+        out = find_hamilton(couple(gen_process(self.n, "loopful", self.seed)),
+                            compute_constants(self.n), seed=self.seed)
+        return out, calls
+
+    def test_one_refusal_is_retried_last(self, monkeypatch):
+        out, calls = self.run(monkeypatch, refusals=1)
+        assert out.ok
+        pending = out.phase_log["cycles_after_patching"] - 1
+        assert pending >= 2 and out.phase_log["closes"] == pending
+        # the refused cycle is merged after every other one
+        assert len(calls) == pending + 1 and calls[-1] == calls[0]
+        assert len(set(calls)) == pending
+
+    def test_two_refusals_fail_phase3(self, monkeypatch):
+        out, calls = self.run(monkeypatch, refusals=2)
+        assert not out.ok and out.failure_phase == "phase3"
+        assert out.failure_reason.startswith(f"could not merge the cycle starting at {calls[0]} ")
+        assert calls[-1] == calls[0] and calls.count(calls[0]) == 2
 
 
 class TestVerifier:
