@@ -15,32 +15,39 @@ The checks, each printed with its time:
 - at n = 22 and at n = 24, the loopful random edge process of the seed
   given by --seed and --seed24, stopped at its hitting time m*: of its
   1-factors, enumerated in full, those with a single cycle and no loop
-  number HC(m*), and all of them number per(m*).
+  number HC(m*), and all of them number per(m*); per(m*) is also counted
+  on the minor that the Laplace steps leave by Glynn's formula and by the
+  row programme with every row on int64 arrays.
 
 From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  per(J_n)
-is counted by Glynn's formula and per(m*) by the row programme over live
-column sets, so both permanent kernels are checked; K_n and J_n have no
-forced edge, while the m* digraphs are counted after contraction and
-Laplace steps.  The last line gives the peak resident memory.  Exit code 0
-when every check holds, the n = 8 line included, 1 otherwise.  At the
-default seeds (n = 22: m* = 87, 4,062 factors, 358 Hamilton cycles; n = 24:
-m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 10–25 s and
-0.65 GB on a 2-core host, nearly all of it HC(K_n), per(J_n) and the
-enumerations, so it is kept out of the test suite.  There contraction leaves
-18 and 13 vertices, so HC(m*) takes 3 and 1 ms (0.1 and 0.8 s
-uncontracted), and per(m*) takes 1 ms on minors of order 18; enumerating
-the factors of seed 1 at n = 22 adds about 50 s.  The n = 8 line takes a
-few seconds, most of them in the enumeration.
+is counted by Glynn's formula from n = 7 on and per(m*) by the row
+programme over live column sets, its first rows on Python ints, so both
+permanent kernels and both row representations are checked; K_n and J_n
+have no forced edge, while the m* digraphs are counted after contraction
+and Laplace steps.  The last line gives the peak resident memory.  Exit
+code 0 when every check holds, the n = 8 line included, 1 otherwise.  At
+the default seeds (n = 22: m* = 87, 4,062 factors, 358 Hamilton cycles;
+n = 24: m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 10–25 s
+and 0.65 GB on a 2-core host, nearly all of it HC(K_n), per(J_n) and the
+enumerations, so it is kept out of the test suite.  There contraction
+leaves 18 and 13 vertices, so HC(m*) takes 3-5 and 1 ms (0.1 and 0.8 s
+uncontracted), and the Laplace steps leave minors of order 18, whose
+permanent takes 1 ms by the gate's choice, the programme, 2 ms with every
+row on arrays and 13 ms by Glynn's formula; enumerating the factors of
+seed 1 at n = 22 adds about 50 s.  The n = 8 line takes a few seconds,
+most of them in the enumeration.
 """
 import argparse
 import math
 import resource
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+from hamcount import exact
 from hamcount.digraph import Digraph, gen_binomial, gen_process, hitting_time
 from hamcount.exact import (
     DEFAULT_CAP,
@@ -86,6 +93,16 @@ def check_process(n: int, seed: int) -> bool:
     print(f"enumerated {len(factors)} 1-factors in {t:.2f} s")
     ok = check(f"HC(m*) ({t_hc:.3f} s)", hc, hamiltonian)
     ok &= check(f"per(m*) ({t_per:.3f} s)", per, len(factors))
+    # the same minor by each kernel, whatever the gate picks, rebuilt from
+    # the residues that the bound n'! needs (two at n' = 18)
+    minor = exact._laplace_minor(d.adjacency_matrix())[0]
+    rows = minor[exact._row_order(minor)[0]]
+    bound = math.factorial(len(minor))
+    per, t_per = timed(exact._from_residues, bound, lambda p: exact._glynn_residue(minor, p))
+    ok &= check(f"per(m*), Glynn, n' = {len(minor)} ({t_per:.3f} s)", per, len(factors))
+    with mock.patch.object(exact, "_INT_CANDIDATES", 0):  # every row on int64 arrays
+        per, t_per = timed(exact._from_residues, bound, lambda p: exact._row_dp_residue(rows, p))
+    ok &= check(f"per(m*), arrays ({t_per:.3f} s)", per, len(factors))
     return ok
 
 

@@ -12,9 +12,10 @@ size; a sparse one, as most layers of a sparse random digraph are, only for
 the live subsets that some path from 0 covers, so the work follows the paths
 that exist.  1-factors (the permanent of the 0/1 adjacency matrix) are
 counted row by row over the live sets of matched columns, those that some
-partial matching covers, when a bound on that work predicts a lower cost
-than Glynn's formula, as on sparse random digraphs from n = 15 on; dense
-and small matrices take Glynn's formula over blocks of column subsets.
+partial matching covers, first on Python ints, then on int64 arrays, when a
+cost model on that work predicts a lower cost than Glynn's formula, as on
+sparse matrices of every order; dense ones from n = 7 on take Glynn's
+formula over blocks of column subsets.
 Up to n = 11 the table step counts Hamilton cycles exactly in float64.
 Every other kernel computes exactly modulo primes, as many as a proven bound
 on the count needs, and one Chinese remaindering makes the count exact.
@@ -47,8 +48,9 @@ DEFAULT_CAP = 24
 # past any n whose subsets can be listed.
 # In the row programme for the permanent a count is a sum of at most R
 # counts of the previous row, R the entries of the row, so each row raises
-# hi by the factor R; the counts are reduced once the next row could take
-# them to 2^63, and R (p - 1) < 2^63 for R < 2^23.
+# hi by the factor R.  Its rows on Python ints count exactly; the counts are
+# reduced when they move to int64 arrays, and again once the next row could
+# take them to 2^63, and R (p - 1) < 2^63 for R < 2^23.
 _PRIMES = (1099511627689, 1099511627609, 1099511627581)
 
 
@@ -430,16 +432,20 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
     low-column term plus a high-column one, read from two tables of 2^h and
     2^l subsets, with h = ceil((n-1)/2) and l = floor((n-1)/2); its peak
     working memory is at most 8 n (2^h + 2^l) + 48 max(2^16, 2^h) bytes.
-    The programme's peak is at most 32 c + 16 (n^2 + s) + 2^14 bytes, with c
-    the most candidate sets of a row and s the most live sets after a row:
-    four int64 arrays over the candidates while they are sorted (the sets,
-    their counts, the sort order and a sorted copy), the live sets and their
-    counts, the matrix and a few kB of small arrays and interpreter objects.
-    It runs only when its bound W on the candidates, in all, is below
-    n 2^(n-1) / 5, so s <= c <= W and the peak stays below
-    10 n 2^(n-1) bytes and a few kB, 1.9 GiB at n = 24; on the m* digraph
-    of n = 24 that ``scripts/check_exact_frontier.py`` checks at seed 1,
-    whose minor has n = 18, c = 618 and s = 109.  Validation and the Laplace
+    The programme's rows on Python ints hold two dicts, the live sets before
+    and after a row, of at most 2^8 entries each (``_INT_CANDIDATES``), at
+    most 2^15 bytes each with their int keys and counts.  Its rows on int64
+    arrays hold at most 32 c + 16 s bytes, with c the most candidate sets of
+    a row and s the most live sets after a row: four int64 arrays over the
+    candidates while they are sorted (the sets, their counts, the sort order
+    and a sorted copy), and the live sets and their counts.  With the matrix
+    and a few kB of small arrays and interpreter objects its peak is at most
+    max(2^16, 32 c + 16 s) + 16 n^2 + 2^14 bytes.  It runs only when its
+    bound W on the candidates, in all, is below n (2^(n-1) + 2^12) / 6, so
+    s <= c <= W and the peak stays below 8 n (2^(n-1) + 2^12) bytes and a
+    few kB, 1.5 GiB at n = 24; on the m* digraph of n = 24 that
+    ``scripts/check_exact_frontier.py`` checks at seed 1, whose minor has
+    n = 18, c = 618 and s = 109.  Validation and the Laplace
     steps, before the kernels, hold at most 32 N^2 bytes and a few kB, N the
     order of ``matrix``.
     """
@@ -479,7 +485,8 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
     if n == 0:
         return 1
     order, work = _row_order(a)
-    if n * _ROW_COST + _CANDIDATE_COST * work < n << (n - 1):
+    if min(_INT_CANDIDATE_COST * work, n * _ROW_COST + _CANDIDATE_COST * work) \
+            < n * ((1 << (n - 1)) + _GLYNN_ROW_COST):
         return _row_dp_residue(a[order], p)
     return _glynn_residue(a, p)
 
@@ -492,20 +499,29 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
 # far), and with f free columns (touched, not closed) and g = i+1 - |closed|
 # there are at most B_i = C(f, g) live sets, 0 if g < 0.  Row i+1, with R
 # nonzero entries, grows each into at most R candidates, so the programme
-# forms at most W = sum over rows of R_(i+1) B_i candidates.  Glynn's formula
-# forms n row factors for each of its 2^(n-1) sign vectors, at 2-4 ns each
-# at one BLAS thread.  The programme costs about 30 us per row, for its
-# dozen numpy calls, and 13 ns per unit of W, fitted over the minors of the
-# first 300 n = 18 m* digraphs of seed 12345 and 43 random matrices,
-# n = 5..20: about _ROW_COST and _CANDIDATE_COST row factors.  So it runs only when
-# n _ROW_COST + _CANDIDATE_COST W < n 2^(n-1), never below n = 15, and
-# every dense matrix stays with Glynn: W of J_n is n (2^n - 1).
+# forms at most W = sum over rows of R_(i+1) B_i candidates.
 # The rows are taken greedily, each time the one that leaves the fewest
 # live sets by C(f, g), the lowest index among equals; as no row has more
 # live sets than candidates, W counts at most R_(i+1) B_i with B_i the lesser
 # of C(f, g) and the candidates of row i.
-_ROW_COST = 1 << 13
-_CANDIDATE_COST = 5
+# At one BLAS thread Glynn's formula costs about 2 ns for each of the n row
+# factors of its 2^(n-1) sign vectors, and 8 us per row in numpy calls.  The
+# programme costs about 100 ns per candidate in rows on Python ints, which it
+# runs while a row forms at most _INT_CANDIDATES candidates, then 25 us per
+# row (a dozen numpy calls) and 13 ns per candidate on int64 arrays.  In row
+# factors, it runs when the lesser of _INT_CANDIDATE_COST W and
+# n _ROW_COST + _CANDIDATE_COST W is below n (2^(n-1) + _GLYNN_ROW_COST).
+# Fitted on the 212 minors with a nonzero bound of the first 300 n = 18 m*
+# digraphs of seed 12345, 25 random matrices (n = 5..20) and J_2..J_12, it
+# picks the faster kernel on 208 of those minors, within 30 % on the rest;
+# switches at 2^5 and 2^10 candidates cost 16 % and 15 % more there.  So
+# sparse minors take the programme at every n, and J_n (W = n (2^n - 1))
+# takes Glynn's formula from n = 7 on.
+_INT_CANDIDATES = 1 << 8
+_INT_CANDIDATE_COST = 48
+_ROW_COST = 3 << 12
+_CANDIDATE_COST = 6
+_GLYNN_ROW_COST = 1 << 12
 
 
 def _row_order(a: np.ndarray) -> tuple[list[int], int]:
@@ -546,22 +562,45 @@ def _row_order(a: np.ndarray) -> tuple[list[int], int]:
 
 def _row_dp_residue(a: np.ndarray, p: int) -> int:
     """per(a) mod p by the row programme (see the comment by ``_row_order``)
-    on the rows of ``a`` in their order.  The live sets are int64 bitmasks
-    held in increasing order, each with its count."""
+    on the rows of ``a`` in their order.  The live sets are column bitmasks
+    with counts: exact Python ints while a row forms at most
+    ``_INT_CANDIDATES`` candidates, then int64 arrays mod p, sets ascending."""
     n = a.shape[0]
-    nz = a != 0
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    # the last row with an entry in each column; n - 1 for an empty column,
-    # which then no set of n columns holds, so the count is 0
-    last = n - 1 - np.argmax(nz[::-1], axis=0)
-    closing = np.zeros(n, dtype=np.int64)
-    np.add.at(closing, last, bits)
-    closed = np.cumsum(closing).tolist()  # the columns closed after each row
-    sums = nz.sum(axis=1).tolist() + [1]
-    sets = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=np.int64)
-    hi = 1  # no count exceeds hi (see the comment by _PRIMES)
-    for i in range(n):
+    rows = (a @ bits).tolist()
+    sums = [row.bit_count() for row in rows] + [1]
+    # the columns closed after each row, those of no later row; an empty
+    # column is closed after row 0, so no set holds it and the count is 0
+    closed = [0] * n
+    later = 0
+    for i in range(n - 1, -1, -1):
+        closed[i] = ~later & ((1 << n) - 1)
+        later |= rows[i]
+    live = {0: 1}
+    for i, row in enumerate(rows):
+        if len(live) * sums[i] > _INT_CANDIDATES:
+            break
+        after: dict[int, int] = {}
+        for s, count in live.items():
+            free = row & ~s
+            need = closed[i] & ~s  # the closed columns that s misses
+            if need:  # of which the row can take one, no more
+                free &= need if not need & (need - 1) else 0
+            while free:
+                t = s | (free & -free)
+                free &= free - 1
+                after[t] = after.get(t, 0) + count
+        if not after:
+            return 0
+        live = after
+    else:
+        return live.popitem()[1] % p  # the one set of all n columns
+    sets = np.array(sorted(live), dtype=np.int64)
+    counts = np.array([live[s] % p for s in sets.tolist()], dtype=np.int64)
+    del live
+    hi = p - 1  # no count exceeds hi (see the comment by _PRIMES)
+    nz = a != 0
+    for i in range(i, n):
         # each column of the row gives an increasing run of candidates
         grown = bits[nz[i]][:, None] | sets
         keep = grown != sets

@@ -132,6 +132,14 @@ def spy_kernels(monkeypatch, *names: str) -> list[tuple[str, int]]:
     return calls
 
 
+def takes_programme(n: int, work: int) -> bool:
+    """Whether ``_permanent_residue`` sends an n x n minor whose bound W,
+    from ``_row_order``, is ``work`` to the row programme."""
+    return min(exact._INT_CANDIDATE_COST * work,
+               n * exact._ROW_COST + exact._CANDIDATE_COST * work) \
+        < n * ((1 << (n - 1)) + exact._GLYNN_ROW_COST)
+
+
 def laplace_minor(a: np.ndarray) -> np.ndarray:
     """The minor of ``a`` that ``permanent`` hands its kernels."""
     return exact._laplace_minor(a)[0]
@@ -352,9 +360,9 @@ class TestResidues:
                     fully_reduced += 1
                 kernels.update(name for name, _ in used if name != "_permanent_residue")
                 residues.add(len(outer))
-        # the programme runs from n = 15 on: J_2 + .. + J_2 at n = 16, of
-        # least degree 2, so left whole by the Laplace steps, takes it for
-        # each of the four residues that its bound 2^16 needs
+        # J_2 + .. + J_2 at n = 16, of least degree 2, so left whole by the
+        # Laplace steps, takes the programme for each of the four residues
+        # that its bound 2^16 needs
         a = np.kron(np.eye(8, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
         used.clear()
         assert permanent(a) == 2**8
@@ -520,8 +528,7 @@ class TestRowProgramme:
         want = reference_permanent(a)
         order, work = exact._row_order(a)
         assert sorted(order) == list(range(n))
-        # the choice of _permanent_residue
-        dp = n * exact._ROW_COST + exact._CANDIDATE_COST * work < n << (n - 1)
+        dp = takes_programme(n, work)
         if work <= 1 << 16:  # W bounds the candidates of the programme
             assert sum(cand for cand, _ in row_dp_sizes(a[order])) <= work
         for p in exact._PRIMES + SMALL_PRIMES:
@@ -535,18 +542,21 @@ class TestRowProgramme:
     def test_dense_takes_glynn_and_m_star_the_programme(self, monkeypatch):
         calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
         # J_1 is a single entry, which the Laplace steps take out: per = 1
-        # with no kernel; every larger J_n is left whole
+        # with no kernel; every larger J_n is left whole, and takes the
+        # programme on Python ints up to n = 6, Glynn's formula from n = 7
         assert permanent(np.ones((1, 1), dtype=np.int64)) == 1
         assert calls == []
         for n in range(2, 19):
             calls.clear()
             assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
-            assert {name for name, _ in calls} == {"_glynn_residue"}, n
+            want = "_row_dp_residue" if n <= 6 else "_glynn_residue"
+            assert {name for name, _ in calls} == {want}, n
         # the first 40 instances of the exact_large benchmark workload: each
         # has a vertex of degree 1, so the kernel sees the minor that the
-        # Laplace steps leave, which has least degree 2 and takes Glynn's
-        # formula below n = 15, the programme from there on; a minor that
-        # is 0 x 0, or has an empty row or column, needs no kernel
+        # Laplace steps leave, which has least degree 2 and takes the
+        # programme, of order 5 to 17, but for instance 2, whose minor of
+        # order 15 and W = 23,203 takes Glynn's formula; a minor that is
+        # 0 x 0, or has an empty row or column, needs no kernel
         taken = Counter()
         for idx in range(40):
             cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
@@ -562,10 +572,10 @@ class TestRowProgramme:
                 taken["none"] += 1
                 continue
             assert least >= 2
-            want = "_row_dp_residue" if len(minor) >= 15 else "_glynn_residue"
+            want = "_glynn_residue" if idx == 2 else "_row_dp_residue"
             assert {name for name, _ in calls} == {want}, idx
             taken[want] += 1
-        assert taken == {"none": 9, "_glynn_residue": 17, "_row_dp_residue": 14}
+        assert taken == {"none": 9, "_glynn_residue": 1, "_row_dp_residue": 30}
 
     def test_large_m_star_minors_take_the_programme(self, monkeypatch):
         # the n = 18 m* digraphs of seed 12345 whose bound W once sent them
@@ -584,8 +594,10 @@ class TestRowProgramme:
     def test_crt_at_n_24(self, monkeypatch):
         # per(J_8 + J_8 + J_8) = 8!^3 passes 2^40 and its bound, the product
         # 8^24 of the row sums, passes one modulus: two residues, each by the
-        # programme, and one Chinese remaindering at n = 24
+        # programme, and one Chinese remaindering at n = 24; its rows move
+        # to int64 arrays, where the counts wrap
         a = np.kron(np.eye(3, dtype=np.int64), np.ones((8, 8), dtype=np.int64))
+        assert max(c for c, _ in row_dp_sizes(a[exact._row_order(a)[0]])) > exact._INT_CANDIDATES
         calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
         assert permanent(a) == math.factorial(8) ** 3 > max(exact._PRIMES)
         assert calls == [("_row_dp_residue", p) for p in exact._PRIMES[:2]]
@@ -598,6 +610,8 @@ class TestRowProgramme:
         a[:10, 10:] = np.random.default_rng(0).random((10, 10)) < 0.1
         order, work = exact._row_order(a)
         assert work < 1 << 19
+        # the reduction is on the int64 arrays, which the rows reach
+        assert max(c for c, _ in row_dp_sizes(a[order])) > exact._INT_CANDIDATES
         reduced = []
         fmod = np.fmod
         monkeypatch.setattr(np, "fmod", lambda x, *args, **kw: reduced.append(len(x))
@@ -608,7 +622,7 @@ class TestRowProgramme:
             assert reduced
         assert permanent(a) == math.factorial(10) ** 2
 
-    def test_peak_memory_within_stated_bound(self):
+    def test_peak_memory_within_stated_bound(self, monkeypatch):
         # the n = 24 m* digraph that scripts/check_exact_frontier.py checks,
         # whose Laplace steps leave a minor of order 18 for the programme
         seq = gen_process(24, "loopful", 1)
@@ -616,18 +630,69 @@ class TestRowProgramme:
         minor = laplace_minor(a)
         n = len(minor)
         order, work = exact._row_order(minor)
-        assert n * exact._ROW_COST + exact._CANDIDATE_COST * work < n << (n - 1)
+        assert takes_programme(n, work)
         sizes = row_dp_sizes(minor[order])
         c, s = max(cand for cand, _ in sizes), max(live for _, live in sizes)
         assert (n, c, s) == (18, 618, 109)  # as in the docstring of permanent
+        # with every row on int64 arrays, then with the first rows on Python ints
+        for switch, bound in ((0, 32 * c + 16 * s),
+                              (exact._INT_CANDIDATES, max(2**16, 32 * c + 16 * s))):
+            monkeypatch.setattr(exact, "_INT_CANDIDATES", switch)
+            tracemalloc.start()
+            try:
+                assert permanent(a) == 1183
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the bound in the docstring of permanent
+            assert peak <= bound + 16 * n * n + 2**14, switch
+
+    def test_peak_memory_of_the_int_rows(self):
+        # the minor of the n = 18 m* digraph 176 of seed 12345 (order 14)
+        # runs 5 rows on Python ints, whose last leaves 185 live sets, then
+        # moves to int64 arrays, whose live sets and candidates stay below
+        # 2^16 bytes: the Python ints set the bound in the docstring of
+        # permanent
+        cp = couple(gen_process(18, "loopful", derive_seed(12345, 176)))
+        minor = laplace_minor(cp.loopless.prefix(hitting_time(cp.loopless)).adjacency_matrix())
+        n = len(minor)
+        order, _ = exact._row_order(minor)
+        sizes = row_dp_sizes(minor[order])
+        assert (n, sizes[4][1]) == (14, 185) and sizes[5][0] > exact._INT_CANDIDATES
+        assert all(cand <= exact._INT_CANDIDATES for cand, _ in sizes[:5])
+        assert 32 * max(cand for cand, _ in sizes) + 16 * max(live for _, live in sizes) < 2**16
+        p = exact._PRIMES[0]
+        want = reference_permanent_residue(minor, p)
         tracemalloc.start()
         try:
-            assert permanent(a) == 1183
+            assert exact._row_dp_residue(minor[order], p) == want
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bound in the docstring of permanent
-        assert peak <= 32 * c + 16 * (n * n + s) + 2**14
+        assert peak <= 2**16 + 16 * n * n + 2**14
+
+    @given(st.integers(1, 16), st.floats(0.05, 1.0),
+           st.sampled_from(["none", "row", "column", "both"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    @example(16, 0.3, "none", 1)  # 6 rows on Python ints at the fitted switch
+    @example(12, 1.0, "none", 0)  # J_12: 2 rows on Python ints
+    def test_across_the_switch_to_arrays(self, n, density, empty, seed):
+        # the rows on Python ints hand exact counts to the int64 arrays, which
+        # hold them mod p, where the small primes wrap them: with every row
+        # that has an entry on the arrays (switch 0), from the first row with
+        # two or more entries on (1), from the fitted switch on, and with
+        # every row on Python ints
+        a = random_matrix(n, density, True, seed)
+        if empty in ("row", "both"):
+            a[seed % n] = 0
+        if empty in ("column", "both"):
+            a[:, seed // n % n] = 0
+        a = a[exact._row_order(a)[0]]
+        primes = exact._PRIMES + SMALL_PRIMES
+        want = [reference_permanent_residue(a, p) for p in primes]
+        for switch in (0, 1, exact._INT_CANDIDATES, 1 << 62):
+            with mock.patch.object(exact, "_INT_CANDIDATES", switch):
+                assert [exact._row_dp_residue(a, p) for p in primes] == want, switch
 
 
 class TestTableStep:
