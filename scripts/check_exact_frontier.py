@@ -21,7 +21,7 @@ The checks, each printed with its time:
 
 From n = 16 on, (n-1)! and n! pass every modulus, so these counts go
 through wrapped residues and, from n = 21 on, Chinese remaindering.  per(J_n)
-is counted by Glynn's formula from n = 7 on and per(m*) by the row
+is counted by Glynn's formula from n = 2 on and per(m*) by the row
 programme over live column sets, its first rows on Python ints, so both
 permanent kernels and both row representations are checked; K_n and J_n
 have no forced edge, while the m* digraphs are counted after contraction

@@ -12,10 +12,10 @@ size; a sparse one, as most layers of a sparse random digraph are, only for
 the live subsets that some path from 0 covers, so the work follows the paths
 that exist.  1-factors (the permanent of the 0/1 adjacency matrix) are
 counted row by row over the live sets of matched columns, those that some
-partial matching covers, first on Python ints, then on int64 arrays, when a
-cost model on that work predicts a lower cost than Glynn's formula, as on
-sparse matrices of every order; dense ones from n = 7 on take Glynn's
-formula over blocks of column subsets.
+partial matching covers, first on Python ints, then on int64 arrays, when
+six times a bound on its candidates is below the n 2^(n-1) row factors of
+Glynn's formula, as on sparse matrices of every order; dense ones take
+Glynn's formula over blocks of column subsets.
 Up to n = 11 the table step counts Hamilton cycles exactly in float64.
 Every other kernel computes exactly modulo primes, as many as a proven bound
 on the count needs, and one Chinese remaindering makes the count exact.
@@ -441,9 +441,9 @@ def permanent(matrix: np.ndarray, cap: int = DEFAULT_CAP) -> int:
     and a sorted copy), and the live sets and their counts.  With the matrix
     and a few kB of small arrays and interpreter objects its peak is at most
     max(2^16, 32 c + 16 s) + 16 n^2 + 2^14 bytes.  It runs only when its
-    bound W on the candidates, in all, is below n (2^(n-1) + 2^12) / 6, so
-    s <= c <= W and the peak stays below 8 n (2^(n-1) + 2^12) bytes and a
-    few kB, 1.5 GiB at n = 24; on the m* digraph of n = 24 that
+    bound W on the candidates, in all, is below n 2^(n-1) / 6, so
+    s <= c <= W and the peak stays below 8 n 2^(n-1) bytes and a few kB,
+    1.5 GiB at n = 24; on the m* digraph of n = 24 that
     ``scripts/check_exact_frontier.py`` checks at seed 1, whose minor has
     n = 18, c = 618 and s = 109.  Validation and the Laplace
     steps, before the kernels, hold at most 32 N^2 bytes and a few kB, N the
@@ -485,8 +485,7 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
     if n == 0:
         return 1
     order, work = _row_order(a)
-    if min(_INT_CANDIDATE_COST * work, n * _ROW_COST + _CANDIDATE_COST * work) \
-            < n * ((1 << (n - 1)) + _GLYNN_ROW_COST):
+    if _CANDIDATE_COST * work < n << (n - 1):
         return _row_dp_residue(a[order], p)
     return _glynn_residue(a, p)
 
@@ -505,23 +504,14 @@ def _permanent_residue(a: np.ndarray, p: int) -> int:
 # live sets than candidates, W counts at most R_(i+1) B_i with B_i the lesser
 # of C(f, g) and the candidates of row i.
 # At one BLAS thread Glynn's formula costs about 2 ns for each of the n row
-# factors of its 2^(n-1) sign vectors, and 8 us per row in numpy calls.  The
-# programme costs about 100 ns per candidate in rows on Python ints, which it
-# runs while a row forms at most _INT_CANDIDATES candidates, then 25 us per
-# row (a dozen numpy calls) and 13 ns per candidate on int64 arrays.  In row
-# factors, it runs when the lesser of _INT_CANDIDATE_COST W and
-# n _ROW_COST + _CANDIDATE_COST W is below n (2^(n-1) + _GLYNN_ROW_COST).
-# Fitted on the 212 minors with a nonzero bound of the first 300 n = 18 m*
-# digraphs of seed 12345, 25 random matrices (n = 5..20) and J_2..J_12, it
-# picks the faster kernel on 208 of those minors, within 30 % on the rest;
-# switches at 2^5 and 2^10 candidates cost 16 % and 15 % more there.  So
-# sparse minors take the programme at every n, and J_n (W = n (2^n - 1))
-# takes Glynn's formula from n = 7 on.
+# factors of its 2^(n-1) sign vectors, and the programme about 13 ns per
+# candidate, so it runs when _CANDIDATE_COST W is below n 2^(n-1).  Sparse
+# minors take the programme at every n, and J_n (W = n (2^n - 1)) takes
+# Glynn's formula from n = 2 on.  The programme's first rows, while a row
+# forms at most _INT_CANDIDATES candidates, run on Python ints, which beat
+# a dozen numpy calls per row there.
 _INT_CANDIDATES = 1 << 8
-_INT_CANDIDATE_COST = 48
-_ROW_COST = 3 << 12
 _CANDIDATE_COST = 6
-_GLYNN_ROW_COST = 1 << 12
 
 
 def _row_order(a: np.ndarray) -> tuple[list[int], int]:

@@ -2,13 +2,14 @@
 
 Stages: expose a two-thirds prefix of the loopful edge process, augment it
 with every later edge touching a low-degree vertex (the star digraph),
-extract a 1-factor of that graph (preferring each vertex's few earliest
-edges), re-extract under random right-side relabelings until the factor has
-few loops and few cycles, merge loops into other cycles (recording virtual
-edges where a needed edge is absent), then use the still-unexposed random
-edges to patch cycles together, rotate-and-close the remaining cycles into
-one, and finally rotate away any virtual edges.  The output is verified
-against the loopless prefix at its hitting time.
+extract a 1-factor from each vertex's few earliest edges in that graph (or,
+failing that, from the whole hitting-time digraph), re-extract under random
+right-side relabelings until the factor has few loops and few cycles, merge
+loops into other cycles (recording virtual edges where a needed edge is
+absent), then use the still-unexposed random edges to patch cycles together,
+rotate-and-close the remaining cycles into one, and finally rotate away any
+virtual edges.  The output is verified against the loopless prefix at its
+hitting time.
 
 ``compress``/``CompressionMap`` implement the instance-shrinking step that
 removes low-degree vertices by contracting them with their factor
@@ -624,16 +625,13 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
 
     def factor_tiers():
         """(source, sorted codes) of the factor tiers, in the order tried."""
-        # At m* the star tier often has the early tier's edges; a tier equal
-        # to the one before it would only repeat that tier's Hopcroft-Karp run.
         yield "early", early
-        if not np.array_equal(eligible, early):
-            yield "star", eligible
         # Last resort: the whole loopless prefix at its hitting time (degrees
-        # >= 1 by definition) plus the exposed loops.
+        # >= 1 by definition) plus the exposed loops, unless it equals the
+        # early tier, whose Hopcroft-Karp run it would only repeat.
         exposed = cp.loopful.codes(m_star_l)
         full = sorted_union(target.codes, exposed[loop_mask(exposed, n)])
-        if not np.array_equal(full, eligible):
+        if not np.array_equal(full, early):
             yield "full", full
 
     # Extract a factor from the first tier that has one; re-extract under
@@ -674,7 +672,7 @@ def find_hamilton(cp: CoupledProcess, c: Constants, seed: int,
     work = Digraph(n, eligible[~loop_mask(eligible, n)], allow_loops=False)
     try:
         merged, virtual = merge_loops(factor, work, large, seed=derive_seed(seed, 2))
-    except (PreconditionError, MergeFailureError) as exc:
+    except MergeFailureError as exc:
         return fail("merge", str(exc))
     log["virtual_edges"] = len(virtual)
     mark("merge")

@@ -228,13 +228,6 @@ def _expected_count_trial(cfg: ExperimentConfig, idx: int) -> dict:
     return {"trial": idx, "seed": seed, "count": str(x)}
 
 
-def _falling(a: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= a - i
-    return out
-
-
 def _expected_count_aggregate(cfg: ExperimentConfig, records: list) -> tuple[dict, bool]:
     n = cfg.n
     counts = np.array([int(r["count"]) for r in records], dtype=np.float64)
@@ -246,7 +239,7 @@ def _expected_count_aggregate(cfg: ExperimentConfig, records: list) -> tuple[dic
     else:
         big_n = n * (n - 1)
         expected = Fraction(math.factorial(n - 1)) * Fraction(
-            _falling(cfg.m, n), _falling(big_n, n))
+            math.perm(cfg.m, n), math.perm(big_n, n))
     exp_f = float(expected)
     tol = cfg.se_multiplier * se
     passed = abs(mean - exp_f) <= tol if se > 0 else mean == exp_f

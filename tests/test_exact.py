@@ -135,9 +135,7 @@ def spy_kernels(monkeypatch, *names: str) -> list[tuple[str, int]]:
 def takes_programme(n: int, work: int) -> bool:
     """Whether ``_permanent_residue`` sends an n x n minor whose bound W,
     from ``_row_order``, is ``work`` to the row programme."""
-    return min(exact._INT_CANDIDATE_COST * work,
-               n * exact._ROW_COST + exact._CANDIDATE_COST * work) \
-        < n * ((1 << (n - 1)) + exact._GLYNN_ROW_COST)
+    return exact._CANDIDATE_COST * work < n << (n - 1)
 
 
 def laplace_minor(a: np.ndarray) -> np.ndarray:
@@ -516,7 +514,8 @@ class TestRowProgramme:
     @settings(max_examples=60, deadline=None)
     @example(20, 1.0, "none", 0)  # Glynn's formula
     @example(20, 0.3, "none", 1)  # the programme, per = 87,102,670
-    @example(20, 0.3, "none", 2)  # Glynn's formula, just past the switch
+    @example(20, 0.4, "none", 598)  # Glynn's formula, W = 1,750,009 just past the switch
+    @example(20, 0.4, "none", 1313)  # the programme, W = 1,747,559 just short of it
     @example(20, 0.5, "both", 7)
     @example(1, 1.0, "none", 0)
     def test_against_reference(self, n, density, empty, seed):
@@ -542,21 +541,20 @@ class TestRowProgramme:
     def test_dense_takes_glynn_and_m_star_the_programme(self, monkeypatch):
         calls = spy_kernels(monkeypatch, "_row_dp_residue", "_glynn_residue")
         # J_1 is a single entry, which the Laplace steps take out: per = 1
-        # with no kernel; every larger J_n is left whole, and takes the
-        # programme on Python ints up to n = 6, Glynn's formula from n = 7
+        # with no kernel; every larger J_n is left whole, and takes Glynn's
+        # formula
         assert permanent(np.ones((1, 1), dtype=np.int64)) == 1
         assert calls == []
         for n in range(2, 19):
             calls.clear()
             assert permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
-            want = "_row_dp_residue" if n <= 6 else "_glynn_residue"
-            assert {name for name, _ in calls} == {want}, n
+            assert {name for name, _ in calls} == {"_glynn_residue"}, n
         # the first 40 instances of the exact_large benchmark workload: each
         # has a vertex of degree 1, so the kernel sees the minor that the
         # Laplace steps leave, which has least degree 2 and takes the
-        # programme, of order 5 to 17, but for instance 2, whose minor of
-        # order 15 and W = 23,203 takes Glynn's formula; a minor that is
-        # 0 x 0, or has an empty row or column, needs no kernel
+        # programme, of order 7 to 17, but for instance 35, whose minor of
+        # order 5 and W = 22 takes Glynn's formula; a minor that is 0 x 0,
+        # or has an empty row or column, needs no kernel
         taken = Counter()
         for idx in range(40):
             cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
@@ -572,7 +570,7 @@ class TestRowProgramme:
                 taken["none"] += 1
                 continue
             assert least >= 2
-            want = "_glynn_residue" if idx == 2 else "_row_dp_residue"
+            want = "_glynn_residue" if idx == 35 else "_row_dp_residue"
             assert {name for name, _ in calls} == {want}, idx
             taken[want] += 1
         assert taken == {"none": 9, "_glynn_residue": 1, "_row_dp_residue": 30}

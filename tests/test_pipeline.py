@@ -103,8 +103,8 @@ class TestFindHamilton:
         (9, "one_factor", None), (101, None, "full")])
     def test_equal_tiers_get_one_matching_run(self, monkeypatch, seed, failure_phase,
                                               factor_source):
-        # at these seeds the star tier has the early tier's edges and neither
-        # has a 1-factor, so the early and full tiers are the only runs
+        # at these seeds the early tier has no 1-factor, so the full tier
+        # gets the only other matching run; it has one at seed 101 only
         sizes = []
 
         def counting(n_left, n_right, indptr, heads):
