@@ -28,11 +28,11 @@ have no forced edge, while the m* digraphs are counted after contraction
 and Laplace steps.  The last line gives the peak resident memory.  Exit
 code 0 when every check holds, the n = 8 line included, 1 otherwise.  At
 the default seeds (n = 22: m* = 87, 4,062 factors, 358 Hamilton cycles;
-n = 24: m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 10–25 s
-and 0.65 GB on a 2-core host, nearly all of it HC(K_n), per(J_n) and the
-enumerations, so it is kept out of the test suite.  There contraction
-leaves 18 and 13 vertices, so HC(m*) takes 3-5 and 1 ms (0.1 and 0.8 s
-uncontracted), and the Laplace steps leave minors of order 18, whose
+n = 24: m* = 95, 1,183 factors, 21 Hamilton cycles) a run takes 25–35 s
+and 0.75 GB on a 2-core host, nearly all of it HC(K_n), per(J_n) and the
+enumerations, so it is kept out of the test suite; HC(K_24) alone takes
+12–13 s.  There contraction leaves 18 and 13 vertices, so HC(m*) takes 4-5
+and 1 ms (30 ms and 0.4 s uncontracted), and the Laplace steps leave minors of order 18, whose
 permanent takes 1 ms by the gate's choice, the programme, 2 ms with every
 row on arrays and 13 ms by Glynn's formula; enumerating the factors of
 seed 1 at n = 22 adds about 50 s.  The n = 8 line takes a few seconds,

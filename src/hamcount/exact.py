@@ -7,15 +7,14 @@ with one nonzero entry leaves.  Hamilton cycles are then counted with a
 subset dynamic programme anchored at vertex 0, layered by subset size, whose
 layers are float64 arrays so that each step is one BLAS matrix product.
 Up to n = 11 the next layer is one gather from that product through a table
-cached per n.  Past that, a dense layer has a column for every subset of its
-size; a sparse one, as most layers of a sparse random digraph are, only for
-the live subsets that some path from 0 covers, so the work follows the paths
-that exist.  1-factors (the permanent of the 0/1 adjacency matrix) are
-counted row by row over the live sets of matched columns, those that some
-partial matching covers, first on Python ints, then on int64 arrays, when
-six times a bound on its candidates is below the n 2^(n-1) row factors of
-Glynn's formula, as on sparse matrices of every order; dense ones take
-Glynn's formula over blocks of column subsets.
+cached per n.  Past that, every layer is live: it has a column only for each
+subset that some path from 0 covers, so on a sparse random digraph the work
+follows the paths that exist.  1-factors (the permanent of the 0/1
+adjacency matrix) are counted row by row over the live sets of matched
+columns, those that some partial matching covers, first on Python ints,
+then on int64 arrays, when six times a bound on its candidates is below the
+n 2^(n-1) row factors of Glynn's formula, as on sparse matrices of every
+order; dense ones take Glynn's formula over blocks of column subsets.
 Up to n = 11 the table step counts Hamilton cycles exactly in float64.
 Every other kernel computes exactly modulo primes, as many as a proven bound
 on the count needs, and one Chinese remaindering makes the count exact.
@@ -169,27 +168,24 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     programme runs on the digraph that ``_contracted`` leaves, of order n
     below, and up to n = 11 it takes no residues (``_hamilton_table_count``).
 
-    Peak working memory, with k = n - 1 and c = C(k, floor(k/2)), is at most
-    17 k c + 4 * 2^k + 16 n^2 + 2^14 bytes while the layers are full: two
-    layers of k x c float64 path counts and a bool membership mask, the 2^k
-    int32 subsets ordered by size, the adjacency matrix in int64 and float64,
-    and a few kB of small arrays and interpreter objects.  Here c may be read
-    as the most subsets of a layer built in the full layout.  While layers are
-    live, it is at most 20 (k + 1) l + 9 * 2^k + 16 n^2 + 2^14 bytes, with l
-    the most live subsets of a layer: the layer and its product in float64,
-    the indices, values and grown subsets of the nonzero entries (at most
-    (k + 1) l / 2 of them), and a 2^k bool and a 2^k int32 table over the
-    subsets; on the sparse hitting-time digraphs l is a small fraction of c.
-    The peak is the larger of the two.  For n <= 11, which takes the table
-    step, add (7 k + 8) c + 8 k 2^k bytes: a step allocates the product of
-    a layer with the (k + 1) x k step operator (the float64 adjacency
-    matrix above, with a row of zeros), then gathers the next layer from it
-    while the layer is still held, 8 (3 k + 1) c in all, and the intp
-    tables, at most 8 k 2^k bytes, stay cached; their build holds no more
-    than a step.  Ordering the subsets briefly takes 13 * 2^k bytes, once
-    per k: the ordered subsets and tables of every k stay cached (see
-    ``_subsets_by_size`` for the bound on the cache).  Contraction, before
-    the DP, holds at most 32 N^2 bytes and a few kB, N the order of ``d``.
+    Peak working memory, with k = n - 1, is at most 20 (k + 1) l + 9 * 2^k
+    + 16 n^2 + 2^14 bytes for n >= 12, with l the most live subsets of a
+    layer: the layer and its product in float64, the indices, values and
+    grown subsets of the nonzero entries (at most (k + 1) l / 2 of them), a
+    2^k bool and a 2^k int32 table over the subsets, the live subsets in
+    int64 and int32 (12 l < 4 * 2^k bytes), the adjacency matrix in int64
+    and float64, and a few kB of small arrays and interpreter objects.
+    On the sparse hitting-time digraphs l is a small fraction of
+    c = C(k, floor(k/2)); on K_n every subset is live and l = c.  For
+    n <= 11, which takes the table step, it is at most 8 (3 k + 1) c
+    + (8 k + 4) 2^k + 16 n^2 + 2^14 bytes: a step allocates the product of a
+    layer with the (k + 1) x k step operator (the float64 adjacency matrix
+    above, with a row of zeros), then gathers the next layer from it while
+    the layer is still held, and the 2^k int32 subsets ordered by size and
+    the intp tables, at most 8 k 2^k bytes, stay cached; their build holds
+    no more than a step (see ``_subsets_by_size`` for the bound on the
+    cache).  Contraction, before the DP, holds at most 32 N^2 bytes and a
+    few kB, N the order of ``d``.
     """
     if d.n > cap:
         raise ResourceCapError(f"n={d.n} exceeds the Hamilton-cycle counting cap of {cap}")
@@ -197,14 +193,12 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     if d.n >= _CONTRACT_MIN_N:
         adj, sums = _contracted(adj)
     n = adj.shape[0]
-    masks, ends, tables = _subsets_by_size(n - 1)
-    if tables is not None:
-        return _hamilton_table_count(adj, tables)
+    if n < _CONTRACT_MIN_N:
+        return _hamilton_table_count(adj, _subsets_by_size(n - 1)[2])
     out_deg, in_deg = sums.tolist()
     # a Hamilton cycle leaves and enters every vertex by one loop-free edge
     bound = min(math.factorial(n - 1), math.prod(out_deg), math.prod(in_deg))
-    dp = (adj, masks, ends)  # shared by the residues
-    return _from_residues(bound, lambda p: _hamilton_residue(dp, p))
+    return _from_residues(bound, lambda p: _hamilton_residue(adj, p))
 
 
 # Every 1-factor uses the one nonzero entry (r, c) of a row or a column with
@@ -263,49 +257,41 @@ def _contracted(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, sums
 
 
-# The DP takes one of three steps from a layer to the next.  For n <= 11,
-# where no layer has 2^8 subsets (C(10, 5) = 252), the table step gathers
-# each layer from the product of the last through a table cached per n: one
-# dgemm and one gather per layer, and no index arithmetic.  Its tables would
-# take 8 k 2^k bytes, 1.5 GB at n = 24, so from n = 12 on a layer is held in
-# one of two layouts.  The full layout has a column for every subset of its
-# size and is filled through a membership mask; the live layout has one only
-# for each live subset, one that some path from 0 covers.  The DP moves to
-# the live layout, for good, at the first layer of at least 2^8 subsets whose
-# nonzero (w, S) entries number at most half of its subsets (so at most half
-# of them are live): a live step costs more per column than a full one,
-# which pays off only once the dgemm runs on at most half of the columns.
-# Below 2^8 subsets a layer costs too little to be worth the bookkeeping, so
-# the table step covers exactly the n that never go live; no layer of K_n
-# (every entry nonzero) is live either.
-_LIVE_MIN_SUBSETS = 1 << 8
+# The DP takes one of two steps from a layer to the next.  For n <= 11,
+# where no layer has more than C(10, 5) = 252 subsets, the table step
+# gathers each layer from the product of the last through a table cached
+# per n: one dgemm and one gather per layer, and no index arithmetic.  Its
+# tables would take 8 k 2^k bytes, 1.5 GB at n = 24, so from n = 12 on
+# (``_CONTRACT_MIN_N``) the live step holds each layer only at its live
+# subsets, those that some path from 0 covers, and finds the next layer's
+# from the nonzero entries of the product, so its work follows the paths
+# that exist; on the sparse hitting-time digraphs that is a small fraction
+# of the subsets.  On a dense digraph nearly every subset is live, and the
+# step's index arithmetic makes HC(K_24) take about twice as long as
+# layers with a column for every subset would; no workload counts such
+# digraphs.
 
 
 @functools.lru_cache(maxsize=None)
-def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, ...]]]:
+def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
-    within a size, the end offset of each size in that order and, when every
-    size has fewer than ``_LIVE_MIN_SUBSETS`` subsets (k <= 10), the gather
-    tables of ``_hamilton_table_count`` (None otherwise).
+    within a size, the end offset of each size in that order and the gather
+    tables of ``_hamilton_table_count``, which asks for k <= 10 only.
     Table r, for r = 1..k-1, is a k x C(k, r+1) intp array whose entry
     (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
     T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
     (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
     appended to it.  The tables are intp, which indexing uses as they are
     (``take`` copies a read-only index on every call), and take
-    8 k (2^k - k - 1) bytes.  Contraction hands the DP digraphs of many
-    orders, so the cache keeps an entry for every k asked for, and every
-    array in it is read-only.  As the entries differ in k, together they
-    hold less than 8 * 2^K + 2^18 bytes, K the largest k:
-    the ordered subsets of every k <= K take less than 4 * 2^(K+1) bytes, the
-    tables of every k <= 10 143,952 bytes, and the offsets and interpreter
-    objects a few kB."""
+    8 k (2^k - k - 1) bytes.  Contraction hands the table step digraphs of
+    every order up to 11, so the cache keeps an entry for every k asked for,
+    and every array in it is read-only.  Together the entries of every
+    k <= 10 hold less than 2^18 bytes: the tables 143,952 bytes, the ordered
+    subsets 8,188 bytes, and the offsets and interpreter objects a few kB."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
     masks = np.argsort(size, kind="stable").astype(np.int32)
     ends = np.cumsum(np.bincount(size))
     masks.flags.writeable = ends.flags.writeable = False
-    if math.comb(k, k // 2) >= _LIVE_MIN_SUBSETS:
-        return masks, ends, None
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     tables = []
     for r in range(1, k):
@@ -339,52 +325,29 @@ def _hamilton_table_count(adj: np.ndarray, tables: tuple[np.ndarray, ...]) -> in
     return int(adj[1:, 0] @ layer.ravel())  # the one k-subset, if k > 0
 
 
-def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> int:
-    """Hamilton cycles mod p, where ``dp`` is the n x n adjacency matrix and
-    the subsets and offsets of ``_subsets_by_size(n - 1)``, over the layers
-    of ``_hamilton_table_count`` held full, with a column for every r-subset,
-    or live (see the comment by ``_LIVE_MIN_SUBSETS``)."""
-    adj, masks, ends = dp
+def _hamilton_residue(adj: np.ndarray, p: int) -> int:
+    """Hamilton cycles mod p of the n x n adjacency matrix ``adj``, n >= 3,
+    over the layers of ``_hamilton_table_count`` held live: layer r has a
+    column only for each r-subset that some path from 0 covers, in
+    increasing bitmask order (see the comment above ``_subsets_by_size``)."""
     k = adj.shape[0] - 1
     to_inner = adj[1:, 1:].T.astype(np.float64)
     growth = max(int(adj[1:].sum(axis=0).max()), 1)  # D in the comment by _PRIMES
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
-    entries = adj[0, 1:]  # layer 1: the paths 0 -> w
-    live = None  # the live subsets of a live layer, None for a full one
+    first = np.flatnonzero(adj[0, 1:])  # layer 1: the paths 0 -> w
+    live = bits[first, 0]
+    layer = np.zeros((k, len(live)), dtype=np.float64)
+    layer[first, np.arange(len(live))] = 1
+    marked = np.zeros(1 << k, dtype=bool)
+    rank = np.empty(1 << k, dtype=np.int32)
     hi = 1  # no entry exceeds hi (see the comment by _PRIMES)
-    for r in range(1, k):
-        if live is None:
-            subsets = masks[ends[r - 1]:ends[r]]
-            inside = (subsets & bits) != 0
-            layer = np.zeros(inside.shape, dtype=np.float64)
-            layer[inside] = entries
-            # half + 1 nonzero entries in a prefix already rule the switch out,
-            # which spares dense layers a full count (5 % of HC(K_24))
-            half = len(subsets) // 2
-            if len(subsets) >= _LIVE_MIN_SUBSETS \
-                    and np.count_nonzero(entries[:half + 1]) <= half \
-                    and np.count_nonzero(entries) <= half:
-                live = np.flatnonzero(layer.any(axis=0))
-                layer = layer[:, live]
-                live = subsets[live]
-                del inside
-                marked = np.zeros(1 << k, dtype=bool)
-                rank = np.empty(1 << k, dtype=np.int32)
-            del entries
+    for _ in range(1, k):
         out = to_inner @ layer  # out[w, S]: paths through S, then on to w
         del layer
         hi *= growth
         if hi * growth >= 1 << 53:
             np.fmod(out, p, out=out)
             hi = p - 1
-        if live is None:
-            # T = S + {w} has the one predecessor S = T - {w}, and for a fixed
-            # w the map S -> T is increasing, so this lists the entries (w, S)
-            # with w not in S in the row-major order of the entries (w, T) of
-            # layer r+1.
-            entries = out[~inside]
-            del out, inside
-            continue
         grown = live | bits  # grown[w, j] = S + {w} for S = live[j]; S if w is in S
         flat = np.flatnonzero((grown != live) & (out != 0))
         values = out.ravel()[flat]
@@ -403,8 +366,6 @@ def _hamilton_residue(dp: tuple[np.ndarray, np.ndarray, np.ndarray], p: int) -> 
         layer = np.zeros((k, len(live)), dtype=np.float64)
         layer.ravel()[flat] = values
         del flat, values
-    if live is None:
-        return int(adj[1:, 0] @ entries) % p
     return int(adj[1:, 0] @ layer[:, 0]) % p  # the one k-subset
 
 

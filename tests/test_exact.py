@@ -37,17 +37,19 @@ SMALL_PRIMES = (31, 37, 41, 43)
 def hamilton_residue(adj: np.ndarray, p: int) -> int:
     """HC of ``adj`` mod p by the kernel that ``count_hamilton_cycles`` takes
     at its order: the table count for n <= 11, else ``_hamilton_residue``."""
-    masks, ends, tables = exact._subsets_by_size(adj.shape[0] - 1)
-    if tables is not None:
-        return exact._hamilton_table_count(adj, tables) % p
-    return exact._hamilton_residue((adj, masks, ends), p)
+    n = adj.shape[0]
+    if n < exact._CONTRACT_MIN_N:
+        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1)[2]) % p
+    return exact._hamilton_residue(adj, p)
 
 
 def live_counts(adj: np.ndarray) -> list[int]:
     """For each layer r = 1..k of the DP (k = n - 1), the number of its live
     subsets, those that some path from 0 covers, from exact path counts."""
     k = adj.shape[0] - 1
-    masks, ends, _ = exact._subsets_by_size(k)
+    size = exact._subset_sums(np.ones((1, k), dtype=np.int8))[0]
+    masks = np.argsort(size, kind="stable")
+    ends = np.cumsum(np.bincount(size))
     bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
     entries = adj[0, 1:].astype(np.int64)
     out = []
@@ -61,37 +63,31 @@ def live_counts(adj: np.ndarray) -> list[int]:
 
 
 def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[int]]:
-    """HC of ``adj`` mod p, the layer at which the DP goes live (None if it
-    never does), and the number of columns of each live layer it builds
+    """HC of ``adj`` mod p, the first live layer of the DP (None for the
+    table step), and the number of columns of each live layer it builds
     after that one.  The steps are read from the kernel's calls to np.zeros
     and np.matmul.  For n <= 11 it must be ``_hamilton_table_count``: its
     only zeroed buffers are the (k + 1) x k step operator and the k x k
-    layer 1, so it builds no 2^k table and no full or live layer, and it
-    takes one product of that operator with the k x C(k, r) layer r for each
+    layer 1, so it builds no 2^k table and no live layer, and it takes one
+    product of that operator with the k x C(k, r) layer r for each
     r = 1..k-1.  Otherwise it is ``_hamilton_residue``, with one zeroed
-    buffer per full layer, then the 2^k table that it sets up on going live,
-    then one per later live layer."""
+    buffer for layer 1, a column for each out-neighbour of 0, then the 2^k
+    table over the subsets, then one per later live layer."""
     k = adj.shape[0] - 1
-    masks, ends, tables = exact._subsets_by_size(k)
     with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
             mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
-        if k <= 10:
-            residue = exact._hamilton_table_count(adj, tables) % p
+        if k + 1 < exact._CONTRACT_MIN_N:
+            residue = exact._hamilton_table_count(adj, exact._subsets_by_size(k)[2]) % p
         else:
-            residue = exact._hamilton_residue((adj, masks, ends), p)
+            residue = exact._hamilton_residue(adj, p)
     shapes = [call.args[0] for call in zeros.call_args_list]
-    if k <= 10:
-        assert tables is not None
+    if k + 1 < exact._CONTRACT_MIN_N:
         assert shapes == [(k + 1, k), (k, k)]
         assert [tuple(a.shape for a in call.args) for call in matmul.call_args_list] \
             == [((k + 1, k), (k, math.comb(k, r))) for r in range(1, k)]
         return residue, None, []
-    assert tables is None
-    if 1 << k not in shapes:
-        assert shapes == [(k, math.comb(k, r)) for r in range(1, k)]
-        return residue, None, []
     first = shapes.index(1 << k)
-    assert shapes[:first] == [(k, math.comb(k, r)) for r in range(1, first + 1)]
+    assert shapes[:first] == [(k, np.count_nonzero(adj[0, 1:]))]
     assert all(rows == k for rows, _ in shapes[first + 1:])
     return residue, first, [cols for _, cols in shapes[first + 1:]]
 
@@ -242,7 +238,7 @@ class TestHamiltonCount:
         assert [count_hamilton_cycles(d) for d in graphs] == single
 
     def test_peak_memory_within_stated_bound(self):
-        for n in (3, 8, 10, 11, 12, 16, 20):
+        for n in (3, 8, 10, 11, 12, 13, 14, 16, 20):
             k = n - 1
             d = Digraph.complete(n)
             tracemalloc.start()
@@ -251,12 +247,14 @@ class TestHamiltonCount:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the bounds in the docstring of count_hamilton_cycles, with the
-            # table step's term for n <= 11; each n builds its tables here
+            # the bounds in the docstring of count_hamilton_cycles: the table
+            # step's for n <= 11, where each n builds its tables here, and
+            # the live step's with every subset live
             c = math.comb(k, k // 2)
-            bound = 17 * k * c + 4 * 2**k + 16 * n**2 + 2**14
             if n <= 11:
-                bound += (7 * k + 8) * c + 8 * k * 2**k
+                bound = 8 * (3 * k + 1) * c + (8 * k + 4) * 2**k + 16 * n**2 + 2**14
+            else:
+                bound = 20 * (k + 1) * c + 9 * 2**k + 16 * n**2 + 2**14
             assert peak <= bound, n
 
 
@@ -759,15 +757,26 @@ class TestTableStep:
             with pytest.raises(ValueError):
                 table[0, 0] = 0
 
-    def test_no_tables_from_n_12(self):
-        assert math.comb(10, 5) < exact._LIVE_MIN_SUBSETS <= math.comb(11, 5)
-        for k in (11, 12):
-            masks, ends, tables = exact._subsets_by_size(k)
-            assert tables is None and len(masks) == 2**k
+    def test_no_tables_from_n_12(self, monkeypatch):
+        # the live step needs no subsets ordered by size: counts of m*
+        # digraphs, which contraction takes to orders below and above 12,
+        # and of K_12..K_14 ask only for the tables of k <= 10
+        asked = []
+        tables = exact._subsets_by_size
+        monkeypatch.setattr(exact, "_subsets_by_size", lambda k: asked.append(k) or tables(k))
+        residues = spy_kernels(monkeypatch, "_hamilton_residue")
+        for idx in range(8):
+            cp = couple(gen_process(18, "loopful", derive_seed(12345, idx)))
+            count_hamilton_cycles(cp.loopless.prefix(hitting_time(cp.loopless)))
+        assert asked and residues  # both steps ran
+        for n in (12, 13, 14):
+            assert count_hamilton_cycles(Digraph.complete(n)) == math.factorial(n - 1)
+        assert max(asked) <= 10
 
 
 class TestLiveLayout:
-    """The DP on sparse layers, held only at their live subsets."""
+    """The DP past the table step, every layer held only at its live
+    subsets."""
 
     @given(st.integers(9, 16), st.floats(0.05, 1.0), st.sampled_from(["any", "none", "one"]),
            st.booleans(), st.integers(0, 2**32 - 1))
@@ -783,36 +792,16 @@ class TestLiveLayout:
             assert hamilton_residue(adj, p) == reference_hamilton_residue(adj, p)
         # each live layer has a column for every live subset and no other
         _, first, cols = watched_residue(adj, exact._PRIMES[0])
+        assert first == (None if n < exact._CONTRACT_MIN_N else 1)
         if first is not None:
             assert cols == [c for c in live_counts(adj)[first:] if c]
-
-    @pytest.mark.parametrize("sinks, first", [(3, 10), (4, 8), (5, 7), (6, 5), (7, 4), (8, 4)])
-    def test_switches_at_different_layers(self, sinks, first):
-        # K_16 whose last vertices lead only to 0: a path visits at most one of
-        # them, as its last vertex, so the larger layers go sparse, the more
-        # sinks the earlier; with at least two sinks no path covers n - sinks + 1
-        # of the vertices 1..15, so there is no Hamilton cycle and the DP
-        # stops at layer n - sinks + 1, which has no live subset
-        n = 16
-        adj = Digraph.complete(n).adjacency_matrix()
-        adj[n - sinks:, 1:] = 0
-        live = live_counts(adj)
-        for p in exact._PRIMES + SMALL_PRIMES:
-            assert watched_residue(adj, p) == (0, first, live[first:n - sinks])
-            assert reference_hamilton_residue(adj, p) == 0
-
-    def test_dense_layers_stay_full(self):
-        # every layer of K_16 has all of its subsets live
-        adj = Digraph.complete(16).adjacency_matrix()
-        assert watched_residue(adj, exact._PRIMES[0]) == (math.factorial(15) % exact._PRIMES[0],
-                                                          None, [])
 
     def test_reduction_inside_the_live_layout(self, monkeypatch):
         # paths from 0 start 0 1 2 3 4 5, then visit 6..15 in any order and
         # close to 0: 10! Hamilton cycles.  The arcs back into 1..4 lead
         # nowhere but raise the in-degree bound D to 14, so the layers are
-        # reduced from step 13 on (D^14 >= 2^53), while layer 13, which holds
-        # only the subsets that contain 1..5, is live
+        # reduced from step 13 on (D^14 >= 2^53), and layer 13 holds only the
+        # subsets that contain 1..5
         n = 16
         adj = np.zeros((n, n), dtype=np.int64)
         for i in range(5):
@@ -823,7 +812,7 @@ class TestLiveLayout:
         growth = int(adj[1:].sum(axis=0).max())
         assert (growth, growth**13 < 2**53 <= growth**14) == (14, True)
         _, first, cols = watched_residue(adj, exact._PRIMES[0])
-        assert (first, cols) == (3, live_counts(adj)[3:])
+        assert (first, cols) == (1, live_counts(adj)[1:])
         reduced = []
         fmod = np.fmod
         monkeypatch.setattr(np, "fmod", lambda a, *args, **kw: reduced.append(a.shape)
@@ -839,8 +828,8 @@ class TestLiveLayout:
     @pytest.mark.parametrize("idx", [0, 2])
     def test_peak_memory_within_stated_bound(self, idx):
         # a hitting-time digraph at n = 20, which contraction takes to a
-        # digraph of order 17 or 18, live from layer 3 on; the bounds are
-        # stated in the order of the digraph that the DP counts
+        # digraph of order 17 or 18; the bound is stated in the order of the
+        # digraph that the DP counts
         order = {0: 17, 2: 18}[idx]
         cp = couple(gen_process(20, "loopful", derive_seed(12345, idx)))
         d = cp.loopless.prefix(hitting_time(cp.loopless))
@@ -848,21 +837,18 @@ class TestLiveLayout:
         n = adj.shape[0]
         k = n - 1
         assert n == order
-        first = watched_residue(adj, exact._PRIMES[0])[1]
-        assert first == 3
-        full = max(math.comb(k, r) for r in range(1, first + 1))
-        ell = max(live_counts(adj)[first - 1:])
-        count_hamilton_cycles(d)  # order the subsets outside the measurement
+        ell = max(live_counts(adj))
         tracemalloc.start()
         try:
             count_hamilton_cycles(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bounds in the docstring of count_hamilton_cycles
-        bound = max(17 * k * full + 4 * 2**k, 20 * (k + 1) * ell + 9 * 2**k) + 16 * n**2 + 2**14
-        full_bound = 17 * k * math.comb(k, k // 2) + 4 * 2**k + 16 * n**2 + 2**14
-        assert peak <= bound < full_bound
+        # the live step's bound in the docstring of count_hamilton_cycles,
+        # below its value for K_n, where every subset is live
+        bound = 20 * (k + 1) * ell + 9 * 2**k + 16 * n**2 + 2**14
+        dense = 20 * (k + 1) * math.comb(k, k // 2) + 9 * 2**k + 16 * n**2 + 2**14
+        assert peak <= bound < dense
 
 
 def planted_matrix(n: int, density: float, loops: bool, seed: int, plants) -> np.ndarray:
@@ -889,16 +875,16 @@ def digraph_of(a: np.ndarray) -> Digraph:
 
 def unreduced_hamilton_count(a: np.ndarray) -> int:
     """HC of the digraph of ``a`` by the DP on the whole digraph, with no
-    contraction and no change of anchor."""
+    contraction and no change of anchor: the table step for n <= 11, also
+    where a test lowers ``_CONTRACT_MIN_N``, and the live step past it."""
     adj = a.astype(np.int64)
     np.fill_diagonal(adj, 0)
     n = len(adj)
     bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()),
                 math.prod(adj.sum(axis=0).tolist()))
-    masks, ends, tables = exact._subsets_by_size(n - 1)
-    if tables is not None:
-        return exact._hamilton_table_count(adj, tables)
-    return exact._from_residues(bound, lambda p: exact._hamilton_residue((adj, masks, ends), p))
+    if n <= 11:
+        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1)[2])
+    return exact._from_residues(bound, lambda p: exact._hamilton_residue(adj, p))
 
 
 def unreduced_permanent(a: np.ndarray) -> int:
@@ -1059,8 +1045,9 @@ class TestForcedEntries:
 
 class TestSubsetCache:
     def test_memory_within_stated_bound(self):
-        # every k up to K = 16, cached at once: less than 8 * 2^K + 2^18 bytes
-        big = 16
+        # every k the table step asks for, up to K = 10, cached at once:
+        # less than 2^18 bytes
+        big = 10
         exact._subsets_by_size.cache_clear()
         tracemalloc.start()
         try:
@@ -1070,7 +1057,7 @@ class TestSubsetCache:
         finally:
             tracemalloc.stop()
         assert exact._subsets_by_size.cache_info().currsize == big + 1
-        assert held < 8 * 2**big + 2**18
+        assert held < 2**18
 
     def test_entries_stay_for_every_k(self):
         first = exact._subsets_by_size(7)
