@@ -328,7 +328,7 @@ class EdgeSequence:
       ``generate`` materialises its first ``_DRAW_BLOCK`` codes with
       ``permutation_prefix`` (all of them when that is at least half the
       universe), and a request past them recomputes the prefix at
-      max(m, twice the codes held).  At n = 2000 that peaks near 21 MB
+      max(m, twice the codes held).  At n = 2000 that peaks near 19 MB
       (a 16 MB table of least swap steps, freed on return) and holds 0.5 MB
       of codes, where the whole shuffle held 32 MB.
     - Larger universes are drawn lazily (uniformity is preserved: the

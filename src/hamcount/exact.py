@@ -178,14 +178,13 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     On the sparse hitting-time digraphs l is a small fraction of
     c = C(k, floor(k/2)); on K_n every subset is live and l = c.  For
     n <= 11, which takes the table step, it is at most 8 (3 k + 1) c
-    + (8 k + 4) 2^k + 16 n^2 + 2^14 bytes: a step allocates the product of a
+    + 8 k 2^k + 16 n^2 + 2^14 bytes: a step allocates the product of a
     layer with the (k + 1) x k step operator (the float64 adjacency matrix
     above, with a row of zeros), then gathers the next layer from it while
-    the layer is still held, and the 2^k int32 subsets ordered by size and
-    the intp tables, at most 8 k 2^k bytes, stay cached; their build holds
-    no more than a step (see ``_subsets_by_size`` for the bound on the
-    cache).  Contraction, before the DP, holds at most 32 N^2 bytes and a
-    few kB, N the order of ``d``.
+    the layer is still held, and the intp tables, 8 k (2^k - k - 1) bytes,
+    stay cached; their build holds no more than a step (see
+    ``_subsets_by_size`` for the bound on the cache).  Contraction, before
+    the DP, holds at most 32 N^2 bytes and a few kB, N the order of ``d``.
     """
     if d.n > cap:
         raise ResourceCapError(f"n={d.n} exceeds the Hamilton-cycle counting cap of {cap}")
@@ -194,7 +193,7 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
         adj, sums = _contracted(adj)
     n = adj.shape[0]
     if n < _CONTRACT_MIN_N:
-        return _hamilton_table_count(adj, _subsets_by_size(n - 1)[2])
+        return _hamilton_table_count(adj, _subsets_by_size(n - 1))
     out_deg, in_deg = sums.tolist()
     # a Hamilton cycle leaves and enters every vertex by one loop-free edge
     bound = min(math.factorial(n - 1), math.prod(out_deg), math.prod(in_deg))
@@ -273,26 +272,24 @@ def _contracted(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The 2^k int32 bitmasks over k < 32 elements ordered by size, increasing
-    within a size, the end offset of each size in that order and the gather
-    tables of ``_hamilton_table_count``, which asks for k <= 10 only.
-    Table r, for r = 1..k-1, is a k x C(k, r+1) intp array whose entry
-    (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w is in T and
-    T - {w} is the i-th r-subset, else k C(k, r): the flat index of the entry
-    (w, T - {w}) of a k x C(k, r) layer, or of the first entry of a row
-    appended to it.  The tables are intp, which indexing uses as they are
-    (``take`` copies a read-only index on every call), and take
+def _subsets_by_size(k: int) -> tuple[np.ndarray, ...]:
+    """The gather tables of ``_hamilton_table_count`` over the subsets of k
+    < 32 elements ordered by size, increasing within a size; it asks for
+    k <= 10 only.  Table r, for r = 1..k-1, is a k x C(k, r+1) intp array
+    whose entry (w, j), for the j-th (r+1)-subset T, is w C(k, r) + i if w
+    is in T and T - {w} is the i-th r-subset, else k C(k, r): the flat index
+    of the entry (w, T - {w}) of a k x C(k, r) layer, or of the first entry
+    of a row appended to it.  The tables are intp, which indexing uses as
+    they are (``take`` copies a read-only index on every call), and take
     8 k (2^k - k - 1) bytes.  Contraction hands the table step digraphs of
     every order up to 11, so the cache keeps an entry for every k asked for,
-    and every array in it is read-only.  Together the entries of every
-    k <= 10 hold less than 2^18 bytes: the tables 143,952 bytes, the ordered
-    subsets 8,188 bytes, and the offsets and interpreter objects a few kB."""
+    and every table in it is read-only.  Together the entries of every
+    k <= 10 hold less than 2^18 bytes: tracemalloc counts 153,087 bytes,
+    143,952 of them in the tables."""
     size = _subset_sums(np.ones((1, k), dtype=np.int8))[0]
-    masks = np.argsort(size, kind="stable").astype(np.int32)
+    masks = np.argsort(size, kind="stable")
     ends = np.cumsum(np.bincount(size))
-    masks.flags.writeable = ends.flags.writeable = False
-    bits = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
+    bits = np.left_shift(1, np.arange(k))[:, None]
     tables = []
     for r in range(1, k):
         below = masks[ends[r - 1]:ends[r]]  # increasing, so T - {w} is found by bisection
@@ -302,7 +299,7 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, 
         table[(grown & bits) == 0] = k * len(below)
         table.flags.writeable = False
         tables.append(table)
-    return masks, ends, tuple(tables)
+    return tuple(tables)
 
 
 def _hamilton_table_count(adj: np.ndarray, tables: tuple[np.ndarray, ...]) -> int:

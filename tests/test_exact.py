@@ -39,7 +39,7 @@ def hamilton_residue(adj: np.ndarray, p: int) -> int:
     at its order: the table count for n <= 11, else ``_hamilton_residue``."""
     n = adj.shape[0]
     if n < exact._CONTRACT_MIN_N:
-        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1)[2]) % p
+        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1)) % p
     return exact._hamilton_residue(adj, p)
 
 
@@ -77,7 +77,7 @@ def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[i
     with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
             mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
         if k + 1 < exact._CONTRACT_MIN_N:
-            residue = exact._hamilton_table_count(adj, exact._subsets_by_size(k)[2]) % p
+            residue = exact._hamilton_table_count(adj, exact._subsets_by_size(k)) % p
         else:
             residue = exact._hamilton_residue(adj, p)
     shapes = [call.args[0] for call in zeros.call_args_list]
@@ -252,7 +252,7 @@ class TestHamiltonCount:
             # the live step's with every subset live
             c = math.comb(k, k // 2)
             if n <= 11:
-                bound = 8 * (3 * k + 1) * c + (8 * k + 4) * 2**k + 16 * n**2 + 2**14
+                bound = 8 * (3 * k + 1) * c + 8 * k * 2**k + 16 * n**2 + 2**14
             else:
                 bound = 20 * (k + 1) * c + 9 * 2**k + 16 * n**2 + 2**14
             assert peak <= bound, n
@@ -744,13 +744,14 @@ class TestTableStep:
         # each entry (w, T) of table r points at (w, T - {w}) in a flat
         # k x C(k, r) layer, or past its end when w is not in T
         k = n - 1
-        masks, ends, tables = exact._subsets_by_size(k)
+        tables = exact._subsets_by_size(k)
         assert len(tables) == max(k - 1, 0)
         assert sum(t.nbytes for t in tables) == 8 * k * (2**k - k - 1)
+        by_size = [[t for t in range(2**k) if t.bit_count() == r] for r in range(k + 1)]
         for r, table in enumerate(tables, 1):
-            below = masks[ends[r - 1]:ends[r]].tolist()
+            below = by_size[r]
             want = [[w * len(below) + below.index(t & ~(1 << w)) if t >> w & 1
-                     else k * len(below) for t in masks[ends[r]:ends[r + 1]].tolist()]
+                     else k * len(below) for t in by_size[r + 1]]
                     for w in range(k)]
             assert table.dtype == np.intp and table.tolist() == want
             assert not table.flags.writeable
@@ -883,7 +884,7 @@ def unreduced_hamilton_count(a: np.ndarray) -> int:
     bound = min(math.factorial(n - 1), math.prod(adj.sum(axis=1).tolist()),
                 math.prod(adj.sum(axis=0).tolist()))
     if n <= 11:
-        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1)[2])
+        return exact._hamilton_table_count(adj, exact._subsets_by_size(n - 1))
     return exact._from_residues(bound, lambda p: exact._hamilton_residue(adj, p))
 
 

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 import hamcount
 from hamcount.rng import (
-    _STREAM_WORDS,
     _accepted,
-    _refill,
-    _resumed,
     _swap_draws,
     derive_seed,
     make_generator,
@@ -152,25 +149,27 @@ class TestSwapDraws:
     @pytest.mark.parametrize("size, k, seed", CASES)
     def test_draws_and_state_match_randint(self, size, k, seed):
         runs = []
-        consumed = _swap_draws(make_generator(seed).bit_generator, size, k,
-                               lambda top, chosen: runs.append((top, chosen.copy())))
+        bitgen = make_generator(seed).bit_generator
+        _swap_draws(bitgen, size, k, lambda top, chosen: runs.append((top, chosen.copy())))
         tops = [top for top, _ in runs]
         ends = [top - chosen.size for top, chosen in runs]
         assert tops[0] == size - 1 and tops[1:] == ends[:-1] and ends[-1] == k - 1
         oracle_bitgen = np.random.PCG64(np.random.SeedSequence(seed))
         want = np.random.RandomState(oracle_bitgen).randint(0, np.arange(size, k, -1))
         assert np.array_equal(np.concatenate([c for _, c in runs]), want)
-        resumed = _resumed(seed, consumed)
-        assert _live_state(resumed.bit_generator) == _live_state(oracle_bitgen)
-        oracle = np.random.Generator(oracle_bitgen)
-        assert np.array_equal(resumed.integers(0, 1000, size=9), oracle.integers(0, 1000, size=9))
+        assert _live_state(bitgen) == _live_state(oracle_bitgen)
+        got, oracle = np.random.Generator(bitgen), np.random.Generator(oracle_bitgen)
+        assert np.array_equal(got.integers(0, 1000, size=9), oracle.integers(0, 1000, size=9))
 
     def test_cases_cover_both_parities(self):
         # an odd count of uint32 draws leaves numpy holding back the high
-        # half of an output, which the resumed generator must hold too
-        parities = {_swap_draws(make_generator(seed).bit_generator, size, k, lambda top, chosen: None) % 2
-                    for size, k, seed in self.CASES}
-        assert parities == {0, 1}
+        # half of an output, which the decoder must hold back too
+        held = set()
+        for size, k, seed in self.CASES:
+            bitgen = make_generator(seed).bit_generator
+            _swap_draws(bitgen, size, k, lambda top, chosen: None)
+            held.add(bitgen.state["has_uint32"])
+        assert held == {0, 1}
 
 
 def rejection_loop(values, top: int) -> list[bool]:
@@ -209,15 +208,3 @@ class TestAccepted:
         chunk = np.array(values, dtype=np.int32)
         got = _accepted(chunk, top, np.arange(chunk.size, dtype=np.int32))
         assert got.tolist() == rejection_loop(values, top)
-
-
-class TestRefill:
-    @pytest.mark.parametrize("pos", [0, 1, 6, 7])
-    def test_low_half_then_high_half(self, pos):
-        stream = np.arange(10, dtype=np.uint32) + 100
-        raw = np.random.PCG64(3).random_raw(_STREAM_WORDS)
-        got = _refill(np.random.PCG64(3), stream, pos)
-        assert got.dtype == np.uint32 and got.size == 10 - pos + 2 * _STREAM_WORDS
-        assert np.array_equal(got[:10 - pos], stream[pos:])
-        assert np.array_equal(got[10 - pos::2], raw & 0xFFFFFFFF)
-        assert np.array_equal(got[11 - pos::2], raw >> 32)
