@@ -3,11 +3,12 @@
 Each experiment is a per-trial function plus an aggregator over the trial
 records, so reports can be recomputed from their own records, merging is
 order-independent, and parallel execution (per-trial seeds spawned from the
-master seed) gives byte-identical output to serial runs.  Exact counts are
-serialized as decimal strings, never floats.
+master seed) gives the records and aggregates of serial runs.  Exact counts
+are serialized as decimal strings, never floats.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -188,25 +189,20 @@ class Experiment:
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     exp = EXPERIMENTS[cfg.experiment]
+    trial = functools.partial(exp.trial, cfg)
     t0 = time.perf_counter()
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_trial_entry,
-                                    [(cfg.to_dict(), i) for i in range(cfg.trials)]))
+            # a few chunks per worker: few round trips, and long trials still balance
+            records = list(pool.map(trial, range(cfg.trials),
+                                    chunksize=max(1, cfg.trials // (4 * cfg.workers))))
     else:
-        records = [exp.trial(cfg, i) for i in range(cfg.trials)]
-    records.sort(key=lambda r: r["trial"])
-    aggregates, passed = exp.aggregate(cfg, records)
+        records = list(map(trial, range(cfg.trials)))
+    aggregates, passed = exp.aggregate(cfg, records)  # both maps keep trial order
     if cfg.include_timings:
         aggregates["wall_time_seconds"] = time.perf_counter() - t0
     return Report(cfg.experiment, cfg.to_dict(), records, aggregates, passed)
-
-
-def _trial_entry(packed: tuple[dict, int]) -> dict:
-    cfg_dict, idx = packed
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    return EXPERIMENTS[cfg.experiment].trial(cfg, idx)
 
 
 # -- expected Hamilton-cycle count ------------------------------------------------

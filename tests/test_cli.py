@@ -171,6 +171,22 @@ class TestExperimentCommand:
         ])
         jsonschema.validators.Draft7Validator(report_schema, registry=registry).validate(report)
 
+    def test_two_workers_equal_one(self, runner, tmp_path):
+        cfg = {"experiment": "expected-count", "n": 6, "p": 0.5, "trials": 30, "seed": 4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        reports = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"w{workers}.json"
+            res = invoke(runner, ["experiment", str(cfg_path), "--workers", workers,
+                                  "--out", str(out_path)])
+            assert res.exit_code == 0
+            reports.append(json.loads(out_path.read_text()))
+        serial, parallel = reports
+        assert parallel["config"]["workers"] == 2
+        assert serial["records"] == parallel["records"]
+        assert serial["aggregates"] == parallel["aggregates"]
+
     def test_threshold_failure_exits_one(self, runner, tmp_path):
         # a tolerance of 1e-6 standard errors: the sample mean misses it
         cfg = {"experiment": "expected-count", "n": 6, "p": 0.5, "trials": 20, "seed": 2,

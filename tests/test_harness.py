@@ -102,6 +102,15 @@ class TestDeterminismAndMerging:
         assert serial.records == parallel.records
         assert serial.aggregates == parallel.aggregates
 
+    def test_parallel_uneven_chunks_keep_trial_order(self):
+        # 37 trials on 3 workers: chunks of 3 and a remainder of 1
+        base = dict(experiment="expected-count", n=7, trials=37, seed=5, p=0.5)
+        serial = run_experiment(ExperimentConfig(**base))
+        parallel = run_experiment(ExperimentConfig(**base, workers=3))
+        assert [r["trial"] for r in parallel.records] == list(range(37))
+        assert serial.records == parallel.records
+        assert serial.aggregates == parallel.aggregates
+
     def test_aggregates_recomputable(self):
         r = run_experiment(ExperimentConfig("expected-count", n=6, trials=10, seed=2, p=0.4))
         agg, passed = r.recompute_aggregates()
