@@ -619,14 +619,6 @@ def hitting_time(seq: EdgeSequence) -> int:
     return root._hitting[seq is not root]
 
 
-def _first_cover(keys: np.ndarray, pos: np.ndarray, size: int, past: int) -> np.ndarray:
-    """first[x] = least p in ``pos`` paired with key x in ``keys``, for keys in
-    [0, size), or ``past`` (at least every p) where x is not in ``keys``."""
-    first = np.full(size, past)
-    np.minimum.at(first, keys, pos)  # order-independent, unlike a plain scatter
-    return first
-
-
 def _repeats(seq: EdgeSequence, cut: int, end: int) -> tuple[int, int, int]:
     """(repeats before ``cut``, repeats before ``end``, loops among the
     latter) in ``seq``'s stream, for cut <= end.
@@ -676,35 +668,37 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
     sequence's codes stay as they were, and a later request deduplicates
     only the draws it needs.
 
-    Key x < n is vertex x as a source and key n + x is x as a target; each
-    side keeps a "not yet seen" flag per key.  Windows of the stream are
-    read in turn, the first of max(n, ``_MIN_WINDOW``) draws and each next
-    one at most twice as long, up to ``_MAX_WINDOW``; a window ends where
-    the codes or the pending draws end.  Once nothing unscanned is left, a
-    lazy sequence draws one more block by the rule a request draws by
-    (``_draw_below_half``: codes and pending draws fewer than half the
-    universe).  Past that it deduplicates every pending draw and rescans
+    Key x < n is vertex x as a source and key n + x is x as a target; one
+    "not yet seen" flag per key serves the loop-deleted side.  Windows of
+    the stream are read in turn, the first of max(n, ``_MIN_WINDOW``) draws
+    and each next one at most twice as long, up to ``_MAX_WINDOW``; a window
+    ends where the codes or the pending draws end.  Once nothing unscanned
+    is left, a lazy sequence draws one more block by the rule a request
+    draws by (``_draw_below_half``: codes and pending draws fewer than half
+    the universe).  Past that it deduplicates every pending draw and rescans
     its codes from position 0 (only tiny universes get there before their
     hitting time); once they are read it draws on while below half, or asks
     ``ensure`` for one more code, which shuffles in the tail as it would
     without the scan.  Any other sequence just asks ``ensure``.  So a lazy
     sequence draws exactly the blocks that it would draw to materialise its
     hitting time.  A window costs one floor division, gathers of its
-    sources' and targets' keys from the loop-deleted flags
-    (a loop's keys go to the spare key 2n, never unseen) and scatters of
-    the few keys found unseen.  A key unseen with loops counted is unseen
-    with loops deleted too, so those flags are cleared from the same keys
-    plus the loops'.  The window that clears a side's last flag fixes its
-    answer, the latest first position of a key it clears.  The caller
+    sources' and targets' keys from the flags (a loop's keys go to the spare
+    key 2n, never unseen), and scatters of the few keys found unseen, into
+    the flags and into their first positions, ``first``.  Its loops'
+    positions and vertices are kept.  The window that clears the last flag
+    fixes the loop-deleted answer, the latest first position.  A key's first
+    cover with loops counted is the earlier of its first non-loop draw and
+    its first loop, and that answer never comes after the loop-deleted one;
+    so, once the scan ends, the kept loops lower their vertices' two keys in
+    ``first``, and its latest entry is the loops-counted answer.  The caller
     holds the sequence's lock.
     """
     n = seq.n
     spare = 2 * n
     unseen = np.ones(spare + 1, dtype=bool)
     unseen[spare] = False
-    unseen_looped = unseen.copy()  # loops counted
-    with_loops = None  # stream position of the loops-counted answer, once fixed
-    loops = 0  # loop draws before start
+    first = np.full(spare, np.iinfo(np.int64).max)  # each key's first stream position
+    loop_at, loop_vertex = [], []
     start, width = 0, min(max(n, _MIN_WINDOW), _MAX_WINDOW)
     while True:
         skip = start - seq._codes.size
@@ -721,36 +715,32 @@ def _coverage_scan(seq: EdgeSequence) -> tuple[int, int]:
                     return _coverage_scan(seq)
                 seq.ensure(start + 1)
                 continue
-        w = codes.size
         u = codes // n
         v = u * n
         np.subtract(codes, v, out=v)
         at = np.flatnonzero(u == v)  # positions of the window's loops
-        looped = u[at]
+        loop_at.append(at + start)
+        loop_vertex.append(u[at])
         v += n
         u[at] = v[at] = spare
         out_at, in_at = np.flatnonzero(unseen[u]), np.flatnonzero(unseen[v])
         fresh = np.concatenate([u[out_at], v[in_at]])
         pos = np.concatenate([out_at, in_at])
-        if with_loops is None:
-            before = unseen_looped.copy()
-            unseen_looped[fresh] = False
-            unseen_looped[looped] = False
-            unseen_looped[looped + n] = False
-            if not np.count_nonzero(unseen_looped):
-                first = _first_cover(np.concatenate([fresh, looped, looped + n]),
-                                     np.concatenate([pos, at, at]), spare + 1, w)
-                with_loops = start + int(first[before].max())
+        pos += start
+        np.minimum.at(first, fresh, pos)  # a key can repeat within a window
         unseen[fresh] = False
         if not np.count_nonzero(unseen):
-            last = int(_first_cover(fresh, pos, spare + 1, w)[fresh].max())
-            loops += int(np.count_nonzero(at < last))
-            last += start
-            early, repeats, loop_repeats = _repeats(seq, with_loops, last)
-            return with_loops + 1 - early, last + 1 - loops - (repeats - loop_repeats)
-        loops += at.size
-        start += w
+            break
+        start += codes.size
         width = min(2 * width, _MAX_WINDOW)
+    last = int(first.max())
+    loop_at, loop_vertex = np.concatenate(loop_at), np.concatenate(loop_vertex)
+    np.minimum.at(first, loop_vertex, loop_at)
+    np.minimum.at(first, loop_vertex + n, loop_at)
+    with_loops = int(first.max())
+    loops = int(np.count_nonzero(loop_at < last))
+    early, repeats, loop_repeats = _repeats(seq, with_loops, last)
+    return with_loops + 1 - early, last + 1 - loops - (repeats - loop_repeats)
 
 
 # -- edge-list text format -----------------------------------------------------

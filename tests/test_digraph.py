@@ -796,23 +796,34 @@ class TestHittingTime:
         assert hitting_time(seq) == self.oracle(seq.pairs(len(seq)), n)
 
     @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans(),
-           st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 300))
-    @example(n=2, seed=5, loopless_first=True, materialised="none", ahead=1)  # loopful m* = 3
+           st.sampled_from(["none", "loopful", "loopless"]), st.integers(1, 300), st.booleans())
+    @example(n=2, seed=5, loopless_first=True, materialised="none", ahead=1,
+             lazy=False)  # loopful m* = 3
+    # the loop-deleted side covers key 36 (vertex 3 as a target) last, at
+    # position 177 of the second window; the loop (3, 3) at 9 covers it first
+    @example(n=33, seed=3, loopless_first=False, materialised="none", ahead=1, lazy=True)
     @settings(max_examples=60, deadline=None)
-    def test_coupled_matches_python_oracle(self, n, seed, loopless_first, materialised, ahead):
+    def test_coupled_matches_python_oracle(self, n, seed, loopless_first, materialised, ahead,
+                                           lazy):
         # the loopful answer on the loopful order, the loopless one on the
-        # same order with its loops deleted
-        cp = couple(gen_process(n, "loopful", seed))
-        order = cp.loopful.pairs(n * n)
-        want_ful = self.oracle(order, n)
-        want_less = self.oracle([(u, v) for u, v in order if u != v], n)
-        if materialised != "none":
-            seq = getattr(cp, materialised)
-            seq.codes(min(ahead, seq.universe_size))
-        if loopless_first:
-            m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
-        else:
-            m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
+        # same order with its loops deleted; the order comes from a second
+        # process of the same seed, so the scan reads the first one's pending
+        # draws when ``lazy`` (n >= 33 draws lazily)
+        with pytest.MonkeyPatch.context() as mp:
+            if lazy:
+                mp.setattr(digraph, "_FULL_SHUFFLE_MAX", 1 << 10)
+            order = couple(gen_process(n, "loopful", seed)).loopful.pairs(n * n)
+            cp = couple(gen_process(n, "loopful", seed))
+            assert (cp.loopful._rng is not None) == (lazy and n * n > 1 << 10)
+            want_ful = self.oracle(order, n)
+            want_less = self.oracle([(u, v) for u, v in order if u != v], n)
+            if materialised != "none":
+                seq = getattr(cp, materialised)
+                seq.codes(min(ahead, seq.universe_size))
+            if loopless_first:
+                m_less, m_ful = hitting_time(cp.loopless), hitting_time(cp.loopful)
+            else:
+                m_ful, m_less = hitting_time(cp.loopful), hitting_time(cp.loopless)
         assert (m_less, m_ful) == (want_less, want_ful)
 
     def test_independent_of_materialisation(self):
