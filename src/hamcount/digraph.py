@@ -582,7 +582,7 @@ def gen_binomial(n: int, p: float, allow_loops: bool, seed: int) -> Digraph:
         # same joint law, without touching all ~n^2 pairs.
         m = int(rng.binomial(universe, p))
         return Digraph(n, EdgeSequence(n, allow_loops, _rng=rng).codes(m), allow_loops=allow_loops)
-    idx = np.nonzero(rng.random(universe) < p)[0].astype(np.int64, copy=False)
+    idx = (rng.random(universe) < p).nonzero()[0].astype(np.int64, copy=False)
     # increasing indices, mapped increasingly past the loops: valid codes
     codes = idx if allow_loops else _loopless_index_to_code(idx, n)
     return Digraph(n, codes, allow_loops=allow_loops, _valid=True)

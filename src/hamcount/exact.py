@@ -179,21 +179,25 @@ def count_hamilton_cycles(d: Digraph, cap: int = DEFAULT_CAP) -> int:
     c = C(k, floor(k/2)); on K_n every subset is live and l = c.  For
     n <= 11, which takes the table step, it is at most 8 (3 k + 1) c
     + 8 k 2^k + 16 n^2 + 2^14 bytes: a step allocates the product of a
-    layer with the (k + 1) x k step operator (the float64 adjacency matrix
-    above, with a row of zeros), then gathers the next layer from it while
-    the layer is still held, and the intp tables, 8 k (2^k - k - 1) bytes,
-    stay cached; their build holds no more than a step (see
-    ``_subsets_by_size`` for the bound on the cache).  Contraction, before
-    the DP, holds at most 32 N^2 bytes and a few kB, N the order of ``d``.
+    layer with the (k + 1) x k step operator, then gathers the next layer
+    from it while the layer is still held, and the intp tables,
+    8 k (2^k - k - 1) bytes, stay cached; their build holds no more than a
+    step (see ``_subsets_by_size`` for the bound on the cache).  There
+    16 n^2 covers the operator and the float64 adjacency matrix, scattered
+    from the edge codes with no int64 matrix, or cast once from a contracted
+    one.  Contraction, before the DP, holds at most 32 N^2 bytes and a few
+    kB, N the order of ``d``.
     """
     if d.n > cap:
         raise ResourceCapError(f"n={d.n} exceeds the Hamilton-cycle counting cap of {cap}")
-    adj = d.adjacency_matrix()
-    if d.n >= _CONTRACT_MIN_N:
-        adj, sums = _contracted(adj)
+    if d.n < _CONTRACT_MIN_N:
+        adj = np.zeros(d.n * d.n)
+        adj[d.codes] = 1
+        return _hamilton_table_count(adj.reshape(d.n, d.n), _subsets_by_size(d.n - 1))
+    adj, sums = _contracted(d.adjacency_matrix())
     n = adj.shape[0]
     if n < _CONTRACT_MIN_N:
-        return _hamilton_table_count(adj, _subsets_by_size(n - 1))
+        return _hamilton_table_count(adj.astype(np.float64), _subsets_by_size(n - 1))
     out_deg, in_deg = sums.tolist()
     # a Hamilton cycle leaves and enters every vertex by one loop-free edge
     bound = min(math.factorial(n - 1), math.prod(out_deg), math.prod(in_deg))
@@ -303,8 +307,9 @@ def _subsets_by_size(k: int) -> tuple[np.ndarray, ...]:
 
 
 def _hamilton_table_count(adj: np.ndarray, tables: tuple[np.ndarray, ...]) -> int:
-    """Hamilton cycles of the n x n adjacency matrix ``adj``, n <= 11, by the
-    table step through the ``tables`` of ``_subsets_by_size(n - 1)``.  Layer
+    """Hamilton cycles of the n x n float64 adjacency matrix ``adj``, n <= 11,
+    by the table step through the ``tables`` of ``_subsets_by_size(n - 1)``,
+    one ``ndarray.dot`` a layer (matmul's dgemm, at half the dispatch).  Layer
     r holds, for each r-subset T of the vertices 1..k (k = n - 1) in
     increasing bitmask order and each w in T, the number of paths from 0
     through exactly T that end at w, in row w-1 and the column of T, and 0
@@ -318,8 +323,8 @@ def _hamilton_table_count(adj: np.ndarray, tables: tuple[np.ndarray, ...]) -> in
     layer = np.zeros((k, k))
     layer.reshape(-1)[::k + 1] = adj[0, 1:]  # layer 1: the paths 0 -> w
     for table in tables:
-        layer = np.matmul(step, layer).ravel()[table]
-    return int(adj[1:, 0] @ layer.ravel())  # the one k-subset, if k > 0
+        layer = step.dot(layer).ravel()[table]
+    return int(adj[1:, 0].dot(layer.ravel()))  # the one k-subset, if k > 0
 
 
 def _hamilton_residue(adj: np.ndarray, p: int) -> int:

@@ -1,4 +1,3 @@
-import itertools
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -16,29 +15,52 @@ from hamcount.frieze import (MERGE_RETRY_CAP, _default_budget, _path_array, _rot
 from hamcount.rng import derive_seed, make_generator
 
 
+def _successors(d: Digraph) -> list[list[int]]:
+    """The out-neighbours of each vertex, loops included, in edge order."""
+    succ = [[] for _ in range(d.n)]
+    for u, v in d.edges():
+        succ[u].append(v)
+    return succ
+
+
 def brute_force_hamilton_count(d: Digraph) -> int:
-    """Independent oracle: enumerate cyclic orders anchored at vertex 0."""
-    n = d.n
-    if n == 1:
-        return 0
-    count = 0
-    edges = set(d.edges())
-    for perm in itertools.permutations(range(1, n)):
-        walk = (0,) + perm
-        if all((walk[i], walk[(i + 1) % n]) in edges for i in range(n)):
-            count += 1
-    return count
+    """Independent oracle: extend paths from vertex 0 by unused out-edges,
+    and count those through every vertex that close back to 0."""
+    n, succ = d.n, _successors(d)
+    used = [True] + [False] * (n - 1)
+
+    def paths(u: int, left: int) -> int:
+        if left == 0:
+            return int(n > 1 and 0 in succ[u])
+        count = 0
+        for v in succ[u]:
+            if not used[v]:
+                used[v] = True
+                count += paths(v, left - 1)
+                used[v] = False
+        return count
+
+    return paths(0, n - 1)
 
 
 def brute_force_factor_count(d: Digraph) -> int:
-    """Independent oracle: enumerate all successor permutations."""
-    n = d.n
-    count = 0
-    edges = set(d.edges())
-    for perm in itertools.permutations(range(n)):
-        if all((v, perm[v]) in edges for v in range(n)):
-            count += 1
-    return count
+    """Independent oracle: give each vertex in turn an unused successor
+    among its out-neighbours, and count the complete choices."""
+    n, succ = d.n, _successors(d)
+    used = [False] * n
+
+    def choices(u: int) -> int:
+        if u == n:
+            return 1
+        count = 0
+        for v in succ[u]:
+            if not used[v]:
+                used[v] = True
+                count += choices(u + 1)
+                used[v] = False
+        return count
+
+    return choices(0)
 
 
 def reference_hamilton_residue(adj: np.ndarray, p: int) -> int:

@@ -66,25 +66,36 @@ def watched_residue(adj: np.ndarray, p: int) -> tuple[int, Optional[int], list[i
     """HC of ``adj`` mod p, the first live layer of the DP (None for the
     table step), and the number of columns of each live layer it builds
     after that one.  The steps are read from the kernel's calls to np.zeros
-    and np.matmul.  For n <= 11 it must be ``_hamilton_table_count``: its
-    only zeroed buffers are the (k + 1) x k step operator and the k x k
+    and, through the (k + 1) x k buffer that np.zeros hands out as an
+    ndarray whose ``dot`` records its operands' shapes, from the products
+    of the step operator.  For n <= 11 it must be ``_hamilton_table_count``:
+    its only zeroed buffers are the (k + 1) x k step operator and the k x k
     layer 1, so it builds no 2^k table and no live layer, and it takes one
     product of that operator with the k x C(k, r) layer r for each
     r = 1..k-1.  Otherwise it is ``_hamilton_residue``, with one zeroed
     buffer for layer 1, a column for each out-neighbour of 0, then the 2^k
     table over the subsets, then one per later live layer."""
     k = adj.shape[0] - 1
-    with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
-            mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+    zeroed, products = np.zeros, []
+
+    class Operator(np.ndarray):
+        def dot(self, other):
+            products.append((self.shape, other.shape))
+            return self.view(np.ndarray).dot(other)
+
+    def zeros(shape, *args, **kwargs):
+        buffer = zeroed(shape, *args, **kwargs)
+        return buffer.view(Operator) if shape == (k + 1, k) else buffer
+
+    with mock.patch.object(np, "zeros", side_effect=zeros) as zeros_calls:
         if k + 1 < exact._CONTRACT_MIN_N:
             residue = exact._hamilton_table_count(adj, exact._subsets_by_size(k)) % p
         else:
             residue = exact._hamilton_residue(adj, p)
-    shapes = [call.args[0] for call in zeros.call_args_list]
+    shapes = [call.args[0] for call in zeros_calls.call_args_list]
     if k + 1 < exact._CONTRACT_MIN_N:
         assert shapes == [(k + 1, k), (k, k)]
-        assert [tuple(a.shape for a in call.args) for call in matmul.call_args_list] \
-            == [((k + 1, k), (k, math.comb(k, r))) for r in range(1, k)]
+        assert products == [((k + 1, k), (k, math.comb(k, r))) for r in range(1, k)]
         return residue, None, []
     first = shapes.index(1 << k)
     assert shapes[:first] == [(k, np.count_nonzero(adj[0, 1:]))]
